@@ -7,7 +7,11 @@ point (:class:`~repro.gpusim.device.KernelContext`), so the equivalent of
 device observer: per kernel launch the :class:`Sanitizer` records a compact
 access log (array, element indices, SIMT slots, read/write/atomic) and
 closes each *synchronization window* — a launch, or a
-``device_barrier``-delimited span inside a fused kernel — by checking for:
+``device_barrier``-delimited span inside a fused kernel — by checking for
+the rules below.  A continuation segment of a persistent kernel (launched
+with ``host_launch=False``) inherits the open window of the segment before
+it: only a ``device_barrier`` or the next host launch closes a window, and
+:meth:`Sanitizer.report` closes the trailing one.
 
 ``write-write-race``
     one address stored by two warp slots (or twice by one store
@@ -173,9 +177,11 @@ class _ArrayState:
 class _WindowLog:
     """Access log of one synchronization window, grouped per array."""
 
-    __slots__ = ("reads", "writes", "atomics")
+    __slots__ = ("kernels", "reads", "writes", "atomics")
 
-    def __init__(self) -> None:
+    def __init__(self, kernel: str) -> None:
+        #: labels of the kernel segments the window spans, in order
+        self.kernels = [kernel]
         # per array key: list of (idx, slots[, values]) tuples
         self.reads: dict[int, list] = {}
         self.writes: dict[int, list] = {}
@@ -256,7 +262,14 @@ class Sanitizer:
             device.observers.remove(self)
 
     def report(self) -> SanitizerReport:
-        """The findings collected so far."""
+        """The findings collected so far.
+
+        Between launches this first closes the window the last kernel
+        segment left open (a later continuation could still have joined
+        it).
+        """
+        if self._kernel is None:
+            self._close_window()
         return self._report
 
     # ------------------------------------------------------------------
@@ -323,7 +336,11 @@ class Sanitizer:
             self._dist_watch[id(arr)] = (watched, watched.data.copy())
 
     def on_kernel_begin(self, device: GPUDevice, ctx: KernelContext) -> None:
-        self._window = _WindowLog()
+        if ctx.host_launch or self._window is None:
+            self._close_window()
+            self._window = _WindowLog(ctx.name)
+        else:
+            self._window.kernels.append(ctx.name)
         self._kernel = ctx.name
         for key, (arr, _snap) in list(self._dist_watch.items()):
             self._dist_watch[key] = (arr, arr.data.copy())
@@ -420,11 +437,10 @@ class Sanitizer:
     def on_device_barrier(self, device: GPUDevice, ctx: KernelContext) -> None:
         """A barrier inside a fused kernel closes the current race window."""
         self._close_window()
-        self._window = _WindowLog()
+        self._window = _WindowLog(ctx.name)
 
     def on_kernel_end(self, device: GPUDevice, ctx: KernelContext) -> None:
-        self._close_window()
-        self._window = None
+        # the window stays open: a continuation segment may still join it
         self._check_monotone()
         self._kernel = None
 
@@ -432,7 +448,9 @@ class Sanitizer:
         w = self._window
         if w is None:
             return
+        self._window = None
         self._report.kernels_checked += 1
+        kernel, self._kernel = self._kernel, "+".join(w.kernels)
         keys = set(w.reads) | set(w.writes) | set(w.atomics)
         for key in keys:
             self._analyze_array(
@@ -441,6 +459,7 @@ class Sanitizer:
                 w.writes.get(key, []),
                 w.atomics.get(key, []),
             )
+        self._kernel = kernel
 
     def _analyze_array(self, name: str, reads, writes, atomics) -> None:
         w_idx = w_slot = w_call = w_val = None

@@ -213,15 +213,22 @@ class RecoveryRuntime:
     # ------------------------------------------------------------------
     # epoch cadence
     # ------------------------------------------------------------------
-    def epoch(self, work: int = 0, mark=None) -> None:
-        """One engine iteration boundary: run the cadenced probe/checkpoint."""
+    def epoch(self, work: int = 0, mark=None) -> bool:
+        """One engine iteration boundary: run the cadenced probe/checkpoint.
+
+        Returns True when the boundary synchronized with the host (a probe
+        or a checkpoint ran), which ends any persistent kernel in flight.
+        """
         self._epoch += 1
         p = self.policy
-        if self._epoch % p.probe_interval == 0:
+        probed = self._epoch % p.probe_interval == 0
+        if probed:
             self.probe()
-        if self._epoch % p.checkpoint_interval == 0:
+        checkpointed = self._epoch % p.checkpoint_interval == 0
+        if checkpointed:
             self._repair_cells()  # never checkpoint corrupt state
             self.checkpoint(mark)
+        return probed or checkpointed
 
     def new_watchdog(self, work: int, chunk: int) -> Watchdog:
         """A round budget sized to the work one async phase should need."""

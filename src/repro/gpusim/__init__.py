@@ -30,6 +30,7 @@ from .kernels import (
     WorkAssignment,
     grid_stride,
     segmented_arange,
+    thread_per_block,
     thread_per_item,
     thread_per_vertex_edges,
     threads_per_vertex_edges,
@@ -63,6 +64,7 @@ __all__ = [
     "thread_per_item",
     "thread_per_vertex_edges",
     "threads_per_vertex_edges",
+    "thread_per_block",
     "grid_stride",
     "segmented_arange",
     "WorkloadClasses",

@@ -183,9 +183,15 @@ def subset_assignment(assignment: WorkAssignment, mask: np.ndarray) -> WorkAssig
 class KernelContext:
     """Accounting scope of one kernel launch."""
 
-    def __init__(self, device: "GPUDevice", name: str) -> None:
+    def __init__(
+        self, device: "GPUDevice", name: str, host_launch: bool = True
+    ) -> None:
         self.device = device
         self.name = name
+        #: False for a continuation segment of a persistent kernel: it pays
+        #: no launch cost and inherits the open race window of the segment
+        #: before it (see :meth:`GPUDevice.launch`)
+        self.host_launch = host_launch
         self.counters = KernelCounters()
         self.critical_instructions = 0
         self._load_lines: list[np.ndarray] = []
@@ -642,10 +648,18 @@ class GPUDevice:
     # ------------------------------------------------------------------
     @contextmanager
     def launch(self, name: str, *, host_launch: bool = True) -> Iterator[KernelContext]:
-        """Run one kernel; accounting closes when the context exits."""
+        """Run one kernel; accounting closes when the context exits.
+
+        ``host_launch=False`` runs a *continuation segment* of a persistent
+        kernel that is already resident: the segment is charged its own
+        body, barriers and extra costs, but no ``kernel_launch_s`` and no
+        ``kernel_launches`` count.  A segment that follows another without
+        a ``device_barrier`` in between runs in the same synchronization
+        window as it.
+        """
         prof = active_profiler()
         t_host = time.perf_counter() if prof is not None else 0.0
-        ctx = KernelContext(self, name)
+        ctx = KernelContext(self, name, host_launch)
         if host_launch:
             ctx.counters.kernel_launches += 1
         self._notify("on_kernel_begin", self, ctx)

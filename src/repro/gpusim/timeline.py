@@ -93,7 +93,7 @@ class Timeline:
         return sum(r.duration_s for r in self.records)
 
     def by_kernel(self) -> dict[str, tuple[int, float]]:
-        """``{kernel name: (launch count, total seconds)}``."""
+        """``{kernel name: (segment count, total seconds)}``."""
         agg: dict[str, list[float]] = defaultdict(lambda: [0, 0.0])
         for r in self.records:
             agg[r.name][0] += 1
@@ -118,9 +118,12 @@ class Timeline:
 
     def report(self, k: int = 8) -> str:
         """Human-readable profile (top kernels + bottleneck split)."""
-        lines = [f"timeline: {len(self.records)} launches, "
-                 f"{self.total_s * 1e3:.4f} ms total"]
-        lines.append(f"{'kernel':<24} {'launches':>9} {'total ms':>10} {'share':>7}")
+        # a record is one kernel segment; continuation segments of a
+        # persistent kernel are not host launches
+        host = sum(r.counters.kernel_launches for r in self.records)
+        lines = [f"timeline: {len(self.records)} kernel segments "
+                 f"({host} host launches), {self.total_s * 1e3:.4f} ms total"]
+        lines.append(f"{'kernel':<24} {'segments':>9} {'total ms':>10} {'share':>7}")
         total = max(self.total_s, 1e-30)
         for name, (count, t) in sorted(
             self.by_kernel().items(), key=lambda kv: kv[1][1], reverse=True

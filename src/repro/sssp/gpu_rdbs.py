@@ -14,7 +14,13 @@ independent toggles:
   one persistent kernel draining workload lists in micro-rounds without
   barriers, updates are immediately visible, and the bucket width Δ_i is
   re-adjusted per bucket from converged-vertex and thread-utilization
-  feedback (Eqs. 1–2).
+  feedback (Eqs. 1–2).  Consecutive buckets are *fused* into that one
+  persistent kernel (PriorityGraph-style bucket fusion): after the first
+  host launch, every phase-1 and phase-2&3 segment is a device-side
+  continuation split by device barriers, and the next-bucket choice is
+  charged as device work.  The kernel ends, and the next bucket starts
+  with a host launch, only where the host must synchronize: a PRO offset
+  re-split, a fault-runtime probe/checkpoint, or a rollback.
 
 With all three off the engine degenerates to the classic synchronous
 GPU Δ-stepping of §2.2 (which doubles as the ablation baseline).  The
@@ -40,6 +46,7 @@ from ..gpusim.dynamic import (
 from ..gpusim.multisplit import multisplit_enabled
 from ..gpusim.kernels import (
     grid_stride,
+    thread_per_block,
     thread_per_item,
     thread_per_vertex_edges,
 )
@@ -67,6 +74,15 @@ ASYNC_CHUNK = 2048
 
 #: thread count of the fused phase-2&3 kernel (static load balancing)
 PHASE23_THREADS = 32 * 256
+
+#: threads per block of the fused phase-2&3 kernel; each block publishes
+#: one next-bucket minimum
+PHASE23_BLOCK = 256
+
+#: dependent instructions of one warp's Eq. 1–2 controller step (two
+#: differences and sums, two divisions, the ε product, the clamped width
+#: and the next interval's bound)
+CONTROLLER_OPS = 8
 
 
 def default_delta(graph: CSRGraph) -> float:
@@ -198,6 +214,13 @@ def _rdbs_run(
     runtime = make_runtime(recovery, device, dgraph, dist, src, "rdbs")
     #: live BASYN toggle — the watchdog degrades it to synchronous mid-run
     basyn_active = basyn
+    #: bucket fusion: True while the previous bucket ended inside a live
+    #: persistent kernel, so the next phase 1 continues it on the device
+    resident = False
+    #: double-buffered next-bucket minimum: phase 2&3 folds its scan into
+    #: ``next_min[cell]`` and resets the other cell for the next bucket
+    next_min = device.full(2, np.inf, name="next_min") if basyn else None
+    cell = 0
     controller = DeltaController(delta) if basyn_active else None
     lo = 0.0
     buckets_processed = 0
@@ -211,8 +234,8 @@ def _rdbs_run(
         unsettled = np.isfinite(dist.data) & (dist.data >= lo)
         if not unsettled.any():
             break
-        if runtime is not None:
-            runtime.epoch(int(unsettled.sum()), mark=lo)
+        if runtime is not None and runtime.epoch(int(unsettled.sum()), mark=lo):
+            resident = False
         min_unsettled = float(dist.data[unsettled].min())
 
         # next bucket interval: dynamic (Eq. 1–2) or fixed width
@@ -269,6 +292,7 @@ def _rdbs_run(
         try:
             if use_offsets and b_width > dgraph.split_delta * (1 + 1e-12):
                 dgraph.resplit(b_width)
+                resident = False
             split = (
                 max(b_width, dgraph.split_delta) if use_offsets else b_width
             )
@@ -281,7 +305,7 @@ def _rdbs_run(
                     device, dgraph, dist, members, b_lo, b_hi, split,
                     pro=use_offsets, adwl=adwl, stats=stats, p1_stats=p1_stats,
                     in_queue=in_queue, trace=trace, chunk_size=async_chunk,
-                    watchdog=watchdog,
+                    watchdog=watchdog, host_launch=not resident,
                 )
             else:
                 outcome = _phase1_sync(
@@ -298,7 +322,8 @@ def _rdbs_run(
             _phase23_fused(
                 device, dgraph, dist, outcome.settled, split,
                 pro=use_offsets, stats=stats, candidate_buf=candidate_buf,
-                next_lo=b_hi,
+                next_lo=b_hi, next_min=next_min if basyn_active else None,
+                cell=cell,
             )
         except (WatchdogTimeout, InjectedKernelAbort) as exc:
             if runtime is None:
@@ -326,7 +351,13 @@ def _rdbs_run(
             if trace is not None:
                 trace.end_bucket(device.time_s - t_start)
             continue
-        device.barrier()  # synchronous mode between buckets
+        if basyn_active:
+            # the bucket closed on phase 2&3's device barrier; the kernel
+            # stays resident for the next bucket
+            resident = True
+            cell ^= 1
+        else:
+            device.barrier()  # synchronous mode between buckets
 
         if controller is not None:
             controller.feedback(int(outcome.settled.size), outcome.threads_used)
@@ -494,6 +525,7 @@ def _phase1_async(
     trace: TraceRecorder | None,
     chunk_size: int = ASYNC_CHUNK,
     watchdog: Watchdog | None = None,
+    host_launch: bool = True,
 ) -> _BucketOutcome:
     """BASYN phase 1: one persistent kernel draining the workload lists.
 
@@ -501,6 +533,9 @@ def _phase1_async(
     a round are visible to every later round (and, through the atomic
     serialization, partially within the round), with only the cheap
     async-round scheduling cost in between — no barriers, no relaunches.
+    A device barrier ends the drain before phase 2&3 runs in the same
+    kernel; ``host_launch=False`` continues the persistent kernel the
+    previous bucket left resident.
     """
     settled_mask = np.zeros(dist.size, dtype=bool)
     threads_used = 0
@@ -534,7 +569,7 @@ def _phase1_async(
     # attached on_annotate observer — without one, no payload is built
     note_rounds = bool(device.handlers("on_annotate"))
 
-    with device.launch("phase1_async") as k:
+    with device.launch("phase1_async", host_launch=host_launch) as k:
         while queue:
             reactivated = 0
             chunk_parts: list[np.ndarray] = []
@@ -620,6 +655,7 @@ def _phase1_async(
                     reactivated=reactivated,
                     pending=int(sum(part.size for part in queue)),
                 )
+        k.device_barrier()  # drained: phase 2&3 follows in the same kernel
 
     return _BucketOutcome(
         settled=np.flatnonzero(settled_mask),
@@ -692,6 +728,8 @@ def _phase23_fused(
     stats: WorkStats,
     candidate_buf=None,
     next_lo: float = np.inf,
+    next_min=None,
+    cell: int = 0,
 ) -> None:
     """Relax heavy edges of the settled set, then scan for the next bucket.
 
@@ -704,10 +742,16 @@ def _phase23_fused(
     ``next_lo`` is the closing bucket's upper boundary: the multisplit
     scan partitions vertices on "still unsettled beyond this bucket"
     with one ballot round instead of the two-ALU flag-and-scan pass.
+
+    With ``next_min`` (bucket fusion under BASYN) the segment continues
+    the resident persistent kernel and makes the next-bucket choice on the
+    device: :func:`_publish_next_min` before the closing barrier,
+    :func:`_controller_step` after it.
     """
     n = dist.size
     use_ms = multisplit_enabled()
-    with device.launch("phase23_fused") as k:
+    fused = next_min is not None
+    with device.launch("phase23_fused", host_launch=not fused) as k:
         if settled.size:
             if pro:
                 batch = dgraph.batch(settled, "heavy")
@@ -736,12 +780,72 @@ def _phase23_fused(
         # phase 3: one dist read per vertex to build the next bucket
         a_scan = grid_stride(n, PHASE23_THREADS)
         dvals = k.gather(dist, np.arange(n, dtype=np.int64), a_scan)
+        active = np.isfinite(dvals) & (dvals >= next_lo)
         if use_ms:
             # partition "active beyond this bucket" with one ballot round
-            k.multisplit(
-                (np.isfinite(dvals) & (dvals >= next_lo)).astype(np.int64),
-                2, a_scan,
-            )
+            k.multisplit(active.astype(np.int64), 2, a_scan)
         else:
             k.alu(a_scan, ops=2)
+        if fused:
+            # one leader lane per block of the scan's grid
+            a_blocks = thread_per_block(
+                -(-min(n, PHASE23_THREADS) // PHASE23_BLOCK), PHASE23_BLOCK
+            )
+            _publish_next_min(k, dvals, active, a_scan, a_blocks, next_min,
+                              cell)
         k.device_barrier()  # fused phases separated by a device-wide sync
+        if fused:
+            _controller_step(k, a_blocks, next_min, cell)
+
+
+def _publish_next_min(
+    k: KernelContext,
+    dvals: np.ndarray,
+    active: np.ndarray,
+    a_scan,
+    a_blocks,
+    next_min,
+    cell: int,
+) -> None:
+    """Fold the phase-3 scan's minimum unsettled distance into a cell.
+
+    The device half of the next-bucket choice under bucket fusion.  Each
+    scan thread keeps a running minimum of the still-unsettled distances
+    it read; a warp butterfly (five shuffle + min levels) reduces it, each
+    warp leader folds its warp's minimum into a shared-memory cell of its
+    block (one shared atomic: distances are non-negative, so their bit
+    patterns order like integers), and the block leader loads that cell
+    and folds it into ``next_min[cell]`` with one global ``atomic_min``.
+    """
+    blocks = a_blocks.num_items
+    k.alu(a_scan, ops=1)  # running minimum inside the scan loop
+    # warp butterfly, then the warp leader's shared-memory atomic
+    k.alu(thread_per_item(min(dvals.size, PHASE23_THREADS)), ops=2 * 5 + 1)
+    k.alu(a_blocks, ops=1)  # the block leader loads the shared cell
+    # grid-stride item i ran on thread i % T, i.e. in block (i % T) // 256
+    span = blocks * PHASE23_BLOCK
+    lanes = np.full(-(-dvals.size // span) * span, np.inf)
+    lanes[: dvals.size] = np.where(active, dvals, np.inf)
+    block_min = lanes.reshape(-1, blocks, PHASE23_BLOCK).min(axis=(0, 2))
+    k.atomic_min(next_min, np.full(blocks, cell, dtype=np.int64), block_min,
+                 a_blocks)
+
+
+def _controller_step(
+    k: KernelContext, a_blocks, next_min, cell: int
+) -> None:
+    """The Eq. 1–2 controller step that closes a fused bucket.
+
+    After the barrier every block's leader warp reads ``next_min[cell]``
+    and runs the same controller step (one warp's work on the critical
+    path, replicated so no block waits for a broadcast); block 0 resets
+    the other cell for the following bucket.  The host mirrors the choice
+    in the bucket loop.
+    """
+    k.gather(next_min, np.full(a_blocks.num_items, cell, dtype=np.int64),
+             a_blocks)
+    k.alu(a_blocks, ops=CONTROLLER_OPS)
+    # one lane stores one cell
+    # repro-static: assume-disjoint
+    k.scatter(next_min, np.array([1 - cell]), np.array([np.inf]),
+              thread_per_item(1))

@@ -215,8 +215,9 @@ def format_summary(trace, meta: dict | None = None) -> str:
         for e in kernels:
             per[e.name].append(e)
         total = sum(e.dur_ms for e in kernels)
-        lines.append(f"\nkernels ({len(kernels)} launches, "
-                     f"{total:.3f} ms simulated):")
+        host = sum(e.args.get("host_launch", True) for e in kernels)
+        lines.append(f"\nkernels ({len(kernels)} segments, {host} host "
+                     f"launches, {total:.3f} ms simulated):")
         rows = sorted(per.items(),
                       key=lambda kv: -sum(e.dur_ms for e in kv[1]))
         for name, evs in rows[:12]:

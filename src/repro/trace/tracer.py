@@ -242,6 +242,9 @@ class Tracer:
                 "warp_ballots": int(c.inst_executed_ballots),
                 "shared_transactions": int(c.shared_transactions),
             })
+        if not ctx.host_launch:
+            # a continuation segment of a persistent kernel (bucket fusion)
+            args["host_launch"] = False
         if c.mlmq_steals:
             # MLMQ work-stealing telemetry (docs/mlmq.md): present only
             # on launches whose queue groups stole, mirroring the counter

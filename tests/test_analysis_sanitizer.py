@@ -146,6 +146,43 @@ class TestSeededBugs:
                           thread_per_item(1))
         assert san.report().errors == []
 
+    @staticmethod
+    def _continuation_pair(*, barrier: bool, host_launch: bool = False):
+        """A persistent kernel whose second segment scatters ``dist[40]``
+        (two values from one lane) and whose third segment reads it from
+        two warps; ``barrier`` ends the scatter segment with a device
+        barrier, ``host_launch`` starts the read as a new kernel."""
+        with attached() as san:
+            dev = GPUDevice()
+            dist = dev.full(64, np.inf, name="dist")
+            with dev.launch("head"):
+                pass
+            with dev.launch("scatter", host_launch=False) as k:
+                for value in (3.0, 2.0):
+                    k.scatter(dist, np.array([40]), np.array([value]),
+                              thread_per_item(1))
+                if barrier:
+                    k.device_barrier()
+            with dev.launch("read", host_launch=host_launch) as k:
+                k.gather(dist, np.full(33, 40, dtype=np.int64),
+                         thread_per_item(33))
+        return san.report()
+
+    def test_continuation_segments_share_a_window(self):
+        """No barrier between two continuation segments: the read races
+        the scatter, across the segment boundary."""
+        rep = self._continuation_pair(barrier=False)
+        races = [f for f in rep.errors if f.rule == "read-write-race"]
+        assert races and races[0].kernel == "head+scatter+read"
+
+    def test_barrier_between_continuation_segments_is_clean(self):
+        rep = self._continuation_pair(barrier=True)
+        assert rep.errors == [], rep.summary()
+
+    def test_host_launch_closes_the_window(self):
+        rep = self._continuation_pair(barrier=False, host_launch=True)
+        assert rep.errors == [], rep.summary()
+
     def test_non_monotone_dist_update(self):
         """A kernel that *increases* a dist cell violates the atomicMin
         relaxation invariant (paper §4.3)."""

@@ -138,6 +138,19 @@ class TestTimeAndEvents:
             pass
         assert dev.time_s == 0.0
 
+    def test_continuation_segment_keeps_its_own_accounting(self, dev):
+        with dev.launch("head") as k:
+            assert k.host_launch
+        with dev.launch("tail", host_launch=False) as k:
+            assert not k.host_launch
+            k.device_barrier()
+        assert dev.counters.totals.kernel_launches == 1
+        assert dev.counters.totals.barriers == 1
+        assert [r.name for r in dev.timeline.records] == ["head", "tail"]
+        assert dev.time_s == pytest.approx(
+            V100.kernel_launch_s + V100.barrier_s
+        )
+
     def test_barrier(self, dev):
         dev.barrier()
         assert dev.time_s == pytest.approx(V100.barrier_s)

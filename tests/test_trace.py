@@ -96,6 +96,22 @@ class TestEvents:
             assert e.args["warp_instructions"] >= 0
             assert e.ts_ms >= 0
 
+    def test_continuation_segments_are_marked(self, traced_rdbs):
+        """Bucket fusion: only host launches lack the ``host_launch`` arg,
+        and their count is the device's host-launch counter."""
+        result, tr = traced_rdbs
+        kernels = [e for e in tr.events if e.kind == "kernel"]
+        host = [e for e in kernels if e.args.get("host_launch", True)]
+        assert len(host) == result.counters.totals.kernel_launches
+        assert len(host) < len(kernels)
+        assert all(e.args["host_launch"] is False
+                   for e in kernels if e not in host)
+        summary = format_summary(tr)
+        assert (f"kernels ({len(kernels)} segments, {len(host)} host "
+                f"launches") in summary
+        assert (f"{len(kernels)} kernel segments ({len(host)} host "
+                f"launches)") in result.extra["timeline"].report()
+
     def test_bucket_spans_carry_eq12_inputs(self, traced_rdbs):
         result, tr = traced_rdbs
         buckets = [e for e in tr.events if e.kind == "bucket"]

@@ -294,8 +294,16 @@ class TestSerializedMinOutcome:
         cur2 = cur1.copy()
         idx = np.array([a % n_cells for a, _ in ops], dtype=np.int64)
         vals = np.array([v for _, v in ops])
+        cur3 = cur1.copy()
         ref_cur, ref_old, ref_upd = _reference_atomic_min(cur1, idx, vals)
         old, upd = serialized_min_outcome(cur2, idx, vals)
         assert np.allclose(cur2, ref_cur)
         assert np.allclose(old, ref_old)
         assert np.array_equal(upd, ref_upd)
+        # the device passes its distinct-address count, which selects the
+        # all-distinct and single-address fast paths
+        distinct = distinct_count(idx) if idx.size else 0
+        old3, upd3 = serialized_min_outcome(cur3, idx, vals, distinct=distinct)
+        assert np.array_equal(cur3, cur2)
+        assert np.array_equal(old3, old)
+        assert np.array_equal(upd3, upd)
