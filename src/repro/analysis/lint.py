@@ -41,6 +41,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .static.builder import KERNEL_SCOPES
+
 __all__ = ["LintFinding", "lint_source", "lint_paths", "DEFAULT_EXEMPT"]
 
 #: files allowed to touch DeviceArray.data directly (they implement it)
@@ -99,7 +101,7 @@ def _is_launch_call(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "launch"
+        and node.func.attr in KERNEL_SCOPES
     )
 
 

@@ -8,8 +8,8 @@ device observer: per kernel launch the :class:`Sanitizer` records a compact
 access log (array, element indices, SIMT slots, read/write/atomic) and
 closes each *synchronization window* — a launch, or a
 ``device_barrier``-delimited span inside a fused kernel — by checking for
-the rules below.  A continuation segment of a persistent kernel (launched
-with ``host_launch=False``) inherits the open window of the segment before
+the rules below.  A continuation segment of a persistent kernel (run by
+``GPUDevice.segment``) inherits the open window of the segment before
 it: only a ``device_barrier`` or the next host launch closes a window, and
 :meth:`Sanitizer.report` closes the trailing one.
 

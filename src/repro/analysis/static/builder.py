@@ -10,7 +10,8 @@ Two passes over the analyzed tree:
    a ``device_fn`` :class:`~.ir.Fragment`.
 
 2. **Kernel pass** — every ``with device.launch("label", ...) as k:``
-   statement becomes a ``kernel`` :class:`~.ir.Fragment`.  The builder
+   (or ``device.segment(...)``, a persistent kernel's segment) statement
+   becomes a ``kernel`` :class:`~.ir.Fragment`.  The builder
    walks the *enclosing* function from its first statement so that host
    bindings established before the launch (frontier compaction, mask
    construction) are visible to the index-provenance environment; ops
@@ -83,14 +84,19 @@ def _launch_label(call: ast.Call) -> str:
     return df.expr_text(a)
 
 
+#: device methods whose ``with`` block is a kernel body
+KERNEL_SCOPES = frozenset({"launch", "segment"})
+
+
 def _is_launch_with(node: ast.With) -> ast.withitem | None:
-    """The withitem of a ``device.launch(...)`` context, if present."""
+    """The withitem of a ``device.launch(...)`` or ``device.segment(...)``
+    context, if present."""
     for item in node.items:
         c = item.context_expr
         if (
             isinstance(c, ast.Call)
             and isinstance(c.func, ast.Attribute)
-            and c.func.attr == "launch"
+            and c.func.attr in KERNEL_SCOPES
         ):
             return item
     return None

@@ -30,7 +30,6 @@ from .kernels import (
     WorkAssignment,
     grid_stride,
     segmented_arange,
-    thread_per_block,
     thread_per_item,
     thread_per_vertex_edges,
     threads_per_vertex_edges,
@@ -64,7 +63,6 @@ __all__ = [
     "thread_per_item",
     "thread_per_vertex_edges",
     "threads_per_vertex_edges",
-    "thread_per_block",
     "grid_stride",
     "segmented_arange",
     "WorkloadClasses",

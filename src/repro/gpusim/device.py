@@ -647,16 +647,28 @@ class GPUDevice:
     # execution
     # ------------------------------------------------------------------
     @contextmanager
-    def launch(self, name: str, *, host_launch: bool = True) -> Iterator[KernelContext]:
-        """Run one kernel; accounting closes when the context exits.
+    def launch(self, name: str) -> Iterator[KernelContext]:
+        """Run one kernel; accounting closes when the context exits."""
+        with self._kernel(name, True) as ctx:
+            yield ctx
 
-        ``host_launch=False`` runs a *continuation segment* of a persistent
-        kernel that is already resident: the segment is charged its own
-        body, barriers and extra costs, but no ``kernel_launch_s`` and no
-        ``kernel_launches`` count.  A segment that follows another without
-        a ``device_barrier`` in between runs in the same synchronization
-        window as it.
+    @contextmanager
+    def segment(self, name: str, *, resume: bool = True) -> Iterator[KernelContext]:
+        """Run one segment of a persistent kernel.
+
+        ``resume=True`` continues the kernel already resident on the
+        device: the segment is charged its own body, barriers and extra
+        costs, but no ``kernel_launch_s`` and no ``kernel_launches`` count.
+        A segment that follows another without a ``device_barrier`` in
+        between runs in the same synchronization window as it.
+        ``resume=False`` starts the kernel with an ordinary :meth:`launch`.
         """
+        scope = self._kernel(name, False) if resume else self.launch(name)
+        with scope as ctx:
+            yield ctx
+
+    @contextmanager
+    def _kernel(self, name: str, host_launch: bool) -> Iterator[KernelContext]:
         prof = active_profiler()
         t_host = time.perf_counter() if prof is not None else 0.0
         ctx = KernelContext(self, name, host_launch)

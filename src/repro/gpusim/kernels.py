@@ -36,7 +36,6 @@ __all__ = [
     "thread_per_item",
     "thread_per_vertex_edges",
     "threads_per_vertex_edges",
-    "thread_per_block",
     "grid_stride",
     "segmented_arange",
 ]
@@ -184,29 +183,6 @@ def threads_per_vertex_edges(
         warp_size,
         max_steps=max_step,
         num_slots=num_slots,
-    )
-
-
-@lru_cache(maxsize=256)
-def thread_per_block(
-    num_blocks: int, block_threads: int, warp_size: int = 32
-) -> WorkAssignment:
-    """One item per thread block, run by the block's leader lane.
-
-    Item *b* runs on lane 0 of block *b*; every item sits in its own warp,
-    so the items never coalesce with each other.  The mapping of
-    block-level reductions that publish one value per block.  Memoized
-    like :func:`thread_per_item`.
-    """
-    if block_threads % warp_size:
-        raise ValueError("block_threads must be a multiple of warp_size")
-    slots = np.arange(num_blocks, dtype=np.int64) * (block_threads // warp_size)
-    return _finalize(
-        slots,
-        num_blocks * block_threads,
-        warp_size,
-        max_steps=1 if num_blocks else 0,
-        num_slots=num_blocks,
     )
 
 

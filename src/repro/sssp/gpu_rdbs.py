@@ -30,6 +30,7 @@ default configuration (all on) is the paper's RDBS.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,9 +47,9 @@ from ..gpusim.dynamic import (
 from ..gpusim.multisplit import multisplit_enabled
 from ..gpusim.kernels import (
     grid_stride,
-    thread_per_block,
     thread_per_item,
     thread_per_vertex_edges,
+    threads_per_vertex_edges,
 )
 from ..gpusim.spec import GPUSpec, V100
 from ..metrics.recorder import TraceRecorder
@@ -305,7 +306,7 @@ def _rdbs_run(
                     device, dgraph, dist, members, b_lo, b_hi, split,
                     pro=use_offsets, adwl=adwl, stats=stats, p1_stats=p1_stats,
                     in_queue=in_queue, trace=trace, chunk_size=async_chunk,
-                    watchdog=watchdog, host_launch=not resident,
+                    watchdog=watchdog, resume=resident,
                 )
             else:
                 outcome = _phase1_sync(
@@ -525,7 +526,7 @@ def _phase1_async(
     trace: TraceRecorder | None,
     chunk_size: int = ASYNC_CHUNK,
     watchdog: Watchdog | None = None,
-    host_launch: bool = True,
+    resume: bool = False,
 ) -> _BucketOutcome:
     """BASYN phase 1: one persistent kernel draining the workload lists.
 
@@ -534,8 +535,8 @@ def _phase1_async(
     serialization, partially within the round), with only the cheap
     async-round scheduling cost in between — no barriers, no relaunches.
     A device barrier ends the drain before phase 2&3 runs in the same
-    kernel; ``host_launch=False`` continues the persistent kernel the
-    previous bucket left resident.
+    kernel; ``resume`` continues the persistent kernel the previous bucket
+    left resident instead of launching a new one.
     """
     settled_mask = np.zeros(dist.size, dtype=bool)
     threads_used = 0
@@ -569,7 +570,7 @@ def _phase1_async(
     # attached on_annotate observer — without one, no payload is built
     note_rounds = bool(device.handlers("on_annotate"))
 
-    with device.launch("phase1_async", host_launch=host_launch) as k:
+    with device.segment("phase1_async", resume=resume) as k:
         while queue:
             reactivated = 0
             chunk_parts: list[np.ndarray] = []
@@ -751,7 +752,7 @@ def _phase23_fused(
     n = dist.size
     use_ms = multisplit_enabled()
     fused = next_min is not None
-    with device.launch("phase23_fused", host_launch=not fused) as k:
+    with device.segment("phase23_fused", resume=fused) as k:
         if settled.size:
             if pro:
                 batch = dgraph.batch(settled, "heavy")
@@ -787,15 +788,20 @@ def _phase23_fused(
         else:
             k.alu(a_scan, ops=2)
         if fused:
-            # one leader lane per block of the scan's grid
-            a_blocks = thread_per_block(
-                -(-min(n, PHASE23_THREADS) // PHASE23_BLOCK), PHASE23_BLOCK
-            )
+            a_blocks = _block_leaders(n)
             _publish_next_min(k, dvals, active, a_scan, a_blocks, next_min,
                               cell)
         k.device_barrier()  # fused phases separated by a device-wide sync
         if fused:
             _controller_step(k, a_blocks, next_min, cell)
+
+
+@lru_cache(maxsize=64)
+def _block_leaders(n: int):
+    """One leader lane per block of the phase-3 scan's grid over ``n``."""
+    blocks = -(-min(n, PHASE23_THREADS) // PHASE23_BLOCK)
+    return threads_per_vertex_edges(np.ones(blocks, dtype=np.int64),
+                                    PHASE23_BLOCK)
 
 
 def _publish_next_min(
@@ -817,18 +823,24 @@ def _publish_next_min(
     patterns order like integers), and the block leader loads that cell
     and folds it into ``next_min[cell]`` with one global ``atomic_min``.
     """
-    blocks = a_blocks.num_items
+    n = dvals.size
+    threads = min(n, PHASE23_THREADS)
     k.alu(a_scan, ops=1)  # running minimum inside the scan loop
     # warp butterfly, then the warp leader's shared-memory atomic
-    k.alu(thread_per_item(min(dvals.size, PHASE23_THREADS)), ops=2 * 5 + 1)
+    k.alu(thread_per_item(threads), ops=2 * 5 + 1)
     k.alu(a_blocks, ops=1)  # the block leader loads the shared cell
-    # grid-stride item i ran on thread i % T, i.e. in block (i % T) // 256
-    span = blocks * PHASE23_BLOCK
-    lanes = np.full(-(-dvals.size // span) * span, np.inf)
-    lanes[: dvals.size] = np.where(active, dvals, np.inf)
-    block_min = lanes.reshape(-1, blocks, PHASE23_BLOCK).min(axis=(0, 2))
-    k.atomic_min(next_min, np.full(blocks, cell, dtype=np.int64), block_min,
-                 a_blocks)
+    # grid-stride item i ran on thread i % T, i.e. in block (i % T) // 256:
+    # fold the full grid-stride rows per thread, then the partial last row
+    full = n - n % threads
+    masked = np.where(active, dvals, np.inf)
+    thread_min = masked[:full].reshape(-1, threads).min(axis=0)
+    tail = thread_min[: n - full]
+    np.minimum(tail, masked[full:], out=tail)
+    block_min = np.minimum.reduceat(
+        thread_min, np.arange(0, threads, PHASE23_BLOCK)
+    )
+    k.atomic_min(next_min, np.full(block_min.size, cell, dtype=np.int64),
+                 block_min, a_blocks)
 
 
 def _controller_step(

@@ -203,8 +203,7 @@ def serialized_min_outcome(
     addresses in ``idx`` (the device already computes it for conflict
     accounting).  When every address is distinct, serialization order is
     immaterial — each op observes the cell's initial value — so the sort
-    and segmented scan are skipped entirely; when all ops hit one address,
-    the segmented scan collapses to one running minimum.
+    and segmented scan are skipped entirely.
     """
     n = idx.size
     if n == 0:
@@ -215,16 +214,6 @@ def serialized_min_outcome(
         updated = svals < initial
         current[idx] = np.minimum(initial, svals)
         return initial, updated
-    if distinct == 1:
-        # one contended cell: the exclusive scan is a plain running minimum
-        svals = np.asarray(values, dtype=np.float64)
-        target = idx[0]
-        old = np.empty(n, dtype=np.float64)
-        old[0] = current[target]
-        np.minimum.accumulate(svals[:-1], out=old[1:])
-        np.minimum(old[1:], current[target], out=old[1:])
-        current[target] = min(old[-1], svals[-1])
-        return old, svals < old
     sidx, order = stable_sort_with_order(idx)
     svals = np.asarray(values, dtype=np.float64)[order]
     start = np.ones(n, dtype=bool)

@@ -70,6 +70,16 @@ class TestKernelContextRules:
         assert rules(found) == ["AN102"]
         assert found[0].line == 4
 
+    def test_an102_data_access_inside_segment(self):
+        """A persistent kernel's continuation segment is a kernel body."""
+        src = (
+            "__all__ = []\n"
+            "def f(dev, arr):\n"
+            "    with dev.segment('k', resume=True) as k:\n"
+            "        x = arr.data[2]\n"
+        )
+        assert rules(lint_source(src, "x.py")) == ["AN102"]
+
     def test_counted_gather_is_clean(self):
         src = (
             "__all__ = []\n"

@@ -157,13 +157,13 @@ class TestSeededBugs:
             dist = dev.full(64, np.inf, name="dist")
             with dev.launch("head"):
                 pass
-            with dev.launch("scatter", host_launch=False) as k:
+            with dev.segment("scatter") as k:
                 for value in (3.0, 2.0):
                     k.scatter(dist, np.array([40]), np.array([value]),
                               thread_per_item(1))
                 if barrier:
                     k.device_barrier()
-            with dev.launch("read", host_launch=host_launch) as k:
+            with dev.segment("read", resume=not host_launch) as k:
                 k.gather(dist, np.full(33, 40, dtype=np.int64),
                          thread_per_item(33))
         return san.report()

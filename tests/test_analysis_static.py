@@ -45,6 +45,18 @@ def codes(findings, severity=None):
 
 
 class TestProvenance:
+    def test_segment_block_is_a_kernel(self, tmp_path):
+        """A persistent kernel's segment is analyzed like a launch."""
+        sigs, _ = analyze_src(tmp_path, (
+            "import numpy as np\n"
+            "def f(device, out, vals, resident):\n"
+            "    with device.segment('seg', resume=resident) as k:\n"
+            "        a = object()\n"
+            "        k.scatter(out, np.arange(4), vals, a)\n"
+        ))
+        (sig,) = sigs.values()
+        assert sig.scatters[0]["class"] == "disjoint"
+
     def test_affine_scatter_is_disjoint(self, tmp_path):
         sigs, findings = analyze_src(tmp_path, (
             "import numpy as np\n"

@@ -134,14 +134,14 @@ class TestTimeAndEvents:
         assert dev.time_s == pytest.approx(V100.kernel_launch_s)
 
     def test_device_launch_no_host_cost(self, dev):
-        with dev.launch("noop", host_launch=False):
+        with dev.segment("noop"):
             pass
         assert dev.time_s == 0.0
 
     def test_continuation_segment_keeps_its_own_accounting(self, dev):
         with dev.launch("head") as k:
             assert k.host_launch
-        with dev.launch("tail", host_launch=False) as k:
+        with dev.segment("tail") as k:
             assert not k.host_launch
             k.device_barrier()
         assert dev.counters.totals.kernel_launches == 1

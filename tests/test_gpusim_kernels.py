@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.gpusim import (
     grid_stride,
-    thread_per_block,
     thread_per_item,
     thread_per_vertex_edges,
     threads_per_vertex_edges,
@@ -30,21 +29,6 @@ class TestThreadPerItem:
     def test_efficiency_full_warp(self):
         assert thread_per_item(64).simt_efficiency == 1.0
         assert thread_per_item(33).simt_efficiency == pytest.approx(33 / 64)
-
-
-class TestThreadPerBlock:
-    def test_one_leader_lane_per_block(self):
-        a = thread_per_block(3, 256)
-        assert a.num_items == 3 and a.num_slots == 3
-        assert a.num_threads == 768 and a.max_steps == 1
-        # the same mapping as 256 cooperating threads per one-edge vertex
-        b = threads_per_vertex_edges(np.ones(3, dtype=np.int64), 256)
-        assert np.array_equal(a.slots, b.slots)
-        assert (a.num_slots, a.num_warps) == (b.num_slots, b.num_warps)
-
-    def test_block_size_must_be_whole_warps(self):
-        with pytest.raises(ValueError):
-            thread_per_block(2, 48)
 
 
 class TestThreadPerVertexEdges:

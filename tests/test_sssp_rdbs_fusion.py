@@ -14,6 +14,7 @@ from repro.bench import benchmark_spec, get_graph, pick_sources
 from repro.faults import faulty_sssp
 from repro.graphs import kronecker, largest_component_vertices
 from repro.gpusim.device import (
+    GPUDevice,
     register_global_observer,
     unregister_global_observer,
 )
@@ -87,6 +88,22 @@ class TestLaunchStructure:
         assert not any(segments)
         # no PRO, no re-split: the whole solve is one launch
         assert r.counters.totals.kernel_launches == 1
+
+    def test_only_host_launches_enter_through_launch(self, monkeypatch):
+        """Continuation segments enter through ``GPUDevice.segment``, so
+        a wrapper around ``GPUDevice.launch`` (a host-time tracer, say)
+        sees exactly the counted host launches."""
+        calls = []
+        launch = GPUDevice.launch
+
+        def counted(device, *args, **kwargs):
+            calls.append(args[0])
+            return launch(device, *args, **kwargs)
+
+        monkeypatch.setattr(GPUDevice, "launch", counted)
+        r = sssp(KRON, KRON_SRC, method="rdbs", spec=SPEC)
+        assert len(calls) == r.counters.totals.kernel_launches
+        assert r.extra["buckets"] > len(calls)
 
     def test_sync_arm_is_not_fused(self):
         r, log = _logged(sssp, KRON, KRON_SRC, method="sync-delta",

@@ -301,7 +301,7 @@ class TestSerializedMinOutcome:
         assert np.allclose(old, ref_old)
         assert np.array_equal(upd, ref_upd)
         # the device passes its distinct-address count, which selects the
-        # all-distinct and single-address fast paths
+        # all-distinct fast path
         distinct = distinct_count(idx) if idx.size else 0
         old3, upd3 = serialized_min_outcome(cur3, idx, vals, distinct=distinct)
         assert np.array_equal(cur3, cur2)
