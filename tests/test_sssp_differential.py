@@ -1,8 +1,9 @@
-"""Differential oracle: every BASYN arm of RDBS against SciPy/Dijkstra.
+"""Differential oracle: the fused bucket loops against SciPy/Dijkstra.
 
-The tier-1 safety net for control-flow changes to the RDBS bucket loop
-(bucket fusion, the shared engine frame): seeded adversarial graphs that
-stress what the bucket arithmetic is most likely to get wrong —
+The tier-1 safety net for control-flow changes to the persistent bucket
+loops (bucket fusion, the shared engine frame) — every BASYN arm of RDBS
+and Near-Far: seeded adversarial graphs that stress what the bucket and
+threshold arithmetic is most likely to get wrong —
 
 * zero-weight edges (a target lands in the bucket being drained),
 * weights spread log-uniformly over 1e-6 .. 1e6 (twelve decades inside
@@ -13,7 +14,8 @@ stress what the bucket arithmetic is most likely to get wrong —
 
 plus the extreme-Δ cases on ``kron:8,8``: Δ = 1e-3 (hundreds of thousands
 of empty intervals between buckets) and Δ = 1e9 (one bucket holds the
-whole graph).  Every distance must equal the SciPy oracle's.
+whole graph).  Every distance must equal the SciPy oracle's (Near-Far is
+held against the repository's Dijkstra as well).
 """
 
 from __future__ import annotations
@@ -60,12 +62,26 @@ def adversarial_graph(seed: int):
     return g, source
 
 
+def assert_matches_dijkstra(g, s, dist) -> None:
+    """``dist`` equals the binary-heap Dijkstra's distances (and SciPy's)."""
+    validate_distances(g, s, dist)
+    expected = sssp(g, s, method="dijkstra").dist
+    np.testing.assert_allclose(dist, expected, rtol=1e-9, atol=1e-6)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_basyn_arms_match_oracle(seed):
     g, s = adversarial_graph(seed)
     for arm in BASYN_ARMS:
         r = sssp(g, s, method=arm, spec=SPEC)
         validate_distances(g, s, r.dist)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nearfar_matches_dijkstra(seed):
+    g, s = adversarial_graph(seed)
+    r = sssp(g, s, method="near-far", spec=SPEC)
+    assert_matches_dijkstra(g, s, r.dist)
 
 
 def test_adversarial_set_covers_its_cases():
@@ -105,3 +121,9 @@ def test_one_bucket_delta_every_arm(arm):
     r = sssp(KRON, KRON_SRC, method=arm, delta=1e9, spec=SPEC)
     validate_distances(KRON, KRON_SRC, r.dist)
     assert r.extra["buckets"] == 1
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e9])
+def test_nearfar_extreme_delta_on_kron(delta):
+    r = sssp(KRON, KRON_SRC, method="near-far", delta=delta, spec=SPEC)
+    assert_matches_dijkstra(KRON, KRON_SRC, r.dist)
