@@ -30,7 +30,7 @@ from ..gpusim.spec import GPUSpec, V100
 from ..metrics.workstats import WorkStats
 from ..util.scan import sorted_unique_ints
 from .errors import ConvergenceError
-from .gpu_rdbs import default_delta
+from .gpu_rdbs import check_delta
 from .relax import DeviceGraph, relax_batch
 from .result import SSSPResult
 
@@ -54,8 +54,7 @@ def adds_sssp(
     n = graph.num_vertices
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
-    if delta is None:
-        delta = default_delta(graph)
+    delta = check_delta(delta, graph)
 
     device = GPUDevice(spec)
     dgraph = DeviceGraph(device, graph)

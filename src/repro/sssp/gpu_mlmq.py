@@ -48,7 +48,7 @@ from ..gpusim.spec import GPUSpec, V100
 from ..metrics.workstats import WorkStats
 from ..util.scan import sorted_unique_ints
 from .errors import ConvergenceError
-from .gpu_rdbs import default_delta
+from .gpu_rdbs import check_delta
 from .relax import DeviceGraph, relax_batch
 from .result import SSSPResult
 
@@ -192,10 +192,7 @@ def mlmq_sssp(
         raise ValueError("window_levels and num_queues must be >= 1")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    if delta is None:
-        delta = default_delta(graph)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = check_delta(delta, graph)
 
     device = GPUDevice(spec)
     dgraph = DeviceGraph(device, graph)

@@ -29,6 +29,7 @@ default configuration (all on) is the paper's RDBS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,7 +62,7 @@ from .errors import ConvergenceError
 from .relax import DeviceGraph, relax_batch
 from .result import SSSPResult
 
-__all__ = ["rdbs_sssp", "default_delta", "BUCKET_RESCALE"]
+__all__ = ["rdbs_sssp", "default_delta", "check_delta", "BUCKET_RESCALE"]
 
 #: factor Δ is widened by when the bucket-limit graceful-degradation retry
 #: fires (a fixed factor keeps the retry deterministic and lets genuinely
@@ -98,6 +99,21 @@ def default_delta(graph: CSRGraph) -> float:
     mean_w = float(graph.weights.mean())
     avg_deg = max(graph.average_degree, 1.0)
     return max(2.0 * mean_w / avg_deg, 1e-12)
+
+
+def check_delta(delta: float | None, graph: CSRGraph) -> float:
+    """The bucket width a Δ engine runs with; fails fast on a bad one.
+
+    ``None`` picks :func:`default_delta`.  Anything else must be finite
+    and positive: Δ ≤ 0 never advances a threshold (the engine spins),
+    NaN fails every bucket comparison (distances silently stay ``inf``)
+    and Δ = inf puts the bucket bounds beyond float arithmetic.
+    """
+    if delta is None:
+        return default_delta(graph)
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    return delta
 
 
 @dataclass
@@ -145,10 +161,7 @@ def rdbs_sssp(
     n = graph.num_vertices
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
-    if delta is None:
-        delta = default_delta(graph)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = check_delta(delta, graph)
 
     try:
         return _rdbs_run(

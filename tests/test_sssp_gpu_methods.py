@@ -1,5 +1,7 @@
 """Correctness and accounting tests for every GPU SSSP implementation."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.sssp import (
     bl_sssp,
     nearfar_sssp,
     rdbs_sssp,
+    sssp,
     validate_distances,
 )
 
@@ -67,6 +70,33 @@ class TestEdgeCases:
                        symmetrize=True)
         r = GPU_FNS[fname](g, 1, spec=SPEC)
         assert list(r.dist) == [4.0, 0.0]
+
+
+#: every engine that takes a bucket width Δ
+DELTA_METHODS = ("rdbs", "adds", "near-far", "mlmq")
+
+
+@pytest.fixture
+def fails_within_seconds():
+    """Turn a hang into a test failure: SIGALRM after a few seconds."""
+
+    def _hung(signum, frame):
+        raise TimeoutError("engine hung instead of rejecting delta")
+
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("method", DELTA_METHODS)
+def test_bad_delta_fails_fast(method, delta, fails_within_seconds):
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        sssp(GRAPHS["road"], 0, method=method, delta=delta, spec=SPEC)
 
 
 class TestRdbsEngine:
