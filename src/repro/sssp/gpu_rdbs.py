@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,12 +45,7 @@ from ..gpusim.dynamic import (
     launch_adaptive,
 )
 from ..gpusim.multisplit import multisplit_enabled
-from ..gpusim.kernels import (
-    grid_stride,
-    thread_per_item,
-    thread_per_vertex_edges,
-    threads_per_vertex_edges,
-)
+from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
 from ..metrics.recorder import TraceRecorder
 from ..util.scan import sorted_unique_ints
@@ -59,6 +53,7 @@ from ..metrics.workstats import WorkStats
 from ..reorder.pipeline import apply_pro
 from .buckets import DeltaController
 from .errors import ConvergenceError
+from .persistent import PersistentChain, controller_step, publish_grid_min
 from .relax import DeviceGraph, relax_batch
 from .result import SSSPResult
 
@@ -76,10 +71,6 @@ ASYNC_CHUNK = 2048
 
 #: thread count of the fused phase-2&3 kernel (static load balancing)
 PHASE23_THREADS = 32 * 256
-
-#: threads per block of the fused phase-2&3 kernel; each block publishes
-#: one next-bucket minimum
-PHASE23_BLOCK = 256
 
 #: dependent instructions of one warp's Eq. 1–2 controller step (two
 #: differences and sums, two divisions, the ε product, the clamped width
@@ -228,9 +219,8 @@ def _rdbs_run(
     runtime = make_runtime(recovery, device, dgraph, dist, src, "rdbs")
     #: live BASYN toggle — the watchdog degrades it to synchronous mid-run
     basyn_active = basyn
-    #: bucket fusion: True while the previous bucket ended inside a live
-    #: persistent kernel, so the next phase 1 continues it on the device
-    resident = False
+    #: bucket fusion: the BASYN bucket loop is one persistent kernel
+    chain = PersistentChain(device)
     #: double-buffered next-bucket minimum: phase 2&3 folds its scan into
     #: ``next_min[cell]`` and resets the other cell for the next bucket
     next_min = device.full(2, np.inf, name="next_min") if basyn else None
@@ -249,7 +239,7 @@ def _rdbs_run(
         if not unsettled.any():
             break
         if runtime is not None and runtime.epoch(int(unsettled.sum()), mark=lo):
-            resident = False
+            chain.end()
         min_unsettled = float(dist.data[unsettled].min())
 
         # next bucket interval: dynamic (Eq. 1–2) or fixed width
@@ -306,7 +296,7 @@ def _rdbs_run(
         try:
             if use_offsets and b_width > dgraph.split_delta * (1 + 1e-12):
                 dgraph.resplit(b_width)
-                resident = False
+                chain.end()
             split = (
                 max(b_width, dgraph.split_delta) if use_offsets else b_width
             )
@@ -319,7 +309,7 @@ def _rdbs_run(
                     device, dgraph, dist, members, b_lo, b_hi, split,
                     pro=use_offsets, adwl=adwl, stats=stats, p1_stats=p1_stats,
                     in_queue=in_queue, trace=trace, chunk_size=async_chunk,
-                    watchdog=watchdog, resume=resident,
+                    watchdog=watchdog, chain=chain,
                 )
             else:
                 outcome = _phase1_sync(
@@ -345,6 +335,7 @@ def _rdbs_run(
             # graceful degradation: roll back to the last good checkpoint
             # (bounded retry) and finish the search without BASYN
             mark = runtime.recover(exc, lo)
+            chain.end()
             lo = 0.0 if mark is None else float(mark)
             in_queue[:] = False
             if basyn_active:
@@ -368,7 +359,6 @@ def _rdbs_run(
         if basyn_active:
             # the bucket closed on phase 2&3's device barrier; the kernel
             # stays resident for the next bucket
-            resident = True
             cell ^= 1
         else:
             device.barrier()  # synchronous mode between buckets
@@ -539,7 +529,7 @@ def _phase1_async(
     trace: TraceRecorder | None,
     chunk_size: int = ASYNC_CHUNK,
     watchdog: Watchdog | None = None,
-    resume: bool = False,
+    chain: PersistentChain,
 ) -> _BucketOutcome:
     """BASYN phase 1: one persistent kernel draining the workload lists.
 
@@ -548,8 +538,8 @@ def _phase1_async(
     serialization, partially within the round), with only the cheap
     async-round scheduling cost in between — no barriers, no relaunches.
     A device barrier ends the drain before phase 2&3 runs in the same
-    kernel; ``resume`` continues the persistent kernel the previous bucket
-    left resident instead of launching a new one.
+    kernel; the segment continues the persistent kernel ``chain`` when
+    the previous bucket left it resident instead of launching a new one.
     """
     settled_mask = np.zeros(dist.size, dtype=bool)
     threads_used = 0
@@ -583,7 +573,7 @@ def _phase1_async(
     # attached on_annotate observer — without one, no payload is built
     note_rounds = bool(device.handlers("on_annotate"))
 
-    with device.segment("phase1_async", resume=resume) as k:
+    with chain.segment("phase1_async") as k:
         while queue:
             reactivated = 0
             chunk_parts: list[np.ndarray] = []
@@ -757,10 +747,10 @@ def _phase23_fused(
     scan partitions vertices on "still unsettled beyond this bucket"
     with one ballot round instead of the two-ALU flag-and-scan pass.
 
-    With ``next_min`` (bucket fusion under BASYN) the segment continues
-    the resident persistent kernel and makes the next-bucket choice on the
-    device: :func:`_publish_next_min` before the closing barrier,
-    :func:`_controller_step` after it.
+    With ``next_min`` (bucket fusion under BASYN) the segment continues the
+    resident persistent kernel and makes the next-bucket choice on the
+    device: the scan folds its minimum into ``next_min[cell]`` before the
+    closing barrier, and the Eq. 1–2 controller step reads it after.
     """
     n = dist.size
     use_ms = multisplit_enabled()
@@ -801,76 +791,11 @@ def _phase23_fused(
         else:
             k.alu(a_scan, ops=2)
         if fused:
-            a_blocks = _block_leaders(n)
-            _publish_next_min(k, dvals, active, a_scan, a_blocks, next_min,
-                              cell)
+            a_blocks = publish_grid_min(k, dvals, active, a_scan, next_min,
+                                        cell)
         k.device_barrier()  # fused phases separated by a device-wide sync
         if fused:
-            _controller_step(k, a_blocks, next_min, cell)
-
-
-@lru_cache(maxsize=64)
-def _block_leaders(n: int):
-    """One leader lane per block of the phase-3 scan's grid over ``n``."""
-    blocks = -(-min(n, PHASE23_THREADS) // PHASE23_BLOCK)
-    return threads_per_vertex_edges(np.ones(blocks, dtype=np.int64),
-                                    PHASE23_BLOCK)
-
-
-def _publish_next_min(
-    k: KernelContext,
-    dvals: np.ndarray,
-    active: np.ndarray,
-    a_scan,
-    a_blocks,
-    next_min,
-    cell: int,
-) -> None:
-    """Fold the phase-3 scan's minimum unsettled distance into a cell.
-
-    The device half of the next-bucket choice under bucket fusion.  Each
-    scan thread keeps a running minimum of the still-unsettled distances
-    it read; a warp butterfly (five shuffle + min levels) reduces it, each
-    warp leader folds its warp's minimum into a shared-memory cell of its
-    block (one shared atomic: distances are non-negative, so their bit
-    patterns order like integers), and the block leader loads that cell
-    and folds it into ``next_min[cell]`` with one global ``atomic_min``.
-    """
-    n = dvals.size
-    threads = min(n, PHASE23_THREADS)
-    k.alu(a_scan, ops=1)  # running minimum inside the scan loop
-    # warp butterfly, then the warp leader's shared-memory atomic
-    k.alu(thread_per_item(threads), ops=2 * 5 + 1)
-    k.alu(a_blocks, ops=1)  # the block leader loads the shared cell
-    # grid-stride item i ran on thread i % T, i.e. in block (i % T) // 256:
-    # fold the full grid-stride rows per thread, then the partial last row
-    full = n - n % threads
-    masked = np.where(active, dvals, np.inf)
-    thread_min = masked[:full].reshape(-1, threads).min(axis=0)
-    tail = thread_min[: n - full]
-    np.minimum(tail, masked[full:], out=tail)
-    block_min = np.minimum.reduceat(
-        thread_min, np.arange(0, threads, PHASE23_BLOCK)
-    )
-    k.atomic_min(next_min, np.full(block_min.size, cell, dtype=np.int64),
-                 block_min, a_blocks)
-
-
-def _controller_step(
-    k: KernelContext, a_blocks, next_min, cell: int
-) -> None:
-    """The Eq. 1–2 controller step that closes a fused bucket.
-
-    After the barrier every block's leader warp reads ``next_min[cell]``
-    and runs the same controller step (one warp's work on the critical
-    path, replicated so no block waits for a broadcast); block 0 resets
-    the other cell for the following bucket.  The host mirrors the choice
-    in the bucket loop.
-    """
-    k.gather(next_min, np.full(a_blocks.num_items, cell, dtype=np.int64),
-             a_blocks)
-    k.alu(a_blocks, ops=CONTROLLER_OPS)
-    # one lane stores one cell
-    # repro-static: assume-disjoint
-    k.scatter(next_min, np.array([1 - cell]), np.array([np.inf]),
-              thread_per_item(1))
+            # every block leader runs the same Eq. 1–2 step; the host
+            # mirrors the choice in the bucket loop
+            controller_step(k, a_blocks, next_min, cell, ops=CONTROLLER_OPS,
+                            reset=np.inf)
