@@ -7,6 +7,16 @@ threshold; relaxations whose result lands below the threshold go to the
 *near* pile (processed now), the rest to the *far* pile (reconsidered after
 the threshold advances by Δ).  Included as an additional baseline for the
 ablation benchmarks.
+
+The loop runs as one persistent kernel (:mod:`repro.sssp.persistent`):
+after the first host launch, every ``nearfar_relax`` and ``nearfar_split``
+is a continuation segment that ends in a device barrier, and the two
+choices the host used to make between launches are charged device work
+sized to the warps that hold hits — the near-pile-empty test (a
+warp-aggregated count) and the threshold advance (the far-hit lanes fold
+their values into a far-minimum cell that the block leaders read when the
+near pile runs dry).  The chain ends only where the host synchronizes: a
+fault-runtime probe or checkpoint, or a rollback.
 """
 
 from __future__ import annotations
@@ -17,18 +27,32 @@ from ..faults.plan import InjectedKernelAbort
 from ..faults.runtime import make_runtime
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import GPUDevice, subset_assignment
-from ..gpusim.kernels import grid_stride, thread_per_vertex_edges
+from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
 from ..gpusim.multisplit import multisplit_enabled
 from ..gpusim.spec import GPUSpec, V100
 from ..metrics.workstats import WorkStats
 from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
+from .persistent import (
+    BLOCK,
+    RING,
+    PersistentChain,
+    block_leaders,
+    controller_step,
+    fold_min,
+    publish_count,
+)
 from .relax import DeviceGraph, relax_batch
 from .result import SSSPResult
 
 __all__ = ["nearfar_sssp"]
 
 _SCAN_THREADS = 32 * 256
+
+#: dependent instructions of the threshold advance a block leader runs on
+#: an empty near pile: both candidate thresholds and their maximum, then
+#: the grid cell holding it (divide, floor, multiply) and its two clamps
+THRESHOLD_OPS = 8
 
 
 def nearfar_sssp(
@@ -68,9 +92,23 @@ def nearfar_sssp(
     settled_below = np.zeros(n, dtype=bool)
     iterations = 0
 
+    chain = PersistentChain(device)
+    #: near-pile-empty test: each relax segment's near-hit warps add their
+    #: tally to ``near_count[cell]``, read back after its barrier
+    near_count = device.zeros(RING, dtype=np.int64, name="near_count")
+    cell = 0
+    #: far-hit lanes fold their values into ``far_min[far_cell]`` until the
+    #: next threshold advance reads it.  The cell prices the advance; the
+    #: host takes the exact minimum over the whole far pile, entries from
+    #: before the last advance included
+    far_min = device.full(RING, np.inf, name="far_min")
+    far_cell = 0
+
     while near.size or far_mask.any():
         if near.size == 0:
-            # advance the threshold and split the far pile (one scan kernel)
+            # advance the threshold (decided on the device at the end of
+            # the relax segment that emptied the near pile) and split the
+            # far pile
             candidates = np.flatnonzero(far_mask)
             finite = candidates[np.isfinite(dist.data[candidates])]
             if finite.size == 0:
@@ -89,33 +127,34 @@ def nearfar_sssp(
                 promote_b = np.zeros(0, dtype=np.int64)
                 if boundary.size:
                     try:
-                        with device.launch("nearfar_split") as k:
+                        with chain.segment("nearfar_split") as k:
                             a = grid_stride(boundary.size, _SCAN_THREADS)
                             dvals = k.gather(dist, boundary, a)
                             keys = (dvals >= threshold).astype(np.int64)
                             order, offs = k.multisplit(keys, 2, a)
                             promote_b = boundary[order[: offs[1]]]
+                            k.device_barrier()
                     except InjectedKernelAbort as exc:
                         if runtime is None:
                             raise
                         near, far_mask = _nearfar_reseed(
-                            runtime, exc, far_mask, far_val, dist)
+                            runtime, exc, chain, far_mask, far_val, dist)
                         continue
-                    device.barrier()
                 promote = np.union1d(full, promote_b)
                 far_val[promote] = np.inf
             else:
                 try:
-                    with device.launch("nearfar_split") as k:
+                    with chain.segment("nearfar_split") as k:
                         a = grid_stride(candidates.size, _SCAN_THREADS)
                         dvals = k.gather(dist, candidates, a)
                         k.alu(a, ops=2)
+                        k.device_barrier()
                 except InjectedKernelAbort as exc:
                     if runtime is None:
                         raise
-                    near, far_mask = _nearfar_reseed(runtime, exc, far_mask)
+                    near, far_mask = _nearfar_reseed(
+                        runtime, exc, chain, far_mask)
                     continue
-                device.barrier()
                 promote = candidates[dvals < threshold]
             far_mask[promote] = False
             near = promote
@@ -132,11 +171,11 @@ def nearfar_sssp(
                 raise exc
             runtime.recover(exc)
             break  # the final repair sweeps restore the fixpoint
-        if runtime is not None:
-            runtime.epoch(int(near.size))
+        if runtime is not None and runtime.epoch(int(near.size)):
+            chain.end()
         settled_below[near] = True
         try:
-            with device.launch("nearfar_relax") as k:
+            with chain.segment("nearfar_relax") as k:
                 batch = dgraph.batch(near, "all")
                 a = thread_per_vertex_edges(batch.counts)
                 out = relax_batch(k, dgraph, dist, near, batch, a, stats)
@@ -161,17 +200,39 @@ def nearfar_sssp(
                         near_hits = upd_targets[is_near]
                         far_hits = upd_targets[~is_near]
                         far_hit_vals = new_vals[~is_near]
+                    # the next choice, folded by the warps holding hits:
+                    # near hits per warp (thread t relaxes near[t]) ...
+                    hit_pos = batch.src_pos[out.updated]
+                    publish_count(
+                        k, _per_warp(hit_pos[is_near], device.spec.warp_size),
+                        near_count, cell)
+                    # ... and the far hits' minimum, one lane per far hit
+                    # of the placement's contiguous far half
+                    fold_min(k, far_hit_vals,
+                             thread_per_item(int(far_hit_vals.size)),
+                             far_min, far_cell)
                 else:
                     near_hits = np.zeros(0, dtype=np.int64)
                     far_hits = np.zeros(0, dtype=np.int64)
                     far_hit_vals = np.zeros(0)
+                k.device_barrier()
+                # every block leader reads the near count; on an empty
+                # near pile it also reads the far minimum and advances the
+                # threshold
+                a_blocks = block_leaders(-(-int(near.size) // BLOCK))
+                controller_step(k, a_blocks, near_count, cell, ops=1,
+                                reset=0)
+                cell = (cell + 1) % RING
+                if near_hits.size == 0:
+                    controller_step(k, a_blocks, far_min, far_cell,
+                                    ops=THRESHOLD_OPS, reset=np.inf)
+                    far_cell = (far_cell + 1) % RING
         except InjectedKernelAbort as exc:
             if runtime is None:
                 raise
             near, far_mask = _nearfar_reseed(
-                runtime, exc, far_mask, far_val, dist)
+                runtime, exc, chain, far_mask, far_val, dist)
             continue
-        device.barrier()
 
         near_next = np.unique(near_hits)
         far_new = np.unique(far_hits)
@@ -204,8 +265,18 @@ def nearfar_sssp(
     )
 
 
-def _nearfar_reseed(runtime, exc, far_mask, far_val=None, dist=None):
+def _per_warp(threads: np.ndarray, warp_size: int) -> np.ndarray:
+    """Hit count of every warp holding at least one of ``threads``."""
+    if threads.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.unique(threads // warp_size, return_counts=True)[1]
+
+
+def _nearfar_reseed(runtime, exc, chain, far_mask, far_val=None, dist=None):
     """Roll back after an aborted kernel and rebuild the worklist.
+
+    The rollback is a host synchronization, so it ends the persistent
+    kernel: the next segment is a host launch.
 
     Every finite vertex of the restored checkpoint goes to the far pile;
     the next threshold advance re-promotes whatever still needs work.
@@ -214,6 +285,7 @@ def _nearfar_reseed(runtime, exc, far_mask, far_val=None, dist=None):
     mirror is rebuilt from the restored checkpoint's distances.
     """
     fin = runtime.on_abort(exc)
+    chain.end()
     far_mask[:] = False
     far_mask[fin] = True
     if far_val is not None:

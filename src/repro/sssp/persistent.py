@@ -23,9 +23,9 @@ RDBS, whose buckets span two barriers, needs only two.
 The chain ends — the next segment is a host launch — wherever the host
 must synchronize: a fault-runtime probe or checkpoint, a rollback, or an
 engine-specific host step such as RDBS's PRO offset re-split
-(:meth:`PersistentChain.end`).  The host keeps an exact mirror of every
-device-side decision, so distances and the launch structure do not
-depend on the cell values.
+(:meth:`PersistentChain.end`).  The cells carry the cost of a decision,
+not its authority: the host decides from its own exact state, so
+distances and the launch structure never depend on the cell values.
 """
 
 from __future__ import annotations
