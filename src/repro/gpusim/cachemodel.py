@@ -107,10 +107,19 @@ class CacheStream:
     little they load — the dominant host cost of bucket-at-a-time engines
     that issue thousands of small launches.
 
-    This class keeps, instead of the tail array, the *last absolute
-    position* of every sector still inside the tail window.  Per launch it
-    sorts only the launch's own lines and resolves cross-launch reuse with
-    one ``searchsorted`` against the known-sector table, reproducing
+    Two structures replace the tail array, so a launch costs O(its own
+    lines) host time:
+
+    * a dense table of every sector's *last absolute position* in the
+      stream (-1 if never loaded), indexed by sector id minus the lowest
+      sector seen — device allocations are one bump-allocated range, so
+      the table spans the loaded address range;
+    * a ring of the sector ids at the last ``capacity`` positions, plus
+      the number of distinct sectors among them, kept incrementally: a
+      position leaving the window takes its sector out iff that was the
+      sector's last occurrence.
+
+    Per launch it sorts only the launch's own lines and reproduces
     ``CacheModel.hits(tail + lines)[len(tail):]`` **bit for bit**:
 
     * a gap within the launch equals the :func:`reuse_gaps` value;
@@ -130,12 +139,35 @@ class CacheStream:
     def __init__(self, model: CacheModel) -> None:
         self.model = model
         self.capacity = model.capacity_sectors
-        #: sorted distinct sector ids seen and still potentially reusable
-        self._sectors = np.zeros(0, dtype=np.int64)
+        #: sector id of ``_last[0]``
+        self._base = 0
         #: absolute stream position of each sector's most recent access
         self._last = np.zeros(0, dtype=np.int64)
+        #: sector id at absolute position ``p`` of the window, at ``p % capacity``
+        self._ring = np.zeros(self.capacity, dtype=np.int64)
+        #: distinct sectors among the last ``capacity`` positions
+        self._distinct = 0
         #: total transactions observed so far (absolute stream length)
         self._total = 0
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Grow the position table to cover sectors ``lo..hi``."""
+        size = self._last.size
+        if size == 0:
+            self._base = lo
+            self._last = np.full(hi - lo + 1, -1, dtype=np.int64)
+            return
+        if lo < self._base:
+            pad = np.full(self._base - lo, -1, dtype=np.int64)
+            self._last = np.concatenate([pad, self._last])
+            self._base = lo
+            size = self._last.size
+        need = hi - self._base + 1
+        if need > size:
+            # amortized doubling: the range grows with each allocation
+            grown = np.full(max(need, 2 * size), -1, dtype=np.int64)
+            grown[:size] = self._last
+            self._last = grown
 
     def hit_count(self, lines: np.ndarray) -> int:
         """Resolve one launch's load stream; returns its hit count."""
@@ -143,8 +175,9 @@ class CacheStream:
         if n == 0:
             return 0
         lines = np.ascontiguousarray(lines, dtype=np.int64)
+        cap = self.capacity
         start = self._total
-        tail_start = start - min(self.capacity, start)
+        tail_start = start - min(cap, start)
 
         # one stable sort of *this launch only*: within-launch gaps plus the
         # first/last occurrence of every distinct sector.  The dominant
@@ -181,21 +214,14 @@ class CacheStream:
             last_pos = sorted_pos[group_ends]
 
         # cross-launch reuse: look the launch's sectors up in the table
-        size = self._sectors.size
-        if size:
-            idx = np.searchsorted(self._sectors, uniq)
-            safe = np.minimum(idx, size - 1)
-            found = (idx < size) & (self._sectors[safe] == uniq)
-            prev = np.where(found, self._last[safe], np.int64(-1))
-        else:
-            safe = np.zeros(uniq.size, dtype=np.int64)
-            found = np.zeros(uniq.size, dtype=bool)
-            prev = np.full(uniq.size, -1, dtype=np.int64)
-        warm = found & (prev >= tail_start)
+        self._cover(int(uniq[0]), int(uniq[-1]))
+        idx = uniq - self._base
+        prev = self._last[idx]
+        warm = prev >= tail_start
+        num_warm = int(np.count_nonzero(warm))
 
         # U of the virtual (tail + lines) stream; counted before the update
-        in_tail = int(np.count_nonzero(self._last >= tail_start))
-        u_total = in_tail + int(uniq.size) - int(np.count_nonzero(warm))
+        u_total = self._distinct + int(uniq.size) - num_warm
 
         # splice the cross-launch gaps into the first-touch positions
         warm_pos = first_pos[warm]
@@ -213,7 +239,7 @@ class CacheStream:
         max_gap = int(gaps.max())
         if max_gap >= 0:
             u = float(u_total)
-            if u_total <= self.capacity:
+            if u_total <= cap:
                 # d(t) = u * -expm1(t * log1p(-1/u)) never exceeds u in IEEE
                 # (expm1 saturates at -1), so a working set within capacity
                 # makes every reuse a hit — no transcendentals needed
@@ -224,7 +250,7 @@ class CacheStream:
                     d = u * -np.expm1(
                         np.array([float(t)]) * log_base
                     )
-                    return bool(d[0] <= self.capacity)
+                    return bool(d[0] <= cap)
                 if within(max_gap):
                     hits = int(np.count_nonzero(gaps >= 0))
                 elif not within(1):
@@ -239,31 +265,24 @@ class CacheStream:
                             hi = mid
                     hits = int(np.count_nonzero((gaps >= 0) & (gaps <= lo)))
 
-        # fold the launch into the table
-        self._last[safe[found]] = start + last_pos[found]
-        fresh = ~found
-        nf = int(np.count_nonzero(fresh))
-        if nf:
-            # one hand-rolled merge for both columns (np.insert twice would
-            # recompute the same destination mask)
-            ins = np.searchsorted(self._sectors, uniq[fresh])
-            dest = ins + np.arange(nf, dtype=np.int64)
-            new_sectors = np.empty(size + nf, dtype=np.int64)
-            new_last = np.empty(size + nf, dtype=np.int64)
-            old_mask = np.ones(size + nf, dtype=bool)
-            old_mask[dest] = False
-            new_sectors[dest] = uniq[fresh]
-            new_last[dest] = start + last_pos[fresh]
-            new_sectors[old_mask] = self._sectors
-            new_last[old_mask] = self._last
-            self._sectors = new_sectors
-            self._last = new_last
-        self._total = start + n
-        # entries that fell out of the tail window can never be reused;
-        # compact occasionally so the table stays O(capacity)
-        if self._sectors.size > max(4 * self.capacity, 1024):
-            cut = self._total - min(self.capacity, self._total)
-            keep = self._last >= cut
-            self._sectors = self._sectors[keep]
-            self._last = self._last[keep]
+        # fold the launch into the table, then slide the window over it
+        self._last[idx] = start + last_pos
+        end = start + n
+        window_lo = end - min(cap, end)
+        if n >= cap:
+            # the window lies inside this launch
+            self._distinct = int(np.count_nonzero(last_pos >= n - cap))
+            self._ring[np.arange(window_lo, end) % cap] = lines[n - cap:]
+        else:
+            # a leaving position takes its sector out of the window iff it
+            # was the sector's last occurrence
+            leaving = 0
+            if window_lo > tail_start:
+                gone = np.arange(tail_start, window_lo)
+                sectors = self._ring[gone % cap]
+                leaving = int(np.count_nonzero(
+                    self._last[sectors - self._base] == gone))
+            self._distinct += int(uniq.size) - num_warm - leaving
+            self._ring[np.arange(start, end) % cap] = lines
+        self._total = end
         return hits

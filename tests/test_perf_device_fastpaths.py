@@ -100,8 +100,8 @@ def test_cache_stream_matches_reference_sorted_fast_path():
 
 
 def test_cache_stream_matches_reference_across_compaction():
-    # >1024 distinct sectors with a tiny capacity forces the table
-    # compaction branch; counts must be unaffected
+    # >1024 distinct sectors with a tiny capacity: most sectors fall out
+    # of the window long before they come back; counts must be unaffected
     launches = [
         np.arange(i * 200, (i + 1) * 200, dtype=np.int64) for i in range(10)
     ]
@@ -111,7 +111,60 @@ def test_cache_stream_matches_reference_across_compaction():
     stream = CacheStream(model)
     got = [stream.hit_count(lines) for lines in launches]
     assert got == _reference_hits(model, launches)
-    assert stream._sectors.size <= max(4 * 7, 1024)  # compaction ran
+    # the ring holds one window; the position table spans the loaded range
+    assert stream._ring.size == 7
+    assert stream._last.size <= 2 * 2000
+
+
+@pytest.mark.parametrize("cap", [7, 128])
+def test_cache_stream_window_count_over_many_launches(cap):
+    # hundreds of launches, some longer than the window and some far
+    # shorter, so positions leave the window in every possible split
+    rng = np.random.default_rng(cap)
+    launches = [
+        rng.integers(0, 3 * cap, size=int(rng.integers(0, 3 * cap)))
+        .astype(np.int64)
+        for _ in range(300)
+    ]
+    model = _model_with_capacity(cap)
+    assert _stream_hits(model, launches) == _reference_hits(model, launches)
+
+
+def test_cache_stream_allocator_addresses():
+    # device sector ids start at the bump allocator's base, arrive out of
+    # order across arrays, and can fall below the first one seen
+    rng = np.random.default_rng(5)
+    base = (1 << 20) // 32
+    launches = [
+        base + 4000 + rng.integers(0, 500, size=200).astype(np.int64),
+        base + rng.integers(0, 100, size=50).astype(np.int64),
+        base + 9000 + np.arange(300, dtype=np.int64),
+        base + 4000 + rng.integers(0, 500, size=200).astype(np.int64),
+        base + rng.integers(0, 100, size=50).astype(np.int64),
+    ]
+    model = _model_with_capacity(256)
+    assert _stream_hits(model, launches) == _reference_hits(model, launches)
+
+
+def test_cache_stream_replays_a_solve(monkeypatch):
+    """Every launch stream of a real solve resolves like the reference."""
+    from repro.graphs import grid_road_network
+    from repro.sssp import sssp
+
+    streams = []
+    original = CacheStream.hit_count
+
+    def record(self, lines):
+        streams.append(np.array(lines, dtype=np.int64))
+        return original(self, lines)
+
+    spec = V100.scaled_for_workload(1 / 64)
+    monkeypatch.setattr(CacheStream, "hit_count", record)
+    r = sssp(grid_road_network(16, 16, seed=3), 0, method="near-far",
+             spec=spec)
+    model = CacheModel(spec)
+    assert len(streams) > 10
+    assert sum(_reference_hits(model, streams)) == r.counters.totals.l1_hits
 
 
 def test_cache_stream_tight_reuse_and_empty_launches():
