@@ -164,8 +164,9 @@ class CacheStream:
             size = self._last.size
         need = hi - self._base + 1
         if need > size:
-            # amortized doubling: the range grows with each allocation
-            grown = np.full(max(need, 2 * size), -1, dtype=np.int64)
+            # grown to fit exactly: a device's loads first reach each of
+            # its few arrays once, so the table grows only a few times
+            grown = np.full(need, -1, dtype=np.int64)
             grown[:size] = self._last
             self._last = grown
 
