@@ -160,8 +160,9 @@ def publish_count(
     """Warp-aggregated count: each holding warp adds its tally once.
 
     ``warp_counts`` holds one positive count per warp that holds hits.
-    The warp already knows its hit lanes from its placement ballot, so the
-    leader lane takes one population count and issues one ``atomic_add``.
+    The warp's lanes already voted on their hits when it classified them,
+    so the leader lane takes one population count of that ballot and
+    issues one ``atomic_add``.
     """
     if warp_counts.size:
         a_warps = warp_leaders(int(warp_counts.size))
