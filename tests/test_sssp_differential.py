@@ -1,9 +1,11 @@
-"""Differential oracle: the fused bucket loops against SciPy/Dijkstra.
+"""Differential oracle: the GPU engines against SciPy/Dijkstra.
 
-The tier-1 safety net for control-flow changes to the persistent bucket
-loops (bucket fusion, the shared engine frame) — every BASYN arm of RDBS
-and Near-Far: seeded adversarial graphs that stress what the bucket and
-threshold arithmetic is most likely to get wrong —
+The tier-1 safety net for control-flow changes to the bucket loops and
+their placement code (bucket fusion, the shared engine frame, deleting a
+redundant path) — every BASYN arm of RDBS, Near-Far, synchronous
+Δ-stepping, ADDS, MLMQ and the BL baseline: seeded adversarial graphs
+that stress what the bucket and threshold arithmetic is most likely to
+get wrong —
 
 * zero-weight edges (a target lands in the bucket being drained),
 * weights spread log-uniformly over 1e-6 .. 1e6 (twelve decades inside
@@ -14,8 +16,9 @@ threshold arithmetic is most likely to get wrong —
 
 plus the extreme-Δ cases on ``kron:8,8``: Δ = 1e-3 (hundreds of thousands
 of empty intervals between buckets) and Δ = 1e9 (one bucket holds the
-whole graph).  Every distance must equal the SciPy oracle's (Near-Far is
-held against the repository's Dijkstra as well).
+whole graph) for every Δ engine.  Every distance must equal the SciPy
+oracle's (every engine but the BASYN arms is held against the
+repository's binary-heap Dijkstra as well).
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ SPEC = V100.scaled_for_workload(1 / 64)
 
 #: every registered RDBS arm with BASYN on (the arms bucket fusion runs in)
 BASYN_ARMS = ("rdbs", "basyn", "basyn+pro", "basyn+adwl", "basyn+pro+adwl")
+
+#: the GPU engines besides RDBS's BASYN arms and Near-Far, each held
+#: against the binary-heap Dijkstra
+OTHER_ENGINES = ("sync-delta", "adds", "mlmq", "bl")
+
+#: the engines among them that take a Δ (``bl`` does not)
+OTHER_DELTA_ENGINES = ("sync-delta", "adds", "mlmq")
 
 #: seeds of the adversarial graphs; each seed fixes size, density,
 #: weight mix, direction and the source
@@ -84,6 +94,14 @@ def test_nearfar_matches_dijkstra(seed):
     assert_matches_dijkstra(g, s, r.dist)
 
 
+@pytest.mark.parametrize("method", OTHER_ENGINES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_engine_matches_dijkstra(seed, method):
+    g, s = adversarial_graph(seed)
+    r = sssp(g, s, method=method, spec=SPEC)
+    assert_matches_dijkstra(g, s, r.dist)
+
+
 def test_adversarial_set_covers_its_cases():
     """The seeds really produce every case the module promises."""
     zero = wide = isolated_src = disconnected = directed = symmetric = False
@@ -126,4 +144,11 @@ def test_one_bucket_delta_every_arm(arm):
 @pytest.mark.parametrize("delta", [1e-3, 1e9])
 def test_nearfar_extreme_delta_on_kron(delta):
     r = sssp(KRON, KRON_SRC, method="near-far", delta=delta, spec=SPEC)
+    assert_matches_dijkstra(KRON, KRON_SRC, r.dist)
+
+
+@pytest.mark.parametrize("method", OTHER_DELTA_ENGINES)
+@pytest.mark.parametrize("delta", [1e-3, 1e9])
+def test_engine_extreme_delta_on_kron(delta, method):
+    r = sssp(KRON, KRON_SRC, method=method, delta=delta, spec=SPEC)
     assert_matches_dijkstra(KRON, KRON_SRC, r.dist)
