@@ -12,9 +12,9 @@ assignments answers it at authoring time:
     ``np.arange(n)`` and offset translations of it — injective in the
     work-item id, the canonical thread-id-affine index.
 ``unique``
-    results of ``sorted_unique_ints`` / ``np.unique`` / ``np.flatnonzero``
-    (and boolean-mask restrictions of any injective array) — provably
-    duplicate-free, though not id-affine.
+    results of ``sorted_unique_ints`` / ``np.unique`` / ``np.union1d`` /
+    ``np.flatnonzero`` (and boolean-mask restrictions of any injective
+    array) — provably duplicate-free, though not id-affine.
 ``gathered``
     values loaded from device memory (``k.gather`` results, adjacency
     targets) — two threads may legitimately hold the same vertex id, so
@@ -63,8 +63,9 @@ UNKNOWN = "unknown"
 INJECTIVE = frozenset({CONST, AFFINE, UNIQUE})
 
 #: producers whose results are provably duplicate-free
-_UNIQUE_FNS = frozenset({"sorted_unique_ints", "unique", "flatnonzero",
-                         "nonzero", "argsort", "argpartition", "where"})
+_UNIQUE_FNS = frozenset({"sorted_unique_ints", "unique", "union1d",
+                         "flatnonzero", "nonzero", "argsort", "argpartition",
+                         "where"})
 #: producers of boolean masks
 _MASK_FNS = frozenset({"isfinite", "isnan", "isinf", "zeros", "ones"})
 #: wrappers that preserve the argument's provenance

@@ -8,9 +8,9 @@ nodes hung off a structured control-flow graph (:class:`CFG` of
 
 * **kernel fragments** — the body of one ``with device.launch("name")``
   block (the unit the dynamic sanitizer calls a launch window); and
-* **device functions** — helpers like ``relax_batch`` / ``compact`` that
-  receive a ``KernelContext`` parameter and are inlined into every
-  launch that calls them.
+* **device functions** — helpers like ``relax_batch`` /
+  ``compact_multisplit`` that receive a ``KernelContext`` parameter and
+  are inlined into every launch that calls them.
 
 The IR is deliberately *effect-oriented*: host arithmetic between ops is
 not modelled, only (a) which device arrays are touched, by which op

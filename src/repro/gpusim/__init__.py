@@ -10,7 +10,7 @@ datasheet numbers.
 """
 
 from .cachemodel import CacheModel, reuse_gaps
-from .compaction import compact, compact_multisplit
+from .compaction import compact_multisplit
 from .counters import DeviceCounters, KernelCounters
 from .device import (
     GPUDevice,
@@ -35,7 +35,7 @@ from .kernels import (
     threads_per_vertex_edges,
 )
 from .memory import BumpAllocator, DeviceArray, coalesce
-from .multisplit import ballot_rounds, multisplit_enabled
+from .multisplit import ballot_rounds
 from .occupancy import OccupancyLimits, OccupancyResult, clamp_grid, occupancy
 from .multi import MultiGPUResult, multi_gpu_sssp, NVLINK2_GBPS, PCIE3_GBPS
 from .spec import A100, T4, V100, GPUSpec
@@ -83,8 +83,6 @@ __all__ = [
     "clamp_grid",
     "OccupancyResult",
     "OccupancyLimits",
-    "compact",
     "compact_multisplit",
     "ballot_rounds",
-    "multisplit_enabled",
 ]

@@ -1,11 +1,10 @@
-"""Stream compaction: the scan-and-scatter idiom of GPU worklists.
+"""Stream compaction: the rank-and-scatter idiom of GPU worklists.
 
-Frontier construction on real GPUs is a three-step dance: evaluate a
-predicate per item, block-wide exclusive prefix-sum to find each
-survivor's output slot, and a coalesced scatter of the survivors.  This
-module packages that idiom with full accounting (two ALU passes for the
-scan, the divergent predicate branch, and the contiguous survivor stores)
-so every algorithm that builds a queue charges the same realistic cost.
+Frontier construction on real GPUs evaluates a predicate per item, ranks
+each survivor to find its output slot, and scatters the survivors
+contiguously.  This module packages that idiom with full accounting — a
+warp-ballot ranking (one 2-way multisplit) and the coalesced survivor
+stores — so every algorithm that builds a queue charges the same cost.
 """
 
 from __future__ import annotations
@@ -16,43 +15,7 @@ from .device import KernelContext, subset_assignment
 from .kernels import WorkAssignment
 from .memory import DeviceArray
 
-__all__ = ["compact", "compact_multisplit"]
-
-
-def compact(
-    ctx: KernelContext,
-    out: DeviceArray,
-    keep: np.ndarray,
-    values: np.ndarray,
-    assignment: WorkAssignment,
-    *,
-    offset: int = 0,
-) -> np.ndarray:
-    """Write ``values[keep]`` densely into ``out`` starting at ``offset``.
-
-    Returns the survivors (host view).  Charges: 2 ALU passes per slot
-    (the block/device exclusive scan), one predicate branch, and the
-    coalesced stores of the survivors.  ``out`` must be large enough for
-    ``offset + survivors`` entries.
-    """
-    keep = np.asarray(keep, dtype=bool)
-    if keep.size != assignment.num_items:
-        raise ValueError("predicate must match the assignment's items")
-    ctx.alu(assignment, ops=2)  # exclusive prefix-sum of the predicate
-    if keep.size:
-        ctx.branch(assignment, keep)
-    survivors = np.asarray(values)[keep]
-    if survivors.size:
-        if offset + survivors.size > out.size:
-            raise ValueError("output buffer too small for compaction")
-        sub = subset_assignment(assignment, keep)
-        ctx.scatter(
-            out,
-            offset + np.arange(survivors.size, dtype=np.int64),
-            survivors,
-            sub,
-        )
-    return survivors
+__all__ = ["compact_multisplit"]
 
 
 def compact_multisplit(
@@ -64,14 +27,14 @@ def compact_multisplit(
     *,
     offset: int = 0,
 ) -> np.ndarray:
-    """:func:`compact` with warp-ballot survivor ranking.
+    """Write ``values[keep]`` densely into ``out`` starting at ``offset``.
 
-    Result-identical to :func:`compact` (the 2-way multisplit's stable
-    within-bucket order is exactly the survivors' original order), but the
-    per-slot cost drops from two scan ALUs plus a divergent predicate
-    branch to a single ballot round — the lanes rank themselves through
-    the ballot mask and shared staging instead of a block-wide prefix
-    sum.  The coalesced survivor stores are unchanged.
+    Returns the survivors (host view), in their original order — the
+    2-way multisplit's stable within-bucket order.  Charges one ballot
+    round per slot (the lanes rank themselves through the ballot mask and
+    shared staging instead of a block-wide prefix sum) and the coalesced
+    stores of the survivors.  ``out`` must be large enough for ``offset +
+    survivors`` entries.
     """
     keep = np.asarray(keep, dtype=bool)
     if keep.size != assignment.num_items:

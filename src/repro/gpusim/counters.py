@@ -1,7 +1,9 @@
 """Profiling counters: the simulator's equivalent of ``nvprof`` metrics.
 
 The paper's Fig. 10 reports four nvprof metrics; this module accumulates the
-same quantities (plus the supporting raw events) per kernel and per device:
+same quantities (plus the supporting raw events) per kernel launch and per
+device; the device's :class:`~repro.gpusim.timeline.Timeline` keeps each
+launch's counters, :class:`DeviceCounters` their whole-run totals:
 
 * ``inst_executed_global_loads``  — warp-level global load instructions;
 * ``inst_executed_global_stores`` — warp-level global store instructions;
@@ -141,29 +143,9 @@ class KernelCounters:
         scalars, which ``json`` refuses to encode) and derived metrics are
         plain ``float`` — so two identical runs always serialize to the
         same JSON, byte for byte.
-
-        The four multisplit-era keys (``inst_executed_ballots``,
-        ``shared_transactions``, ``multisplit_ops``,
-        ``multisplit_buckets``) appear only when the run issued at least
-        one multisplit, and the two MLMQ stealing keys (``mlmq_steals``,
-        ``mlmq_stolen_slots``) only when at least one steal happened.
-        Key presence is a deterministic function of the counted events,
-        and a run with the ``REPRO_NO_MULTISPLIT`` fallback active
-        therefore serializes byte-identically to a pre-multisplit build —
-        the property the baseline-compatibility gate pins.
         """
-        multisplit_keys = (
-            "inst_executed_ballots",
-            "shared_transactions",
-            "multisplit_ops",
-            "multisplit_buckets",
-        )
-        steal_keys = ("mlmq_steals", "mlmq_stolen_slots")
         d: dict[str, float] = {
-            f.name: int(getattr(self, f.name))
-            for f in fields(self)
-            if (self.multisplit_ops or f.name not in multisplit_keys)
-            and (self.mlmq_steals or f.name not in steal_keys)
+            f.name: int(getattr(self, f.name)) for f in fields(self)
         }
         d["global_hit_rate"] = float(self.global_hit_rate)
         d["simt_efficiency"] = float(self.simt_efficiency)
@@ -172,29 +154,21 @@ class KernelCounters:
 
 @dataclass
 class DeviceCounters:
-    """Whole-run accumulation plus per-kernel history."""
+    """Whole-run accumulation of every launch's counters.
+
+    The launch-by-launch history lives in the device's
+    :class:`~repro.gpusim.timeline.Timeline`; this holds only the totals.
+    """
 
     totals: KernelCounters = field(default_factory=KernelCounters)
-    per_kernel: list[tuple[str, KernelCounters]] = field(default_factory=list)
 
     def record(self, name: str, counters: KernelCounters) -> None:
-        """Append one kernel's counters and fold them into the totals."""
-        self.per_kernel.append((name, counters))
+        """Fold one kernel's counters into the totals.
+
+        ``name`` is the launch's label; the timeline keeps it.
+        """
         self.totals.merge(counters)
 
-    def kernels_named(self, prefix: str) -> list[KernelCounters]:
-        """All recorded kernels whose name starts with ``prefix``."""
-        return [c for name, c in self.per_kernel if name.startswith(prefix)]
-
-    def as_dict(self, *, per_kernel: bool = False) -> dict:
-        """Stable JSON-safe snapshot of the whole-run counters.
-
-        ``per_kernel=True`` additionally serializes the launch-by-launch
-        history (large; benchmark records keep only the totals).
-        """
-        d: dict = {"totals": self.totals.as_dict()}
-        if per_kernel:
-            d["per_kernel"] = [
-                [name, c.as_dict()] for name, c in self.per_kernel
-            ]
-        return d
+    def as_dict(self) -> dict:
+        """Stable JSON-safe snapshot of the whole-run counters."""
+        return {"totals": self.totals.as_dict()}

@@ -28,31 +28,14 @@ assignment with ``S`` warp slots, ``W`` active warps and ``B`` buckets:
 
 The semantic result is exact and deterministic: the stable grouping of
 :func:`repro.util.scan.multisplit_order`.
-
-``REPRO_NO_MULTISPLIT`` (any non-empty value) disables every engine's
-multisplit placement path at call time, restoring the legacy
-sort/scan/branch code — and its counter stream — byte-identically; CI
-pins that equivalence against the pre-multisplit baseline.
 """
 
 from __future__ import annotations
 
-import os
-
-__all__ = ["BALLOT_WIDTH_BITS", "multisplit_enabled", "ballot_rounds"]
+__all__ = ["BALLOT_WIDTH_BITS", "ballot_rounds"]
 
 #: lanes answered by one ballot instruction (the warp width)
 BALLOT_WIDTH_BITS = 32
-
-
-def multisplit_enabled() -> bool:
-    """Whether engines should take their multisplit placement paths.
-
-    Read per call (not cached) so tests can flip the knob between runs
-    in one process; the environment probe is a few tens of nanoseconds,
-    invisible next to a kernel launch.
-    """
-    return not os.environ.get("REPRO_NO_MULTISPLIT")
 
 
 def ballot_rounds(num_buckets: int) -> int:

@@ -1,7 +1,10 @@
 """Kernel timeline: the simulator's answer to ``nvprof --print-gpu-trace``.
 
-:class:`Timeline` records every launch's name, simulated start/duration and
-headline counters, then aggregates them the way a profiling session does:
+:class:`Timeline` is the device's one per-launch history: it records every
+launch's (and every persistent-kernel segment's) name, simulated
+start/duration and counters — the same objects the device folds into its
+whole-run :class:`~repro.gpusim.counters.DeviceCounters` totals — then
+aggregates them the way a profiling session does:
 time per kernel *type*, top-k kernels, and a bottleneck attribution that
 splits each kernel's duration into its binding resource (issue-bound,
 memory-bound, critical-path-bound or overhead).  The attribution re-derives
@@ -65,7 +68,8 @@ def attribute_bottleneck(
 
 
 class Timeline:
-    """Accumulates :class:`KernelRecord` entries for one device."""
+    """The per-launch history of one device: one :class:`KernelRecord` per
+    launch or persistent-kernel segment, in issue order."""
 
     def __init__(self, spec: GPUSpec) -> None:
         self.spec = spec

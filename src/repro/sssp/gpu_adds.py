@@ -25,7 +25,6 @@ from ..faults.runtime import make_runtime
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import GPUDevice, subset_assignment
 from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
-from ..gpusim.multisplit import multisplit_enabled
 from ..gpusim.spec import GPUSpec, V100
 from ..metrics.workstats import WorkStats
 from ..util.scan import sorted_unique_ints
@@ -70,27 +69,17 @@ def adds_sssp(
     in_near = np.zeros(n, dtype=bool)
     in_near[source] = True
     far_mask = np.zeros(n, dtype=bool)
-    # device-resident near worklist and far pile; insertions are stores.
-    # write-only scratch, so the storage stays uninitialized (cudaMalloc
-    # semantics) — a read before a write is a bug the sanitizer flags.
-    # The multisplit placement appends densely behind rolling cursors
-    # (coalesced stores) into its own slot arrays; the legacy path keeps
-    # its vertex-addressed buffers.  Distinct names so the two placement
-    # disciplines never share a store target.
-    use_ms = multisplit_enabled()
-    worklist_buf = far_buf = None
-    near_slots = far_slots = near_spill = far_spill = None
-    if use_ms:
-        slot_cap = max(graph.num_edges, 1)
-        near_slots = device.empty(slot_cap, dtype=np.int64, name="near_slots")
-        far_slots = device.empty(slot_cap, dtype=np.int64, name="far_slots")
-        near_spill = device.empty(n, dtype=np.int64, name="near_spill")
-        far_spill = device.empty(n, dtype=np.int64, name="far_spill")
-        cursors = {"near": 0, "far": 0}
-    else:
-        worklist_buf = device.empty(n, dtype=np.int64, name="near_worklist")
-        far_buf = device.empty(n, dtype=np.int64, name="far_pile")
-        cursors = None
+    # device-resident near worklist and far pile; insertions append densely
+    # behind rolling cursors (coalesced stores) into the slot arrays, and
+    # overflow into the vertex-addressed spill arrays.  Write-only scratch,
+    # so the storage stays uninitialized (cudaMalloc semantics) — a read
+    # before a write is a bug the sanitizer flags.
+    slot_cap = max(graph.num_edges, 1)
+    near_slots = device.empty(slot_cap, dtype=np.int64, name="near_slots")
+    far_slots = device.empty(slot_cap, dtype=np.int64, name="far_slots")
+    near_spill = device.empty(n, dtype=np.int64, name="near_spill")
+    far_spill = device.empty(n, dtype=np.int64, name="far_spill")
+    cursors = {"near": 0, "far": 0}
     counters = {"steps": 0, "rounds": 0}
     # dynamic-Δ feedback: aim to keep a near set around the device's
     # resident-warp parallelism (ADDS's utilization-driven adjustment)
@@ -109,16 +98,11 @@ def adds_sssp(
                 with device.launch("adds_split") as k:
                     a = grid_stride(candidates.size, _SCAN_THREADS)
                     dvals = k.gather(dist, candidates, a)
-                    if use_ms:
-                        # one ballot round partitions near/far; the stable
-                        # bucket order is the candidates' original order,
-                        # so the promote set matches the mask filter
-                        keys = (dvals >= threshold).astype(np.int64)
-                        order, offs = k.multisplit(keys, 2, a)
-                        promote = candidates[order[: offs[1]]]
-                    else:
-                        k.alu(a, ops=2)
-                        promote = candidates[dvals < threshold]
+                    # one ballot round partitions near/far; the stable
+                    # bucket order is the candidates' original order
+                    keys = (dvals >= threshold).astype(np.int64)
+                    order, offs = k.multisplit(keys, 2, a)
+                    promote = candidates[order[: offs[1]]]
             except InjectedKernelAbort as exc:
                 if runtime is None:
                     raise
@@ -150,8 +134,8 @@ def adds_sssp(
             with device.launch("adds_async") as k:
                 _adds_async(
                     k, dgraph, dist, near, in_near, far_mask,
-                    worklist_buf, far_buf, near_slots, far_slots,
-                    near_spill, far_spill, cursors, stats, threshold,
+                    near_slots, far_slots, near_spill, far_spill,
+                    cursors, stats, threshold,
                     max_steps, cur_delta, counters,
                 )
         except ConvergenceError as exc:
@@ -188,18 +172,15 @@ def adds_sssp(
 
 def _adds_async(
     k, dgraph, dist, near, in_near, far_mask,
-    worklist_buf, far_buf, near_slots, far_slots, near_spill, far_spill,
+    near_slots, far_slots, near_spill, far_spill,
     cursors, stats, threshold, max_steps, cur_delta, counters,
 ):
     """Drain the near worklist inside one persistent asynchronous kernel.
 
-    Worklist insertions take one of two disciplines: the legacy
-    vertex-addressed stores into ``worklist_buf`` / ``far_buf``, or (when
-    the warp-ballot multisplit is enabled, signalled by ``cursors``) dense
-    coalesced appends behind rolling cursors into ``near_slots`` /
-    ``far_slots``, overflowing into the vertex-addressed spill arrays.
+    Worklist insertions are dense coalesced appends behind the rolling
+    ``cursors`` into ``near_slots`` / ``far_slots``, overflowing into the
+    vertex-addressed spill arrays.
     """
-    use_ms = cursors is not None
     # per-round telemetry is host-only and gated on an attached observer
     note_rounds = bool(k.device.handlers("on_annotate"))
     while near:
@@ -236,17 +217,11 @@ def _adds_async(
         # resident) rather than an un-counted host re-read of dist
         is_near = out.new_dist[out.updated] < threshold
         sub = subset_assignment(a, out.updated)
-        if use_ms:
-            # 2-way ballot multisplit replaces the divergent branch; the
-            # stable bucket order keeps the updated-target order, so the
-            # near/far halves equal the boolean-mask splits below
-            order, offs = k.multisplit((~is_near).astype(np.int64), 2, sub)
-            near_hits = upd[order[: offs[1]]]
-            far_hits = upd[order[offs[1]:]]
-        else:
-            k.branch(sub, is_near)
-            near_hits = upd[is_near]
-            far_hits = upd[~is_near]
+        # one ballot round partitions near/far; the stable bucket order
+        # keeps the updated-target order
+        order, offs = k.multisplit((~is_near).astype(np.int64), 2, sub)
+        near_hits = upd[order[: offs[1]]]
+        far_hits = upd[order[offs[1]:]]
 
         fresh = sorted_unique_ints(near_hits)
         fresh = fresh[~in_near[fresh]]
@@ -255,44 +230,36 @@ def _adds_async(
             far_mask[fresh] = False
             near.append(fresh)
             a_push = thread_per_item(fresh.size)
-            if use_ms:
-                fsize = int(fresh.size)
-                ncur = cursors["near"]
-                if ncur + fsize <= near_slots.size:
-                    k.scatter(
-                        near_slots,
-                        ncur + np.arange(fsize, dtype=np.int64),
-                        fresh, a_push,
-                    )
-                    cursors["near"] = ncur + fsize
-                else:
-                    # full slot array (re-activation storm): fall back to
-                    # the vertex-addressed spill — distinct ids by
-                    # construction (sorted_unique_ints)
-                    # repro-static: assume-disjoint
-                    k.scatter(near_spill, fresh, fresh, a_push)
+            fsize = int(fresh.size)
+            ncur = cursors["near"]
+            if ncur + fsize <= near_slots.size:
+                k.scatter(
+                    near_slots, ncur + np.arange(fsize, dtype=np.int64),
+                    fresh, a_push,
+                )
+                cursors["near"] = ncur + fsize
             else:
-                k.scatter(worklist_buf, fresh, fresh, a_push)
+                # full slot array (re-activation storm): spill into the
+                # vertex-addressed array — distinct ids by construction
+                # (sorted_unique_ints)
+                # repro-static: assume-disjoint
+                k.scatter(near_spill, fresh, fresh, a_push)
         far_new = sorted_unique_ints(far_hits)
         far_new = far_new[~in_near[far_new]]
         if far_new.size:
             far_mask[far_new] = True
             a_far = thread_per_item(far_new.size)
-            if use_ms:
-                wsize = int(far_new.size)
-                fcur = cursors["far"]
-                if fcur + wsize <= far_slots.size:
-                    k.scatter(
-                        far_slots,
-                        fcur + np.arange(wsize, dtype=np.int64),
-                        far_new, a_far,
-                    )
-                    cursors["far"] = fcur + wsize
-                else:
-                    # repro-static: assume-disjoint
-                    k.scatter(far_spill, far_new, far_new, a_far)
+            wsize = int(far_new.size)
+            fcur = cursors["far"]
+            if fcur + wsize <= far_slots.size:
+                k.scatter(
+                    far_slots, fcur + np.arange(wsize, dtype=np.int64),
+                    far_new, a_far,
+                )
+                cursors["far"] = fcur + wsize
             else:
-                k.scatter(far_buf, far_new, far_new, a_far)
+                # repro-static: assume-disjoint
+                k.scatter(far_spill, far_new, far_new, a_far)
 
 
 def _adds_reseed(runtime, exc, in_near, far_mask):

@@ -28,7 +28,6 @@ from ..faults.runtime import make_runtime
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import GPUDevice, subset_assignment
 from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
-from ..gpusim.multisplit import multisplit_enabled
 from ..gpusim.spec import GPUSpec, V100
 from ..metrics.workstats import WorkStats
 from .errors import ConvergenceError
@@ -81,14 +80,14 @@ def nearfar_sssp(
     threshold = delta
     near = np.array([source], dtype=np.int64)
     far_mask = np.zeros(n, dtype=bool)
-    # windowed far pile (multisplit placement): the host mirrors each far
-    # vertex's latest inserted distance — exactly the register-resident
-    # value the winning atomic wrote, so ``far_val[v] == dist[v]`` for
-    # every far member — and buckets it on the absolute Δ-grid.  Threshold
-    # advances then promote every full window below the grid cell holding
-    # the threshold wholesale; only the straddling boundary window needs
-    # the counted gather-and-ballot split.
-    far_val = np.full(n, np.inf) if multisplit_enabled() else None
+    # windowed far pile: the host mirrors each far vertex's latest inserted
+    # distance — exactly the register-resident value the winning atomic
+    # wrote, so ``far_val[v] == dist[v]`` for every far member — and
+    # buckets it on the absolute Δ-grid.  Threshold advances then promote
+    # every full window below the grid cell holding the threshold
+    # wholesale; only the straddling boundary window needs the counted
+    # gather-and-ballot split.
+    far_val = np.full(n, np.inf)
     settled_below = np.zeros(n, dtype=bool)
     iterations = 0
 
@@ -115,47 +114,32 @@ def nearfar_sssp(
                 break
             min_far = float(dist.data[finite].min())
             threshold = max(threshold + delta, min_far + delta)
-            if far_val is not None:
-                vals = far_val[candidates]
-                # grid cell holding the threshold, clamped so float
-                # rounding can never misplace the promote boundary
-                grid_lo = min(float(np.floor(threshold / delta) * delta),
-                              threshold)
-                grid_hi = max(grid_lo + delta, threshold)
-                full = candidates[vals < grid_lo]
-                boundary = candidates[(vals >= grid_lo) & (vals < grid_hi)]
-                promote_b = np.zeros(0, dtype=np.int64)
-                if boundary.size:
-                    try:
-                        with chain.segment("nearfar_split") as k:
-                            a = grid_stride(boundary.size, _SCAN_THREADS)
-                            dvals = k.gather(dist, boundary, a)
-                            keys = (dvals >= threshold).astype(np.int64)
-                            order, offs = k.multisplit(keys, 2, a)
-                            promote_b = boundary[order[: offs[1]]]
-                            k.device_barrier()
-                    except InjectedKernelAbort as exc:
-                        if runtime is None:
-                            raise
-                        near, far_mask = _nearfar_reseed(
-                            runtime, exc, chain, far_mask, far_val, dist)
-                        continue
-                promote = np.union1d(full, promote_b)
-                far_val[promote] = np.inf
-            else:
+            vals = far_val[candidates]
+            # grid cell holding the threshold, clamped so float rounding
+            # can never misplace the promote boundary
+            grid_lo = min(float(np.floor(threshold / delta) * delta),
+                          threshold)
+            grid_hi = max(grid_lo + delta, threshold)
+            full = candidates[vals < grid_lo]
+            boundary = candidates[(vals >= grid_lo) & (vals < grid_hi)]
+            promote_b = np.zeros(0, dtype=np.int64)
+            if boundary.size:
                 try:
                     with chain.segment("nearfar_split") as k:
-                        a = grid_stride(candidates.size, _SCAN_THREADS)
-                        dvals = k.gather(dist, candidates, a)
-                        k.alu(a, ops=2)
+                        a = grid_stride(boundary.size, _SCAN_THREADS)
+                        dvals = k.gather(dist, boundary, a)
+                        keys = (dvals >= threshold).astype(np.int64)
+                        order, offs = k.multisplit(keys, 2, a)
+                        promote_b = boundary[order[: offs[1]]]
                         k.device_barrier()
                 except InjectedKernelAbort as exc:
                     if runtime is None:
                         raise
                     near, far_mask = _nearfar_reseed(
-                        runtime, exc, chain, far_mask)
+                        runtime, exc, chain, far_mask, far_val, dist)
                     continue
-                promote = candidates[dvals < threshold]
+            promote = np.union1d(full, promote_b)
+            far_val[promote] = np.inf
             far_mask[promote] = False
             near = promote
             continue
@@ -186,20 +170,13 @@ def nearfar_sssp(
                     new_vals = out.new_dist[out.updated]
                     is_near = new_vals < threshold
                     sub = subset_assignment(a, out.updated)
-                    if far_val is not None:
-                        # one ballot round partitions near/far; stable
-                        # bucket order keeps the updated-target order, so
-                        # the halves equal the boolean-mask splits
-                        order, offs = k.multisplit(
-                            (~is_near).astype(np.int64), 2, sub)
-                        near_hits = upd_targets[order[: offs[1]]]
-                        far_hits = upd_targets[order[offs[1]:]]
-                        far_hit_vals = new_vals[order[offs[1]:]]
-                    else:
-                        k.branch(sub, is_near)
-                        near_hits = upd_targets[is_near]
-                        far_hits = upd_targets[~is_near]
-                        far_hit_vals = new_vals[~is_near]
+                    # one ballot round partitions near/far; stable bucket
+                    # order keeps the updated-target order
+                    order, offs = k.multisplit(
+                        (~is_near).astype(np.int64), 2, sub)
+                    near_hits = upd_targets[order[: offs[1]]]
+                    far_hits = upd_targets[order[offs[1]:]]
+                    far_hit_vals = new_vals[order[offs[1]:]]
                     # the next choice, folded by the warps holding hits:
                     # near hits per warp (thread t relaxes near[t]) ...
                     hit_pos = batch.src_pos[out.updated]
@@ -239,11 +216,10 @@ def nearfar_sssp(
         far_mask[far_new] = True
         # a vertex pulled below the threshold leaves the far pile
         far_mask[near_next] = False
-        if far_val is not None:
-            # duplicate targets take the per-target minimum — the value
-            # the cell holds after the round's atomics
-            np.minimum.at(far_val, far_hits, far_hit_vals)
-            far_val[near_next] = np.inf
+        # duplicate targets take the per-target minimum — the value the
+        # cell holds after the round's atomics
+        np.minimum.at(far_val, far_hits, far_hit_vals)
+        far_val[near_next] = np.inf
         near = near_next
 
     if runtime is not None:
@@ -272,7 +248,7 @@ def _per_warp(threads: np.ndarray, warp_size: int) -> np.ndarray:
     return np.unique(threads // warp_size, return_counts=True)[1]
 
 
-def _nearfar_reseed(runtime, exc, chain, far_mask, far_val=None, dist=None):
+def _nearfar_reseed(runtime, exc, chain, far_mask, far_val, dist):
     """Roll back after an aborted kernel and rebuild the worklist.
 
     The rollback is a host synchronization, so it ends the persistent
@@ -281,14 +257,13 @@ def _nearfar_reseed(runtime, exc, chain, far_mask, far_val=None, dist=None):
     Every finite vertex of the restored checkpoint goes to the far pile;
     the next threshold advance re-promotes whatever still needs work.
     Re-relaxing already-settled vertices costs extra work but cannot
-    change a correct distance.  With the windowed far pile the value
-    mirror is rebuilt from the restored checkpoint's distances.
+    change a correct distance.  The far pile's value mirror is rebuilt
+    from the restored checkpoint's distances.
     """
     fin = runtime.on_abort(exc)
     chain.end()
     far_mask[:] = False
     far_mask[fin] = True
-    if far_val is not None:
-        far_val[:] = np.inf
-        far_val[fin] = dist.data[fin]
+    far_val[:] = np.inf
+    far_val[fin] = dist.data[fin]
     return np.zeros(0, dtype=np.int64), far_mask

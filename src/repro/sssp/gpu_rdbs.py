@@ -37,14 +37,9 @@ import numpy as np
 from ..faults.plan import InjectedKernelAbort
 from ..faults.runtime import Watchdog, WatchdogTimeout, make_runtime
 from ..graphs.csr import CSRGraph
-from ..gpusim.compaction import compact, compact_multisplit
+from ..gpusim.compaction import compact_multisplit
 from ..gpusim.device import GPUDevice, KernelContext
-from ..gpusim.dynamic import (
-    classify_multisplit,
-    classify_workloads,
-    launch_adaptive,
-)
-from ..gpusim.multisplit import multisplit_enabled
+from ..gpusim.dynamic import classify_multisplit, launch_adaptive
 from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
 from ..metrics.recorder import TraceRecorder
@@ -473,14 +468,9 @@ def _relax_light(
         weight_filter = (split, True)
 
     if adwl:
-        # manager threads classify vertices into workload lists: one 3-way
-        # warp-ballot multisplit, or (fallback) one pass of per-vertex ALU
-        a_cls = thread_per_item(vertices.size)
-        if multisplit_enabled():
-            classes = classify_multisplit(ctx, counts, a_cls)
-        else:
-            ctx.alu(a_cls, ops=2)
-            classes = classify_workloads(counts)
+        # manager threads classify vertices into workload lists with one
+        # 3-way warp-ballot multisplit
+        classes = classify_multisplit(ctx, counts, thread_per_item(vertices.size))
         if ctx.device.handlers("on_annotate"):
             ctx.device.annotate(
                 "adwl", small=int(classes.small.size),
@@ -546,29 +536,17 @@ def _phase1_async(
     rounds = 0
     queue: list[np.ndarray] = [members]
     in_queue[members] = True
-    use_ms = multisplit_enabled()
-    if use_ms:
-        # multisplit placement appends re-activations *densely* behind a
-        # rolling cursor (coalesced stores instead of vertex-scattered
-        # ones); sized to the edge count because every push follows an
-        # updated relaxation.  The spill list absorbs the pathological
-        # overflow case with the legacy vertex-addressed stamp stores.
-        queue_slots = device.empty(
-            max(dgraph.graph.num_edges, 1), dtype=np.int64,
-            name="workload_slots",
-        )
-        queue_spill = device.empty(
-            dist.size, dtype=np.int64, name="workload_spill"
-        )
-        cursor = 0
-    else:
-        # the device-resident workload lists; re-activations are stored
-        # into it by the manager threads (global store traffic).
-        # Write-only scratch, so the allocation stays uninitialized
-        # (cudaMalloc semantics)
-        queue_buf = device.empty(
-            dist.size, dtype=np.int64, name="workload_lists"
-        )
+    # multisplit placement appends re-activations *densely* behind a
+    # rolling cursor (coalesced stores instead of vertex-scattered ones);
+    # sized to the edge count because every push follows an updated
+    # relaxation.  The spill list absorbs the pathological overflow case
+    # with vertex-addressed stamp stores.  Write-only scratch, so both
+    # allocations stay uninitialized (cudaMalloc semantics)
+    queue_slots = device.empty(
+        max(dgraph.graph.num_edges, 1), dtype=np.int64, name="workload_slots",
+    )
+    queue_spill = device.empty(dist.size, dtype=np.int64, name="workload_spill")
+    cursor = 0
     # per-round drain telemetry is host-side only, so it is gated on an
     # attached on_annotate observer — without one, no payload is built
     note_rounds = bool(device.handlers("on_annotate"))
@@ -606,53 +584,37 @@ def _phase1_async(
 
             if targets.size:
                 cand = sorted_unique_ints(targets)
-                if use_ms:
-                    # the freshest distance per candidate is the minimum
-                    # of the round's register-resident atomicMin results
-                    # (RelaxOutcome.new_dist) — no re-gather needed; one
-                    # 2-way ballot multisplit partitions push vs skip
-                    pos = np.searchsorted(cand, targets)
-                    dv = np.full(cand.size, np.inf)
-                    np.minimum.at(dv, pos, values)
-                    keys = (
-                        (dv >= b_lo) & (dv < b_hi) & ~in_queue[cand]
-                    ).astype(np.int64)
-                    a_ms = thread_per_item(cand.size)
-                    order, offs = k.multisplit(keys, 2, a_ms)
-                    push = cand[order[offs[1]:]]
-                    if push.size:
-                        csize = int(push.size)
-                        a_push = thread_per_item(csize)
-                        if cursor + csize <= queue_slots.size:
-                            k.scatter(
-                                queue_slots,
-                                cursor + np.arange(csize, dtype=np.int64),
-                                push, a_push,
-                            )
-                            cursor += csize
-                        else:
-                            # overflow spill: legacy vertex-addressed
-                            # stamp stores (same-value, benign)
-                            # repro-static: assume-disjoint
-                            k.scatter(queue_spill, push, push, a_push)
-                        in_queue[push] = True
-                        queue.append(push)
-                        reactivated = csize
-                else:
-                    # manager threads re-read the *fresh* distances
-                    # (BASYN's immediate visibility) as a counted gather
-                    dv = k.gather(dist, cand, thread_per_item(cand.size))
-                    cand = cand[(dv >= b_lo) & (dv < b_hi) & ~in_queue[cand]]
-                    if cand.size:
-                        # manager threads push re-activated vertices back
-                        # onto the workload lists: classify + one queue
-                        # store each
-                        a_push = thread_per_item(cand.size)
-                        k.alu(a_push, ops=2)
-                        k.scatter(queue_buf, cand, cand, a_push)
-                        in_queue[cand] = True
-                        queue.append(cand)
-                        reactivated = int(cand.size)
+                # the freshest distance per candidate is the minimum of the
+                # round's register-resident atomicMin results
+                # (RelaxOutcome.new_dist) — no re-gather needed; one 2-way
+                # ballot multisplit partitions push vs skip
+                pos = np.searchsorted(cand, targets)
+                dv = np.full(cand.size, np.inf)
+                np.minimum.at(dv, pos, values)
+                keys = (
+                    (dv >= b_lo) & (dv < b_hi) & ~in_queue[cand]
+                ).astype(np.int64)
+                a_ms = thread_per_item(cand.size)
+                order, offs = k.multisplit(keys, 2, a_ms)
+                push = cand[order[offs[1]:]]
+                if push.size:
+                    csize = int(push.size)
+                    a_push = thread_per_item(csize)
+                    if cursor + csize <= queue_slots.size:
+                        k.scatter(
+                            queue_slots,
+                            cursor + np.arange(csize, dtype=np.int64),
+                            push, a_push,
+                        )
+                        cursor += csize
+                    else:
+                        # overflow spill: vertex-addressed stamp stores
+                        # (same-value, benign)
+                        # repro-static: assume-disjoint
+                        k.scatter(queue_spill, push, push, a_push)
+                    in_queue[push] = True
+                    queue.append(push)
+                    reactivated = csize
             if note_rounds:
                 device.annotate(
                     "async_round", round=rounds, drained=int(chunk.size),
@@ -743,9 +705,9 @@ def _phase23_fused(
     is consumed host-side by the bucket loop (the real implementation
     compacts into a device queue; the stores are accounted here).
 
-    ``next_lo`` is the closing bucket's upper boundary: the multisplit
-    scan partitions vertices on "still unsettled beyond this bucket"
-    with one ballot round instead of the two-ALU flag-and-scan pass.
+    ``next_lo`` is the closing bucket's upper boundary: the scan
+    partitions vertices on "still unsettled beyond this bucket" with one
+    ballot round.
 
     With ``next_min`` (bucket fusion under BASYN) the segment continues the
     resident persistent kernel and makes the next-bucket choice on the
@@ -753,7 +715,6 @@ def _phase23_fused(
     closing barrier, and the Eq. 1–2 controller step reads it after.
     """
     n = dist.size
-    use_ms = multisplit_enabled()
     fused = next_min is not None
     with device.segment("phase23_fused", resume=fused) as k:
         if settled.size:
@@ -770,26 +731,19 @@ def _phase23_fused(
                     weight_filter=weight_filter,
                 )
                 # compact the freshly updated heavy targets into the
-                # next-bucket candidate queue: warp-ballot ranking, or
-                # (fallback) scan + coalesced scatter
+                # next-bucket candidate queue by warp-ballot ranking
                 if (
                     weight_filter is None
                     and candidate_buf is not None
                     and targets.size
                 ):
-                    if use_ms:
-                        compact_multisplit(k, candidate_buf, updated, targets, a)
-                    else:
-                        compact(k, candidate_buf, updated, targets, a)
+                    compact_multisplit(k, candidate_buf, updated, targets, a)
         # phase 3: one dist read per vertex to build the next bucket
         a_scan = grid_stride(n, PHASE23_THREADS)
         dvals = k.gather(dist, np.arange(n, dtype=np.int64), a_scan)
         active = np.isfinite(dvals) & (dvals >= next_lo)
-        if use_ms:
-            # partition "active beyond this bucket" with one ballot round
-            k.multisplit(active.astype(np.int64), 2, a_scan)
-        else:
-            k.alu(a_scan, ops=2)
+        # partition "active beyond this bucket" with one ballot round
+        k.multisplit(active.astype(np.int64), 2, a_scan)
         if fused:
             a_blocks = publish_grid_min(k, dvals, active, a_scan, next_min,
                                         cell)

@@ -234,8 +234,7 @@ class Tracer:
         }
         if c.multisplit_ops:
             # warp-ballot multisplit telemetry (docs/observability.md):
-            # present only on launches that issued one, mirroring the
-            # counter snapshot's conditional keys
+            # present only on launches that issued one
             args.update({
                 "histogram_passes": int(c.multisplit_ops),
                 "num_buckets": int(c.multisplit_buckets),
@@ -247,8 +246,7 @@ class Tracer:
             args["host_launch"] = False
         if c.mlmq_steals:
             # MLMQ work-stealing telemetry (docs/mlmq.md): present only
-            # on launches whose queue groups stole, mirroring the counter
-            # snapshot's conditional keys
+            # on launches whose queue groups stole
             args.update({
                 "steals": int(c.mlmq_steals),
                 "stolen_slots": int(c.mlmq_stolen_slots),

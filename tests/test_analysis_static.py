@@ -96,6 +96,19 @@ class TestProvenance:
         assert sig.scatters[0]["class"] == "disjoint"
         assert findings == []
 
+    def test_union1d_is_unique(self, tmp_path):
+        sigs, findings = analyze_src(tmp_path, (
+            "import numpy as np\n"
+            "def f(device, out, vals, a_ids, b_ids):\n"
+            "    ids = np.union1d(a_ids, b_ids)\n"
+            "    with device.launch('k', 4) as k:\n"
+            "        a = object()\n"
+            "        k.scatter(out, ids, vals, a)\n"
+        ))
+        (sig,) = sigs.values()
+        assert sig.scatters[0]["index_provenance"] == "unique"
+        assert findings == []
+
     def test_mask_subscript_preserves_injectivity(self, tmp_path):
         sigs, findings = analyze_src(tmp_path, (
             "import numpy as np\n"
@@ -416,7 +429,7 @@ class TestCorpus:
 
     def test_device_fn_registry_finds_shared_helpers(self):
         corpus = build_corpus([str(SRC)])
-        for helper in ("relax_batch", "compact", "push"):
+        for helper in ("relax_batch", "compact_multisplit", "push"):
             assert helper in corpus.device_fns, helper
 
 

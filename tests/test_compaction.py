@@ -1,15 +1,9 @@
-"""Tests for the stream-compaction primitives."""
+"""Tests for the stream-compaction primitive, held against ``values[keep]``."""
 
 import numpy as np
 import pytest
 
-from repro.gpusim import (
-    GPUDevice,
-    V100,
-    compact,
-    compact_multisplit,
-    thread_per_item,
-)
+from repro.gpusim import GPUDevice, V100, compact_multisplit, thread_per_item
 from repro.gpusim.kernels import grid_stride
 
 
@@ -18,103 +12,84 @@ def dev():
     return GPUDevice(V100)
 
 
+def _compact(keep, values, *, offset=0, size=None, assignment=None):
+    """Run ``compact_multisplit`` on a fresh device; return
+    ``(survivors, out, totals)``."""
+    dev = GPUDevice(V100)
+    out = dev.zeros(
+        size if size is not None else max(values.size, 4) + offset,
+        dtype=np.int64,
+    )
+    with dev.launch("k") as k:
+        survivors = compact_multisplit(
+            k, out, keep, values,
+            assignment or thread_per_item(values.size), offset=offset,
+        )
+    return survivors, out.data, dev.counters.totals
+
+
 class TestCompact:
-    def test_writes_survivors_densely(self, dev):
-        out = dev.zeros(8, dtype=np.int64)
+    def test_writes_survivors_densely(self):
         values = np.array([10, 11, 12, 13, 14])
         keep = np.array([True, False, True, False, True])
-        with dev.launch("k") as k:
-            survivors = compact(k, out, keep, values, thread_per_item(5))
-        assert list(survivors) == [10, 12, 14]
-        assert list(out.data[:3]) == [10, 12, 14]
+        survivors, out, _ = _compact(keep, values, size=8)
+        assert list(survivors) == list(values[keep]) == [10, 12, 14]
+        assert list(out[:3]) == [10, 12, 14]
 
-    def test_offset(self, dev):
-        out = dev.zeros(8, dtype=np.int64)
-        with dev.launch("k") as k:
-            compact(
-                k, out, np.array([True, True]), np.array([7, 8]),
-                thread_per_item(2), offset=3,
-            )
-        assert list(out.data[3:5]) == [7, 8]
+    def test_offset(self):
+        values = np.array([7, 8])
+        _, out, _ = _compact(np.array([True, True]), values, offset=3, size=8)
+        assert list(out[3:5]) == list(values) == [7, 8]
 
-    def test_charges_scan_branch_and_stores(self, dev):
-        out = dev.zeros(64, dtype=np.int64)
-        values = np.arange(64)
-        keep = values % 2 == 0
-        with dev.launch("k") as k:
-            compact(k, out, keep, values, thread_per_item(64))
-        c = dev.counters.totals
-        assert c.inst_executed_other >= 4  # 2 scan passes x 2 warps
-        assert c.branch_instructions == 2
-        assert c.divergent_branches == 2  # every warp has mixed lanes
-        assert c.inst_executed_global_stores >= 1
-
-    def test_empty_survivors_no_store(self, dev):
-        out = dev.zeros(4, dtype=np.int64)
-        with dev.launch("k") as k:
-            survivors = compact(
-                k, out, np.zeros(4, dtype=bool), np.arange(4), thread_per_item(4)
-            )
+    def test_empty_survivors_no_store(self):
+        survivors, _, c = _compact(np.zeros(4, dtype=bool), np.arange(4))
         assert survivors.size == 0
-        assert dev.counters.totals.inst_executed_global_stores == 0
+        assert c.inst_executed_global_stores == 0
 
-    def test_empty_input(self, dev):
-        out = dev.zeros(4, dtype=np.int64)
-        with dev.launch("k") as k:
-            survivors = compact(
-                k, out, np.zeros(0, dtype=bool),
-                np.zeros(0, dtype=np.int64), thread_per_item(0),
-            )
+    def test_empty_input(self):
+        survivors, _, _ = _compact(
+            np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+        )
         assert survivors.size == 0
 
     def test_buffer_overflow_rejected(self, dev):
-        out = dev.zeros(2, dtype=np.int64)
+        """The offset counts against the buffer: 2 survivors fit a 4-slot
+        buffer, but not behind offset 3."""
+        out = dev.zeros(4, dtype=np.int64)
         with dev.launch("k") as k:
             with pytest.raises(ValueError, match="too small"):
-                compact(
-                    k, out, np.ones(4, dtype=bool), np.arange(4),
-                    thread_per_item(4),
+                compact_multisplit(
+                    k, out, np.ones(2, dtype=bool), np.arange(2),
+                    thread_per_item(2), offset=3,
                 )
 
     def test_predicate_mismatch_rejected(self, dev):
         out = dev.zeros(4, dtype=np.int64)
         with dev.launch("k") as k:
             with pytest.raises(ValueError, match="predicate"):
-                compact(
+                compact_multisplit(
                     k, out, np.ones(3, dtype=bool), np.arange(3),
                     thread_per_item(4),
                 )
 
-    def test_contiguous_writes_coalesce(self, dev):
+    def test_contiguous_writes_coalesce(self):
         """Dense survivor stores coalesce: far fewer transactions than
         survivors."""
-        out = dev.zeros(4096, dtype=np.int64)
         values = np.arange(4096)
-        keep = np.ones(4096, dtype=bool)
-        with dev.launch("k") as k:
-            compact(k, out, keep, values, grid_stride(4096, 1024))
-        c = dev.counters.totals
+        survivors, _, c = _compact(
+            np.ones(4096, dtype=bool), values,
+            assignment=grid_stride(4096, 1024),
+        )
+        assert np.array_equal(survivors, values)
         assert c.global_store_transactions <= 4096 // 4 + 64
 
 
 class TestCompactMultisplit:
-    def _both(self, keep, values, offset=0):
-        """Run compact and compact_multisplit on identical inputs on
-        fresh devices; return (survivors, out, totals) for each."""
-        results = []
-        for fn in (compact, compact_multisplit):
-            dev = GPUDevice(V100)
-            out = dev.zeros(max(values.size, 4) + offset, dtype=np.int64)
-            with dev.launch("k") as k:
-                survivors = fn(k, out, keep, values,
-                               thread_per_item(values.size), offset=offset)
-            results.append((survivors, out.data.copy(),
-                            dev.counters.totals))
-        return results
-
     @pytest.mark.parametrize("pattern", ["alternating", "all", "none",
                                          "head", "tail"])
     def test_output_equivalent_to_compact(self, pattern):
+        """The survivors, and the stores, are the host compaction
+        ``values[keep]`` in order."""
         values = np.arange(10, 74)
         keep = {
             "alternating": values % 2 == 0,
@@ -123,32 +98,18 @@ class TestCompactMultisplit:
             "head": np.arange(64) < 7,
             "tail": np.arange(64) >= 57,
         }[pattern]
-        (s_legacy, out_legacy, _), (s_ms, out_ms, _) = self._both(
-            keep, values
-        )
-        assert np.array_equal(s_ms, s_legacy)
-        assert np.array_equal(out_ms, out_legacy)
+        survivors, out, _ = _compact(keep, values)
+        expected = values[keep]
+        assert np.array_equal(survivors, expected)
+        assert np.array_equal(out[: expected.size], expected)
+        assert not out[expected.size:].any()
 
     def test_offset_respected(self):
-        (s_legacy, out_legacy, _), (s_ms, out_ms, _) = self._both(
-            np.array([True, False, True]), np.array([5, 6, 7]), offset=2
-        )
-        assert np.array_equal(out_ms, out_legacy)
-        assert list(out_ms[2:4]) == [5, 7]
-
-    def test_strictly_fewer_instructions_same_stores(self):
-        """The B=2 ballot replaces the 2-op ALU scan and the divergent
-        branch; the dense store discipline is shared, so global traffic
-        is identical."""
-        values = np.arange(256)
-        (_, _, c_legacy), (_, _, c_ms) = self._both(
-            values % 3 == 0, values
-        )
-        assert c_ms.total_warp_instructions < c_legacy.total_warp_instructions
-        assert c_ms.total_transactions == c_legacy.total_transactions
-        assert c_ms.multisplit_ops == 1
-        assert c_ms.branch_instructions == 0
-        assert c_legacy.branch_instructions > 0
+        keep = np.array([True, False, True])
+        values = np.array([5, 6, 7])
+        _, out, _ = _compact(keep, values, offset=2)
+        assert list(out) == [0, 0, 5, 7, 0, 0]
+        assert list(out[2:4]) == list(values[keep])
 
     def test_overflow_rejected(self):
         dev = GPUDevice(V100)

@@ -1,5 +1,7 @@
 """Tests for workload classification (ADWL), counters and GPU specs."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.gpusim import (
 )
 from repro.gpusim.dynamic import MULTI_BLOCK
 from repro.gpusim.timemodel import kernel_time
+from repro.sssp import GPU_METHODS, sssp
 
 
 class TestClassification:
@@ -94,6 +97,17 @@ class TestCounters:
         d = KernelCounters(l1_hits=1, l1_accesses=2).as_dict()
         assert d["global_hit_rate"] == 50.0
         assert "simt_efficiency" in d
+
+    @pytest.mark.parametrize("method", sorted(GPU_METHODS))
+    def test_snapshot_schema_is_fixed(self, small_kron, kron_source, method):
+        """Every engine serializes one schema: every counter field in
+        declaration order, then the two derived rates — whichever events
+        (multisplits, steals) the run happened to issue."""
+        r = sssp(small_kron, kron_source, method=method,
+                 spec=V100.scaled_for_workload(1 / 64))
+        assert list(r.counters.totals.as_dict()) == [
+            f.name for f in fields(KernelCounters)
+        ] + ["global_hit_rate", "simt_efficiency"]
 
     def test_totals(self):
         c = KernelCounters(

@@ -44,7 +44,8 @@ class TestDynamicDeltaHeavySplit:
         r = rdbs_sssp(g, src, delta=50.0, spec=SPEC)
         validate_distances(g, src, r.dist)
         resplits = [
-            c for name, c in r.counters.per_kernel if name == "resplit_offsets"
+            k for k in r.extra["timeline"].records
+            if k.name == "resplit_offsets"
         ]
         assert len(resplits) >= 1
 

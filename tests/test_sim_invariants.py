@@ -43,16 +43,17 @@ def run(params, method="rdbs"):
 
 @given(params=graph_params)
 @settings(max_examples=25, deadline=None)
-def test_per_kernel_counters_sum_to_totals(params):
+def test_timeline_counters_sum_to_totals(params):
     r = run(params)
-    c = r.counters
+    records = r.extra["timeline"].records
+    totals = r.counters.totals
     assert sum(
-        k.inst_executed_global_loads for _n, k in c.per_kernel
-    ) == c.totals.inst_executed_global_loads
+        k.counters.inst_executed_global_loads for k in records
+    ) == totals.inst_executed_global_loads
     assert sum(
-        k.total_transactions for _n, k in c.per_kernel
-    ) == c.totals.total_transactions
-    assert sum(k.l1_hits for _n, k in c.per_kernel) == c.totals.l1_hits
+        k.counters.total_transactions for k in records
+    ) == totals.total_transactions
+    assert sum(k.counters.l1_hits for k in records) == totals.l1_hits
 
 
 @given(params=graph_params)

@@ -100,13 +100,6 @@ class TestCorrectness:
         assert totals.mlmq_stolen_slots == extra["mlmq_stolen_slots"]
         assert extra["mlmq_stolen_slots"] >= extra["mlmq_steals"]
 
-    def test_steal_counters_absent_from_other_engines(self, small_kron,
-                                                      kron_source):
-        """Non-MLMQ counter snapshots serialize exactly as before MLMQ
-        existed — the steal keys are gated on actually stealing."""
-        r = sssp(small_kron, kron_source, method="rdbs", spec=SPEC)
-        assert "mlmq_steals" not in r.counters.totals.as_dict()
-
 
 # ---------------------------------------------------------------------------
 # determinism: jobs=1 vs jobs=4 must agree bit-for-bit on steal counters

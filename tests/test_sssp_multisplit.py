@@ -1,61 +1,25 @@
-"""Warp-ballot multisplit placement: primitive, equivalence, fallback.
+"""Warp-ballot multisplit: the device primitive and its cost model.
 
-Three layers of proof for the multisplit bucket-placement paths:
-
-1. the **device primitive** (`KernelContext.multisplit`) — semantics
-   match the host reference, the W-MS cost model is charged exactly,
-   validation fails fast *before* any accounting;
-2. **engine equivalence** — each placement (RDBS, ADDS, Near-Far) is
-   run against its inline `REPRO_NO_MULTISPLIT` legacy path: identical
-   distances, identical per-round bucket membership (relax-kernel
-   launch sequences), strictly fewer warp instructions *and* global
-   memory transactions;
-3. **fallback compatibility** — with the fallback active, counter
-   snapshots serialize byte-identically to the committed pre-multisplit
-   baseline (`tests/data/BENCH_quick_pre_multisplit.json`).
+`KernelContext.multisplit` is the one bucket-placement primitive every
+engine uses: its semantics match the host reference, the W-MS cost
+model is charged exactly, and validation fails fast *before* any
+accounting.  That the engines place correctly is the differential
+oracle's job (`tests/test_sssp_differential.py`); that their counters
+do not drift is the `bench check` gate's.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from repro.gpusim import (
-    GPUDevice,
-    V100,
-    ballot_rounds,
-    multisplit_enabled,
-    thread_per_item,
-)
-from repro.sssp import sssp, validate_distances
+from repro.gpusim import GPUDevice, V100, ballot_rounds, thread_per_item
 from repro.util.scan import multisplit_order
-
-FIXTURE = Path(__file__).parent / "data" / "BENCH_quick_pre_multisplit.json"
-
-#: the per-round relax kernels whose launch shapes encode bucket
-#: membership: same vertices in the same buckets => same sequence
-RELAX_KERNELS = {"phase1_async", "phase1_sync", "adds_async",
-                 "nearfar_relax"}
 
 
 @pytest.fixture
 def dev():
     return GPUDevice(V100)
-
-
-class TestEnabledFlag:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_MULTISPLIT", raising=False)
-        assert multisplit_enabled()
-
-    def test_env_disables_per_call(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MULTISPLIT", "1")
-        assert not multisplit_enabled()
-        monkeypatch.delenv("REPRO_NO_MULTISPLIT")
-        assert multisplit_enabled()
 
 
 class TestBallotRounds:
@@ -131,143 +95,3 @@ class TestDevicePrimitive:
         assert np.array_equal(order, ref_order)
         assert np.array_equal(offsets, ref_offsets)
         assert dev.counters.totals.multisplit_ops == 1
-
-    def test_counter_snapshot_keys_conditional(self, dev):
-        """The four multisplit keys appear iff a multisplit ran —
-        the property that keeps the fallback byte-identical."""
-        with dev.launch("plain") as k:
-            arr = dev.zeros(8)
-            k.gather(arr, np.arange(8, dtype=np.int64), thread_per_item(8))
-        before = dev.counters.totals.as_dict()
-        assert "inst_executed_ballots" not in before
-        assert "multisplit_ops" not in before
-        with dev.launch("ms") as k:
-            k.multisplit(np.zeros(4, dtype=np.int64), 2, thread_per_item(4))
-        after = dev.counters.totals.as_dict()
-        for key in ("inst_executed_ballots", "shared_transactions",
-                    "multisplit_ops", "multisplit_buckets"):
-            assert key in after
-
-
-# ----------------------------------------------------------------------
-# engine equivalence: multisplit vs the inline legacy path
-# ----------------------------------------------------------------------
-
-class _LaunchLog:
-    """Observer recording each launch's (kernel, threads) shape."""
-
-    def __init__(self) -> None:
-        self.launches: list[tuple[str, int]] = []
-
-    def on_kernel_complete(self, device, ctx) -> None:
-        self.launches.append(
-            (ctx.name, int(ctx.counters.threads_launched))
-        )
-
-
-def _run(graph, source, method, monkeypatch, *, legacy):
-    if legacy:
-        monkeypatch.setenv("REPRO_NO_MULTISPLIT", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_MULTISPLIT", raising=False)
-    log = _LaunchLog()
-    from repro.gpusim.device import (
-        register_global_observer,
-        unregister_global_observer,
-    )
-
-    register_global_observer(log)
-    try:
-        res = sssp(graph, source, method=method, spec=V100)
-    finally:
-        unregister_global_observer(log)
-    return res, log
-
-
-ENGINES = ["rdbs", "adds", "near-far"]
-
-
-class TestEngineEquivalence:
-    @pytest.mark.parametrize("method", ENGINES)
-    def test_placements_exact_and_strictly_cheaper(
-        self, small_kron, kron_source, method, monkeypatch
-    ):
-        ms, ms_log = _run(small_kron, kron_source, method, monkeypatch,
-                          legacy=False)
-        legacy, legacy_log = _run(small_kron, kron_source, method,
-                                  monkeypatch, legacy=True)
-        validate_distances(small_kron, kron_source, ms.dist)
-        assert np.array_equal(ms.dist, legacy.dist)
-        # bucket membership: every relax round ran the same vertex set
-        relax = [
-            (n, t) for n, t in ms_log.launches if n in RELAX_KERNELS
-        ]
-        relax_legacy = [
-            (n, t) for n, t in legacy_log.launches if n in RELAX_KERNELS
-        ]
-        assert relax == relax_legacy
-        # the trade: strictly fewer instructions AND global transactions
-        cm, cl = ms.counters.totals, legacy.counters.totals
-        assert cm.total_warp_instructions < cl.total_warp_instructions
-        assert cm.total_transactions < cl.total_transactions
-        assert cm.multisplit_ops > 0
-        assert cl.multisplit_ops == 0
-
-    @pytest.mark.parametrize("method", ENGINES)
-    def test_equivalence_on_road_grid(self, small_road, method,
-                                      monkeypatch):
-        ms, _ = _run(small_road, 0, method, monkeypatch, legacy=False)
-        legacy, _ = _run(small_road, 0, method, monkeypatch, legacy=True)
-        assert np.array_equal(ms.dist, legacy.dist)
-        assert (ms.counters.totals.total_warp_instructions
-                < legacy.counters.totals.total_warp_instructions)
-        assert (ms.counters.totals.total_transactions
-                < legacy.counters.totals.total_transactions)
-
-    @pytest.mark.parametrize("method", ENGINES)
-    def test_legacy_snapshot_has_no_multisplit_keys(
-        self, small_kron, kron_source, method, monkeypatch
-    ):
-        legacy, _ = _run(small_kron, kron_source, method, monkeypatch,
-                         legacy=True)
-        d = legacy.counters.totals.as_dict()
-        assert "inst_executed_ballots" not in d
-        assert "shared_transactions" not in d
-
-
-# ----------------------------------------------------------------------
-# fallback compatibility: byte-identical to the pre-multisplit baseline
-# ----------------------------------------------------------------------
-
-class TestFallbackByteIdentical:
-    @pytest.fixture(scope="class")
-    def fixture_records(self):
-        doc = json.loads(FIXTURE.read_text())
-        return {
-            (r["dataset"], r["method"]): r for r in doc["records"]
-        }
-
-    def test_fixture_predates_multisplit(self, fixture_records):
-        for rec in fixture_records.values():
-            assert "inst_executed_ballots" not in rec["counters"]
-
-    @pytest.mark.parametrize("dataset,method", [
-        ("Amazon", "adds"), ("Amazon", "rdbs"),
-        ("road-TX", "adds"), ("road-TX", "rdbs"),
-    ])
-    def test_fallback_counters_byte_identical(
-        self, fixture_records, dataset, method, monkeypatch
-    ):
-        """REPRO_NO_MULTISPLIT reproduces the pre-multisplit build's
-        serialized counters exactly, key set included."""
-        from repro.bench import record_from_run, run_method
-
-        monkeypatch.setenv("REPRO_NO_MULTISPLIT", "1")
-        rec = record_from_run(run_method(dataset, method, num_sources=2))
-        want = fixture_records[(dataset, method)]
-        assert rec.counters == want["counters"]
-        assert rec.time_ms == want["time_ms"]
-        # byte-identical at the serialization boundary (the trajectory
-        # writer emits sorted keys)
-        assert (json.dumps(rec.counters, sort_keys=True)
-                == json.dumps(want["counters"], sort_keys=True))
