@@ -1,6 +1,7 @@
 """Tests for tools/check_docs.py and the documentation invariants it
-guards: resolvable cross-links, an index that names every docs page, and
-quoted CLI commands that the real argparse tree still accepts."""
+guards: resolvable cross-links, an index that names every docs page,
+quoted CLI commands that the real argparse tree still accepts, and
+environment knobs the code still reads."""
 
 from __future__ import annotations
 
@@ -14,10 +15,12 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 from check_docs import (  # noqa: E402
+    check_env_knobs,
     check_index,
     check_links,
     doc_paths,
     extract_commands,
+    source_string_literals,
     validate_command,
 )
 
@@ -111,3 +114,26 @@ class TestExtractor:
         assert "python -m repro.cli cache status" in cmds
         assert "python -m repro.cli sanitize kron:9,8 --method rdbs" in cmds
         assert len(cmds) == 2
+
+
+class TestEnvKnobCheck:
+    @pytest.fixture(scope="class")
+    def literals(self):
+        return source_string_literals()
+
+    def test_unread_knob_detected(self, tmp_path, literals):
+        doc = tmp_path / "page.md"
+        doc.write_text("set `REPRO_NOT_A_KNOB=1` to disable it\n")
+        problems = check_env_knobs(doc, literals)
+        assert len(problems) == 1
+        assert "REPRO_NOT_A_KNOB" in problems[0]
+
+    def test_read_knob_passes(self, tmp_path, literals):
+        doc = tmp_path / "page.md"
+        doc.write_text("`REPRO_CACHE_DIR` moves the artifact cache\n")
+        assert check_env_knobs(doc, literals) == []
+
+    def test_history_page_exempt(self, tmp_path, literals):
+        doc = tmp_path / "ROADMAP.md"
+        doc.write_text("retired `REPRO_NOT_A_KNOB`\n")
+        assert check_env_knobs(doc, literals) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker: keep the docs true as the code moves.
 
-Three checks, run over ``README.md``, ``EXPERIMENTS.md``, ``ROADMAP.md``
+Four checks, run over ``README.md``, ``EXPERIMENTS.md``, ``ROADMAP.md``
 and every page under ``docs/``:
 
 1. **Cross-links** — every relative markdown link ``[...](path)`` must
@@ -16,6 +16,10 @@ and every page under ``docs/``:
    a dropped flag or a stale ``--method`` choice fails here instead of
    in a reader's terminal.  Commands containing placeholders
    (``<m>``, ``[paths]``, ``…``) are skipped.
+4. **Environment knobs** — every ``REPRO_*`` variable a page names must
+   appear as a string literal under ``src/repro/``, so the docs never
+   advertise a knob the code no longer reads.  ``ROADMAP.md`` is history
+   and may name retired ones.
 
 Exit status 0 when every check passes; 1 otherwise, with one line per
 problem.  Run it locally with ``python tools/check_docs.py``; CI runs it
@@ -24,6 +28,7 @@ in the lint job.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import re
@@ -37,8 +42,11 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.cli import build_parser  # noqa: E402
 
 DOC_FILES = ["README.md", "EXPERIMENTS.md", "ROADMAP.md"]
+#: history pages: they may name retired environment knobs
+HISTORY_FILES = {"ROADMAP.md"}
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
+ENV_KNOB_RE = re.compile(r"\bREPRO_[A-Z_]+\b")
 ENV_ASSIGN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 PLACEHOLDER_CHARS = "<>[]…"
 
@@ -171,13 +179,43 @@ def check_commands(path: Path) -> list[str]:
     return problems
 
 
+# ----------------------------------------------------------------------
+# check 4: environment knobs the code still reads
+# ----------------------------------------------------------------------
+
+def source_string_literals(root: Path = REPO / "src" / "repro") -> set[str]:
+    """Every string constant in the Python sources under ``root``."""
+    literals: set[str] = set()
+    for src in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(src.read_text(), filename=str(src))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+    return literals
+
+
+def check_env_knobs(path: Path, literals: set[str]) -> list[str]:
+    if path.name in HISTORY_FILES:
+        return []
+    problems = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for knob in ENV_KNOB_RE.findall(line):
+            if knob not in literals:
+                problems.append(
+                    f"{_rel(path)}:{lineno}: names {knob}, which no "
+                    f"string literal under src/repro/ reads"
+                )
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     paths = doc_paths()
+    literals = source_string_literals()
     n_commands = 0
     for path in paths:
         problems.extend(check_links(path))
         problems.extend(check_commands(path))
+        problems.extend(check_env_knobs(path, literals))
         n_commands += len(extract_commands(path))
     problems.extend(check_index())
     for problem in problems:
