@@ -20,7 +20,7 @@ from repro.bench import (
     record_from_result,
     write_results,
 )
-from repro.metrics import convergence_from_trace
+from repro.metrics import convergence_from_rows
 from repro.sssp import default_delta, rdbs_sssp, validate_distances
 
 DATASET = "web-GL"
@@ -40,15 +40,16 @@ def convergence_runs():
     rows = []
     records = []
     for label, kw in arms.items():
-        r = rdbs_sssp(g, src, spec=spec, record_trace=True, **kw)
+        r = rdbs_sssp(g, src, spec=spec, **kw)
         validate_distances(g, src, r.dist)
-        curve = convergence_from_trace(r.trace)
+        buckets = r.extra["bucket_telemetry"]
+        curve = convergence_from_rows(buckets)
         c = r.counters.totals
         rows.append(
             [
                 label,
                 round(r.time_ms, 4),
-                len(r.trace.buckets),
+                len(buckets),
                 round(curve.auc, 3),
                 curve.quantile_position(0.9) + 1,
                 c.barriers,

@@ -26,7 +26,7 @@ def run_traces():
     for scale in SCALES:
         g = kronecker(scale, 16, weights="unit", seed=100 + scale)
         src = int(largest_component_vertices(g)[0])
-        r = delta_stepping_cpu(g, src, delta=DELTA, record_trace=True)
+        r = delta_stepping_cpu(g, src, delta=DELTA)
         validate_distances(g, src, r.dist)
         out[scale] = r
     return out
@@ -35,13 +35,14 @@ def run_traces():
 def test_fig2_bucket_occupancy(benchmark):
     traces = benchmark.pedantic(run_traces, rounds=1, iterations=1)
     rows = []
-    max_buckets = max(len(r.trace.buckets) for r in traces.values())
-    for i in range(max_buckets):
-        row = [i]
-        for scale in SCALES:
-            buckets = traces[scale].trace.buckets
-            row.append(buckets[i].initial_active if i < len(buckets) else 0)
-        rows.append(row)
+    sizes = {
+        scale: [row["active"] for row in r.extra["bucket_telemetry"]]
+        for scale, r in traces.items()
+    }
+    for i in range(max(len(s) for s in sizes.values())):
+        rows.append(
+            [i] + [sizes[s][i] if i < len(sizes[s]) else 0 for s in SCALES]
+        )
     text = format_table(
         ["bucket_id"] + [f"SCALE={s}" for s in SCALES],
         rows,
@@ -57,16 +58,12 @@ def test_fig2_bucket_occupancy(benchmark):
     )
 
     for scale in SCALES:
-        sizes = np.array(
-            [b.initial_active for b in traces[scale].trace.buckets]
-        )
-        peak = int(np.argmax(sizes))
+        s = np.array(sizes[scale])
+        peak = int(np.argmax(s))
         # sharp rise into the peak bucket...
-        assert sizes[peak] > 10 * sizes[0]
+        assert s[peak] > 10 * s[0]
         # ...then decay over the tail (paper: "decreases gradually in
         # subsequent buckets")
-        assert sizes[-1] < sizes[peak] / 2
-        # the larger graph has the larger peak
-    assert max(
-        b.initial_active for b in traces[SCALES[1]].trace.buckets
-    ) > max(b.initial_active for b in traces[SCALES[0]].trace.buckets)
+        assert s[-1] < s[peak] / 2
+    # the larger graph has the larger peak
+    assert max(sizes[SCALES[1]]) > max(sizes[SCALES[0]])

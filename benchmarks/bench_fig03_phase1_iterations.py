@@ -9,8 +9,6 @@ a large share of total bucket time.
 
 from functools import lru_cache
 
-import numpy as np
-
 from repro.bench import format_table, write_results
 from bench_fig02_bucket_sizes import run_traces, SCALES
 
@@ -18,19 +16,21 @@ from bench_fig02_bucket_sizes import run_traces, SCALES
 @lru_cache(maxsize=1)
 def peak_profiles():
     traces = run_traces()
-    return {s: traces[s].trace.peak_bucket() for s in SCALES}, traces
+    rows = {s: traces[s].extra["bucket_telemetry"] for s in SCALES}
+    peaks = {s: max(rows[s], key=lambda row: row["active"]) for s in SCALES}
+    return peaks, rows
 
 
 def test_fig3_phase1_iterations(benchmark):
-    peaks, traces = benchmark.pedantic(peak_profiles, rounds=1, iterations=1)
+    peaks, _ = benchmark.pedantic(peak_profiles, rounds=1, iterations=1)
 
-    max_iters = max(p.num_iterations for p in peaks.values())
+    max_iters = max(p["rounds"] for p in peaks.values())
     rows = []
     for i in range(max_iters):
         row = [i + 1]
         for s in SCALES:
-            its = peaks[s].phase1_iterations
-            row.append(its[i] if i < len(its) else 0)
+            its = peaks[s]["phase1_active"]
+            row.append(int(its[i]) if i < len(its) else 0)
         rows.append(row)
     text = format_table(
         ["iteration"] + [f"SCALE={s}" for s in SCALES],
@@ -40,11 +40,11 @@ def test_fig3_phase1_iterations(benchmark):
     summary_rows = [
         [
             f"SCALE={s}",
-            peaks[s].phase1_total_updates,
-            peaks[s].phase1_valid_updates,
+            peaks[s]["phase1_updates"],
+            peaks[s]["phase1_valid"],
             round(
-                peaks[s].phase1_total_updates
-                / max(peaks[s].phase1_valid_updates, 1),
+                peaks[s]["phase1_updates"]
+                / max(peaks[s]["phase1_valid"], 1),
                 2,
             ),
         ]
@@ -68,11 +68,11 @@ def test_fig3_phase1_iterations(benchmark):
     for s in SCALES:
         p = peaks[s]
         # multiple synchronous iterations -> repeated barrier overhead
-        assert p.num_iterations >= 3
+        assert p["rounds"] >= 3
         # redundant work: total updates exceed valid updates in the peak
-        assert p.phase1_total_updates > p.phase1_valid_updates
+        assert p["phase1_updates"] > p["phase1_valid"]
         # iteration curve rises then falls
-        its = np.array(p.phase1_iterations)
+        its = p["phase1_active"]
         assert its.argmax() < len(its) - 1 or len(its) <= 2
 
 
@@ -84,12 +84,11 @@ def test_fig3_peak_bucket_dominates_runtime(benchmark):
     updates."""
 
     def work_share():
-        _, traces = peak_profiles()
+        _, rows = peak_profiles()
         shares = {}
         for s in SCALES:
-            buckets = traces[s].trace.buckets
-            total = sum(b.phase1_total_updates for b in buckets)
-            peak = max(b.phase1_total_updates for b in buckets)
+            total = sum(row["phase1_updates"] for row in rows[s])
+            peak = max(row["phase1_updates"] for row in rows[s])
             shares[s] = peak / max(total, 1)
         return shares
 

@@ -1,18 +1,15 @@
-"""Measurement: work efficiency, execution traces, throughput."""
+"""Measurement: work efficiency, convergence, throughput."""
 
-from .convergence import ConvergenceCurve, convergence_from_trace
+from .convergence import ConvergenceCurve, convergence_from_rows
 from .gteps import geometric_mean, gteps, speedup
-from .recorder import BucketTrace, TraceRecorder
 from .workstats import WorkStats, WorkTally
 
 __all__ = [
     "WorkStats",
     "WorkTally",
-    "TraceRecorder",
-    "BucketTrace",
     "gteps",
     "speedup",
     "geometric_mean",
     "ConvergenceCurve",
-    "convergence_from_trace",
+    "convergence_from_rows",
 ]

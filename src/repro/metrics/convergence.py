@@ -3,7 +3,7 @@
 The paper's §3.3 argues synchronous Δ-stepping converges slowly (barriers
 between iteration layers) and §4.3 that asynchronous execution
 "accelerates the convergence of SSSP search".  This module quantifies
-that claim from the recorded traces: the fraction of finally-settled
+that claim from the per-bucket rows: the fraction of finally-settled
 vertices as a function of processed buckets / rounds, plus summary indices
 (area-under-curve and the 90%-settled point) that the ablation benchmarks
 and examples report.
@@ -11,13 +11,12 @@ and examples report.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .recorder import TraceRecorder
-
-__all__ = ["ConvergenceCurve", "convergence_from_trace"]
+__all__ = ["ConvergenceCurve", "convergence_from_rows"]
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,13 @@ class ConvergenceCurve:
         return int(hit[0]) if hit.size else int(f.size)
 
 
-def convergence_from_trace(trace: TraceRecorder) -> ConvergenceCurve:
-    """Build the curve from a per-bucket execution trace.
+def convergence_from_rows(rows: Iterable[dict]) -> ConvergenceCurve:
+    """Build the curve from per-bucket rows (``extra["bucket_telemetry"]``).
 
-    Uses each bucket's initial active count as its settled contribution
+    Uses each bucket's initial ``active`` count as its settled contribution
     (in Δ-stepping every bucket member is settled when the bucket closes).
     """
-    sizes = np.array([b.initial_active for b in trace.buckets], dtype=np.int64)
+    sizes = np.array([row["active"] for row in rows], dtype=np.int64)
     settled = np.cumsum(sizes)
     total = int(sizes.sum())
     return ConvergenceCurve(settled=settled, total=total)

@@ -18,7 +18,8 @@ against the converged distance array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,19 +92,43 @@ class WorkStats:
         """Updates recorded so far."""
         return int(sum(v.size for v in self._update_vertices))
 
+    @property
+    def update_batches(self) -> int:
+        """Batches with at least one update so far: the span marks
+        :meth:`finalize_spans` takes."""
+        return len(self._update_vertices)
+
     def finalize(self, final_dist: np.ndarray) -> WorkTally:
         """Classify all recorded updates against the converged distances."""
+        return self.finalize_spans(final_dist, ())[0]
+
+    def finalize_spans(
+        self, final_dist: np.ndarray, spans: Sequence[tuple[int, int]]
+    ) -> tuple[WorkTally, list[tuple[int, int]]]:
+        """:meth:`finalize`, plus ``(updates, valid)`` for every
+        ``(start, stop)`` pair of :attr:`update_batches` marks in ``spans``
+        (e.g. one bucket's phase 1)."""
         if self._update_vertices:
             verts = np.concatenate(self._update_vertices)
             vals = np.concatenate(self._update_values)
-            valid = int(np.count_nonzero(vals == final_dist[verts]))
-            total = int(verts.size)
+            is_valid = vals == final_dist[verts]
         else:
-            valid = total = 0
-        return WorkTally(
+            is_valid = np.zeros(0, dtype=bool)
+        valid = int(np.count_nonzero(is_valid))
+        total = int(is_valid.size)
+        bounds = np.cumsum([0] + [v.size for v in self._update_vertices])
+        span_counts = [
+            (
+                int(bounds[stop] - bounds[start]),
+                int(np.count_nonzero(is_valid[bounds[start]:bounds[stop]])),
+            )
+            for start, stop in spans
+        ]
+        tally = WorkTally(
             total_updates=total,
             valid_updates=valid,
             invalid_updates=total - valid,
             checks=self.checks,
             relaxations=self.relaxations,
         )
+        return tally, span_counts

@@ -91,8 +91,7 @@ def sssp(graph: CSRGraph, source: int, method: str = "rdbs", **kwargs) -> SSSPRe
     method:
         one of :func:`method_names`; defaults to the paper's RDBS.
     **kwargs:
-        forwarded to the implementation (``delta=``, ``spec=``,
-        ``record_trace=``, ...).
+        forwarded to the implementation (``delta=``, ``spec=``, ...).
 
     Returns
     -------

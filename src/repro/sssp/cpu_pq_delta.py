@@ -25,7 +25,7 @@ from ..graphs.csr import CSRGraph
 from ..metrics.workstats import WorkStats
 from ..util.scan import segmented_arange, serialized_min_outcome
 from .errors import ConvergenceError
-from .gpu_rdbs import default_delta
+from .gpu_rdbs import check_delta
 from .result import SSSPResult
 
 __all__ = ["CPUSpec", "XEON_8269CY", "pq_delta_star_sssp"]
@@ -85,8 +85,7 @@ def pq_delta_star_sssp(
     n = graph.num_vertices
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
-    if delta is None:
-        delta = default_delta(graph)
+    delta = check_delta(delta, graph)
 
     row, adj, w = graph.row, graph.adj, graph.weights
     dist = np.full(n, np.inf)

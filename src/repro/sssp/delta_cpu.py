@@ -2,10 +2,11 @@
 
 This is the Graph500-reference-style implementation the paper uses for its
 motivation study: fixed Δ, three phases per bucket, and a synchronization
-barrier after every phase-1 iteration.  It records the per-bucket and
-per-iteration traces behind Fig. 2 ("the active vertices in each bucket")
-and Fig. 3 ("the detailed analysis of phase 1 in peak overhead of the
-bucket"), including the valid/total update counts.
+barrier after every phase-1 iteration.  Its per-bucket rows
+(``extra["bucket_telemetry"]``) carry the series behind Fig. 2 ("the
+active vertices in each bucket") and Fig. 3 ("the detailed analysis of
+phase 1 in peak overhead of the bucket"), including the valid/total
+update counts.
 
 The relaxations use the same serialized atomic-min semantics as the GPU
 simulator (:func:`repro.util.scan.serialized_min_outcome`) so update counts
@@ -17,9 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..metrics.recorder import TraceRecorder
 from ..metrics.workstats import WorkStats
 from ..util.scan import segmented_arange, serialized_min_outcome
+from .errors import ConvergenceError
+from .gpu_rdbs import check_delta
 from .result import SSSPResult
 
 __all__ = ["delta_stepping_cpu"]
@@ -30,10 +32,9 @@ def delta_stepping_cpu(
     source: int,
     delta: float | None = None,
     *,
-    record_trace: bool = False,
     max_buckets: int = 1_000_000,
 ) -> SSSPResult:
-    """Run synchronous Δ-stepping; return distances, work tally and trace.
+    """Run synchronous Δ-stepping; return distances, work tally and rows.
 
     Parameters
     ----------
@@ -43,21 +44,15 @@ def delta_stepping_cpu(
         source vertex id.
     delta:
         fixed bucket width Δ (defaults to the mean-weight/average-degree
-        heuristic of :func:`repro.sssp.gpu_rdbs.default_delta`).
-    record_trace:
-        collect the Fig. 2/3 per-bucket series (small overhead).
+        heuristic of :func:`repro.sssp.gpu_rdbs.default_delta`); must be
+        finite and positive.
     max_buckets:
         safety valve against pathological inputs.
     """
     n = graph.num_vertices
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
-    if delta is None:
-        from .gpu_rdbs import default_delta
-
-        delta = default_delta(graph)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = check_delta(delta, graph)
 
     row, adj, w = graph.row, graph.adj, graph.weights
     light_mask = w < delta
@@ -68,13 +63,13 @@ def delta_stepping_cpu(
     stats.record(
         np.array([source]), np.array([0.0]), np.array([True])
     )  # the source initialization counts as one (valid) update
-    trace = TraceRecorder() if record_trace else None
-    #: per-bucket phase-1 work recorders, finalized after convergence
-    bucket_phase1: list[WorkStats] = []
+    #: one row per processed bucket; phase-1 update counts are filled in
+    #: from the ``stats`` batch spans once the final distances are known
+    bucket_telemetry: list[dict] = []
+    phase1_spans: list[tuple[int, int]] = []
 
     lo = 0.0
     buckets_processed = 0
-    total_iterations = 0
 
     while True:
         # find the next non-empty bucket (phase 3 of the previous round)
@@ -87,11 +82,15 @@ def delta_stepping_cpu(
         members = np.flatnonzero((dist >= lo) & (dist < hi))
         buckets_processed += 1
         if buckets_processed > max_buckets:
-            raise RuntimeError("bucket limit exceeded; check edge weights")
-
-        if trace is not None:
-            trace.begin_bucket(k, members.size, lo, hi)
-        p1 = WorkStats()
+            raise ConvergenceError(
+                "bucket limit exceeded; check delta/weights",
+                method="delta-cpu",
+                iterations=buckets_processed - 1,
+                frontier=int(members.size),
+                delta=delta,
+            )
+        p1_start = stats.update_batches
+        drained: list[int] = []
 
         # ------------------------------------------------------------------
         # phase 1: relax light edges until the bucket stops changing
@@ -99,15 +98,12 @@ def delta_stepping_cpu(
         in_r = np.zeros(n, dtype=bool)  # all vertices ever in this bucket
         frontier = members
         while frontier.size:
-            total_iterations += 1
-            if trace is not None:
-                trace.iteration(int(frontier.size))
+            drained.append(int(frontier.size))
             in_r[frontier] = True
             v, nd, updated = _relax(
                 frontier, dist, row, adj, w, light_mask, light=True
             )
             stats.record(v, nd, updated)
-            p1.record(v, nd, updated)
             if v.size == 0:
                 break
             touched = np.unique(v[updated])
@@ -117,22 +113,23 @@ def delta_stepping_cpu(
         # phase 2: relax heavy edges of everything the bucket settled
         # ------------------------------------------------------------------
         settled = np.flatnonzero(in_r)
+        phase1_spans.append((p1_start, stats.update_batches))
         v, nd, updated = _relax(
             settled, dist, row, adj, w, light_mask, light=False
         )
         stats.record(v, nd, updated)
 
-        bucket_phase1.append(p1)
-        if trace is not None:
-            trace.end_bucket()
+        bucket_telemetry.append({
+            "index": k, "lo": lo, "hi": hi, "delta": delta,
+            "active": int(members.size), "rounds": len(drained),
+            "converged": int(settled.size), "aborted": False,
+            "phase1_active": np.array(drained, dtype=np.int64),
+        })
         lo = hi
 
-    tally = stats.finalize(dist)
-    if trace is not None:
-        for bucket, p1 in zip(trace.buckets, bucket_phase1):
-            t = p1.finalize(dist)
-            bucket.phase1_total_updates = t.total_updates
-            bucket.phase1_valid_updates = t.valid_updates
+    tally, phase1_counts = stats.finalize_spans(dist, phase1_spans)
+    for bucket, (updates, valid) in zip(bucket_telemetry, phase1_counts):
+        bucket.update(phase1_updates=updates, phase1_valid=valid)
 
     return SSSPResult(
         dist=dist,
@@ -140,12 +137,12 @@ def delta_stepping_cpu(
         method="delta-cpu",
         graph_name=graph.name,
         work=tally,
-        trace=trace,
         num_edges=graph.num_edges,
         extra={
             "buckets": buckets_processed,
-            "phase1_iterations": total_iterations,
+            "phase1_iterations": sum(r["rounds"] for r in bucket_telemetry),
             "delta": delta,
+            "bucket_telemetry": bucket_telemetry,
         },
     )
 

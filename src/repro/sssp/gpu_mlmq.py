@@ -216,7 +216,9 @@ def mlmq_sssp(
 
     tally = {"rounds": 0, "stale": 0, "advances": 0, "steals": 0,
              "stolen_slots": 0}
-    level_telemetry: list[dict] = []
+    #: one row per processed level: the result's
+    #: ``extra["bucket_telemetry"]`` and the ``bucket_close`` payload
+    bucket_telemetry: list[dict] = []
     levels_processed = 0
 
     while True:
@@ -249,18 +251,15 @@ def mlmq_sssp(
 
             levels_processed += 1
             note = bool(device.handlers("on_annotate"))
-            if note:
-                device.annotate(
-                    "bucket", index=lvl, lo=lo, hi=hi,
-                    active=np.flatnonzero(state.queue_level == lvl),
-                )
-            occupancy = [int(c) for c in state.sizes[lvl]]
+            members = np.flatnonzero(state.queue_level == lvl)
+            device.annotate("bucket", index=lvl, lo=lo, hi=hi, active=members)
+            occupancy = state.sizes[lvl].copy()
             watchdog = (
                 runtime.new_watchdog(state.level_size(lvl),
                                      chunk * num_queues)
                 if runtime is not None else None
             )
-            row = _drain_level(
+            drain = _drain_level(
                 device, dgraph, dist, state, lvl, delta=delta,
                 window=window_levels, num_queues=num_queues, chunk=chunk,
                 stats=stats, watchdog=watchdog, tally=tally,
@@ -271,15 +270,11 @@ def mlmq_sssp(
                 flr = np.floor(dist.data / delta)
                 device.annotate("settled",
                                 vertices=np.flatnonzero(flr == lvl))
-                device.annotate(
-                    "bucket_close", index=lvl, lo=lo, hi=hi,
-                    delta=hi - lo, converged=row["converged"],
-                    rounds=row["rounds"], steals=row["steals"],
-                    aborted=False,
-                )
-            row.update({"level": lvl, "lo": lo, "hi": hi,
-                        "occupancy": occupancy})
-            level_telemetry.append(row)
+            row = {"index": lvl, "lo": lo, "hi": hi, "delta": hi - lo,
+                   "active": int(members.size), **drain, "aborted": False,
+                   "occupancy": occupancy}
+            device.annotate("bucket_close", **row)
+            bucket_telemetry.append(row)
         except (WatchdogTimeout, InjectedKernelAbort) as exc:
             if runtime is None:
                 raise
@@ -321,7 +316,7 @@ def mlmq_sssp(
             "mlmq_steals": int(totals.mlmq_steals),
             "mlmq_stolen_slots": int(totals.mlmq_stolen_slots),
             "wasted_relaxation_ratio": float(wasted),
-            "level_telemetry": level_telemetry,
+            "bucket_telemetry": bucket_telemetry,
         },
         faults=runtime.report if runtime is not None else None,
     )
@@ -340,7 +335,8 @@ def _drain_level(
     The combined batch is filtered against the level mirror (stale copies
     drop out), relaxed edge-parallel, and the improvements are
     reclassified by one multisplit into ``window`` levels × ``B`` queues
-    plus an overflow bucket.
+    plus an overflow bucket.  Returns the level's row fields ``rounds``,
+    ``converged``, ``steals``, ``stale`` and ``stolen_slots``.
     """
     rounds = 0
     stale = 0
@@ -432,8 +428,8 @@ def _drain_level(
     tally["stale"] += stale
     tally["steals"] += steals
     tally["stolen_slots"] += stolen
-    return {"rounds": rounds, "stale": stale, "steals": steals,
-            "stolen_slots": stolen, "converged": converged}
+    return {"rounds": rounds, "converged": converged, "steals": steals,
+            "stale": stale, "stolen_slots": stolen}
 
 
 def _classify_and_push(

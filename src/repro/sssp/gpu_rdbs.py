@@ -42,7 +42,6 @@ from ..gpusim.device import GPUDevice, KernelContext
 from ..gpusim.dynamic import classify_multisplit, launch_adaptive
 from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
-from ..metrics.recorder import TraceRecorder
 from ..util.scan import sorted_unique_ints
 from ..metrics.workstats import WorkStats
 from ..reorder.pipeline import apply_pro
@@ -108,7 +107,12 @@ class _BucketOutcome:
 
     settled: np.ndarray
     threads_used: int
-    rounds: int
+    #: vertices drained per phase-1 round (micro-round or iteration)
+    drained: np.ndarray
+
+    @property
+    def rounds(self) -> int:
+        return int(self.drained.size)
 
 
 def rdbs_sssp(
@@ -120,7 +124,6 @@ def rdbs_sssp(
     adwl: bool = True,
     basyn: bool = True,
     spec: GPUSpec = V100,
-    record_trace: bool = False,
     max_buckets: int = 1_000_000,
     async_chunk: int = ASYNC_CHUNK,
     recovery=None,
@@ -152,7 +155,7 @@ def rdbs_sssp(
     try:
         return _rdbs_run(
             graph, source, delta=delta, pro=pro, adwl=adwl, basyn=basyn,
-            spec=spec, record_trace=record_trace, max_buckets=max_buckets,
+            spec=spec, max_buckets=max_buckets,
             async_chunk=async_chunk, recovery=recovery, rescaled=False,
         )
     except ConvergenceError as exc:
@@ -160,9 +163,8 @@ def rdbs_sssp(
             raise
         return _rdbs_run(
             graph, source, delta=delta * BUCKET_RESCALE, pro=pro, adwl=adwl,
-            basyn=basyn, spec=spec, record_trace=record_trace,
-            max_buckets=max_buckets, async_chunk=async_chunk,
-            recovery=recovery, rescaled=True,
+            basyn=basyn, spec=spec, max_buckets=max_buckets,
+            async_chunk=async_chunk, recovery=recovery, rescaled=True,
         )
 
 
@@ -175,7 +177,6 @@ def _rdbs_run(
     adwl: bool,
     basyn: bool,
     spec: GPUSpec,
-    record_trace: bool,
     max_buckets: int,
     async_chunk: int,
     recovery,
@@ -208,8 +209,6 @@ def _rdbs_run(
     )
     stats = WorkStats()
     stats.record(np.array([src]), np.array([0.0]), np.array([True]))
-    trace = TraceRecorder() if record_trace else None
-    bucket_phase1: list[WorkStats] = []
 
     runtime = make_runtime(recovery, device, dgraph, dist, src, "rdbs")
     #: live BASYN toggle — the watchdog degrades it to synchronous mid-run
@@ -224,10 +223,13 @@ def _rdbs_run(
     lo = 0.0
     buckets_processed = 0
     total_rounds = 0
-    #: one row per processed bucket (the Δ_i trajectory of Eq. 1–2),
-    #: surfaced on the result's ``extra`` and mirrored by the trace layer's
-    #: bucket spans.  Aborted buckets keep None feedback fields.
+    #: one row per processed bucket (the Δ_i trajectory of Eq. 1–2 and
+    #: the Figs. 2–3 series): the result's ``extra["bucket_telemetry"]``
+    #: and the ``bucket_close`` payload the trace layer's bucket spans
+    #: show.  Aborted buckets keep None feedback fields.
     bucket_telemetry: list[dict] = []
+    #: ``stats`` batch marks bounding each row's phase 1
+    phase1_spans: list[tuple[int, int]] = []
 
     while True:
         unsettled = np.isfinite(dist.data) & (dist.data >= lo)
@@ -274,10 +276,8 @@ def _rdbs_run(
         device.annotate(
             "bucket", index=bucket_id, lo=b_lo, hi=b_hi, active=members
         )
-        if trace is not None:
-            trace.begin_bucket(bucket_id, int(members.size), b_lo, b_hi)
-        p1_stats = WorkStats()
-        t_start = device.time_s
+        p1_start = stats.update_batches
+        p1_end = None
 
         # ------------------------------------------------------------------
         # phase 1: light edges
@@ -302,16 +302,16 @@ def _rdbs_run(
                 )
                 outcome = _phase1_async(
                     device, dgraph, dist, members, b_lo, b_hi, split,
-                    pro=use_offsets, adwl=adwl, stats=stats, p1_stats=p1_stats,
-                    in_queue=in_queue, trace=trace, chunk_size=async_chunk,
+                    pro=use_offsets, adwl=adwl, stats=stats,
+                    in_queue=in_queue, chunk_size=async_chunk,
                     watchdog=watchdog, chain=chain,
                 )
             else:
                 outcome = _phase1_sync(
                     device, dgraph, dist, members, b_lo, b_hi, split,
-                    pro=use_offsets, adwl=adwl, stats=stats, p1_stats=p1_stats,
-                    trace=trace,
+                    pro=use_offsets, adwl=adwl, stats=stats,
                 )
+            p1_end = stats.update_batches
             total_rounds += outcome.rounds
             device.annotate("settled", vertices=outcome.settled)
 
@@ -337,56 +337,43 @@ def _rdbs_run(
                 basyn_active = False
                 controller = None
                 runtime.note_degraded()
-            bucket_phase1.append(p1_stats)
-            device.annotate(
-                "bucket_close", index=bucket_id, lo=b_lo, hi=b_hi,
-                delta=b_hi - b_lo, epsilon=eps_i, converged=None,
-                threads=None, rounds=None, aborted=True,
-            )
-            bucket_telemetry.append({
-                "bucket": bucket_id, "lo": b_lo, "hi": b_hi,
-                "delta": b_hi - b_lo, "epsilon": eps_i, "converged": None,
-                "threads": None, "rounds": None, "aborted": True,
-            })
-            if trace is not None:
-                trace.end_bucket(device.time_s - t_start)
-            continue
-        if basyn_active:
-            # the bucket closed on phase 2&3's device barrier; the kernel
-            # stays resident for the next bucket
-            cell ^= 1
+            aborted = True
         else:
-            device.barrier()  # synchronous mode between buckets
+            if basyn_active:
+                # the bucket closed on phase 2&3's device barrier; the
+                # kernel stays resident for the next bucket
+                cell ^= 1
+            else:
+                device.barrier()  # synchronous mode between buckets
+            if controller is not None:
+                controller.feedback(
+                    int(outcome.settled.size), outcome.threads_used
+                )
+            lo = b_hi
+            aborted = False
 
-        if controller is not None:
-            controller.feedback(int(outcome.settled.size), outcome.threads_used)
-        bucket_phase1.append(p1_stats)
-        device.annotate(
-            "bucket_close", index=bucket_id, lo=b_lo, hi=b_hi,
-            delta=b_hi - b_lo, epsilon=eps_i,
-            converged=int(outcome.settled.size),
-            threads=outcome.threads_used, rounds=outcome.rounds,
-            aborted=False,
+        row = {
+            "index": bucket_id, "lo": b_lo, "hi": b_hi,
+            "delta": b_hi - b_lo, "active": int(members.size),
+            "rounds": None, "converged": None, "aborted": aborted,
+            "epsilon": eps_i, "threads": None, "phase1_active": None,
+        }
+        if not aborted:
+            row.update(
+                rounds=outcome.rounds, converged=int(outcome.settled.size),
+                threads=outcome.threads_used, phase1_active=outcome.drained,
+            )
+        device.annotate("bucket_close", **row)
+        bucket_telemetry.append(row)
+        phase1_spans.append(
+            (p1_start, stats.update_batches if p1_end is None else p1_end)
         )
-        bucket_telemetry.append({
-            "bucket": bucket_id, "lo": b_lo, "hi": b_hi,
-            "delta": b_hi - b_lo, "epsilon": eps_i,
-            "converged": int(outcome.settled.size),
-            "threads": outcome.threads_used, "rounds": outcome.rounds,
-            "aborted": False,
-        })
-        if trace is not None:
-            trace.end_bucket(device.time_s - t_start)
-        lo = b_hi
 
     if runtime is not None:
         runtime.finish()
-    tally = stats.finalize(dist.data)
-    if trace is not None:
-        for bucket, p1 in zip(trace.buckets, bucket_phase1):
-            t = p1.finalize(dist.data)
-            bucket.phase1_total_updates = t.total_updates
-            bucket.phase1_valid_updates = t.valid_updates
+    tally, phase1_counts = stats.finalize_spans(dist.data, phase1_spans)
+    for row, (updates, valid) in zip(bucket_telemetry, phase1_counts):
+        row.update(phase1_updates=updates, phase1_valid=valid)
 
     dist_out = work_graph.to_original_order(dist.data.copy()) if pro else dist.data.copy()
     method = "rdbs" if (pro and adwl and basyn) else _arm_name(pro, adwl, basyn)
@@ -398,7 +385,6 @@ def _rdbs_run(
         time_ms=device.elapsed_ms,
         work=tally,
         counters=device.counters,
-        trace=trace,
         num_edges=graph.num_edges,
         extra={
             "timeline": device.timeline,
@@ -411,8 +397,6 @@ def _rdbs_run(
             "basyn": basyn,
             "delta_rescaled": rescaled,
             "bucket_telemetry": bucket_telemetry,
-            "delta_series": [row["delta"] for row in bucket_telemetry],
-            "epsilon_series": [row["epsilon"] for row in bucket_telemetry],
         },
         faults=runtime.report if runtime is not None else None,
     )
@@ -443,7 +427,6 @@ def _relax_light(
     pro: bool,
     adwl: bool,
     stats: WorkStats,
-    p1_stats: WorkStats,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Relax the light edges of ``vertices``.
 
@@ -487,7 +470,7 @@ def _relax_light(
     for (positions, assignment), batch in zip(groups, batches):
         vs = vertices[positions]
         out = relax_batch(
-            ctx, dgraph, dist, vs, batch, assignment, (stats, p1_stats),
+            ctx, dgraph, dist, vs, batch, assignment, stats,
             weight_filter=weight_filter,
         )
         if out.targets.size:
@@ -514,9 +497,7 @@ def _phase1_async(
     pro: bool,
     adwl: bool,
     stats: WorkStats,
-    p1_stats: WorkStats,
     in_queue: np.ndarray,
-    trace: TraceRecorder | None,
     chunk_size: int = ASYNC_CHUNK,
     watchdog: Watchdog | None = None,
     chain: PersistentChain,
@@ -533,7 +514,7 @@ def _phase1_async(
     """
     settled_mask = np.zeros(dist.size, dtype=bool)
     threads_used = 0
-    rounds = 0
+    drained: list[int] = []
     queue: list[np.ndarray] = [members]
     in_queue[members] = True
     # multisplit placement appends re-activations *densely* behind a
@@ -569,15 +550,13 @@ def _phase1_async(
             chunk = np.concatenate(chunk_parts)
             in_queue[chunk] = False
             settled_mask[chunk] = True
-            rounds += 1
+            drained.append(int(chunk.size))
             if watchdog is not None:
                 watchdog.tick()
-            if trace is not None:
-                trace.iteration(int(chunk.size))
 
             targets, values, threads = _relax_light(
                 k, dgraph, dist, chunk, split,
-                pro=pro, adwl=adwl, stats=stats, p1_stats=p1_stats,
+                pro=pro, adwl=adwl, stats=stats,
             )
             threads_used += threads
             k.async_round()
@@ -617,7 +596,7 @@ def _phase1_async(
                     reactivated = csize
             if note_rounds:
                 device.annotate(
-                    "async_round", round=rounds, drained=int(chunk.size),
+                    "async_round", round=len(drained), drained=int(chunk.size),
                     reactivated=reactivated,
                     pending=int(sum(part.size for part in queue)),
                 )
@@ -626,7 +605,7 @@ def _phase1_async(
     return _BucketOutcome(
         settled=np.flatnonzero(settled_mask),
         threads_used=threads_used,
-        rounds=rounds,
+        drained=np.array(drained, dtype=np.int64),
     )
 
 
@@ -642,28 +621,24 @@ def _phase1_sync(
     pro: bool,
     adwl: bool,
     stats: WorkStats,
-    p1_stats: WorkStats,
-    trace: TraceRecorder | None,
 ) -> _BucketOutcome:
     """Synchronous phase 1: kernel launch + barrier per iteration (§2.2)."""
     settled_mask = np.zeros(dist.size, dtype=bool)
     threads_used = 0
-    rounds = 0
+    drained: list[int] = []
     note_rounds = bool(device.handlers("on_annotate"))
     frontier = members
     while frontier.size:
-        rounds += 1
+        drained.append(int(frontier.size))
         settled_mask[frontier] = True
-        if trace is not None:
-            trace.iteration(int(frontier.size))
         if note_rounds:
             device.annotate(
-                "sync_round", round=rounds, frontier=int(frontier.size)
+                "sync_round", round=len(drained), frontier=int(frontier.size)
             )
         with device.launch("phase1_sync") as k:
             targets, _values, threads = _relax_light(
                 k, dgraph, dist, frontier, split,
-                pro=pro, adwl=adwl, stats=stats, p1_stats=p1_stats,
+                pro=pro, adwl=adwl, stats=stats,
             )
         device.barrier()
         threads_used += threads
@@ -675,7 +650,7 @@ def _phase1_sync(
     return _BucketOutcome(
         settled=np.flatnonzero(settled_mask),
         threads_used=threads_used,
-        rounds=rounds,
+        drained=np.array(drained, dtype=np.int64),
     )
 
 

@@ -227,7 +227,7 @@ def relax_batch(
     vertices: np.ndarray,
     batch: EdgeBatch,
     assignment: WorkAssignment,
-    stats: WorkStats | tuple[WorkStats, ...] | None,
+    stats: WorkStats | None,
     *,
     weight_filter: tuple[float, bool] | None = None,
 ) -> RelaxOutcome:
@@ -267,23 +267,14 @@ def relax_batch(
         sub = subset_assignment(assignment, taken)
         v_sel, nd_sel = v[taken], nd[taken]
         _old, updated = ctx.atomic_min(dist, v_sel, nd_sel, sub)
-        _record(stats, v_sel, nd_sel, updated)
+        if stats is not None:
+            stats.record(v_sel, nd_sel, updated)
         return RelaxOutcome(targets=v_sel, updated=updated, new_dist=nd_sel)
 
     _old, updated = ctx.atomic_min(dist, v, nd, assignment)
-    _record(stats, v, nd, updated)
+    if stats is not None:
+        stats.record(v, nd, updated)
     return RelaxOutcome(targets=v, updated=updated, new_dist=nd)
-
-
-def _record(stats, vertices: np.ndarray, values: np.ndarray, updated: np.ndarray) -> None:
-    """Record a relaxation batch into one or several WorkStats recorders."""
-    if stats is None:
-        return
-    if isinstance(stats, WorkStats):
-        stats.record(vertices, values, updated)
-    else:
-        for s in stats:
-            s.record(vertices, values, updated)
 
 
 class FrontierFlags:

@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..gpusim.counters import DeviceCounters
-from ..metrics.recorder import TraceRecorder
 from ..metrics.workstats import WorkTally
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,13 +43,13 @@ class SSSPResult:
     counters:
         the simulated device's profiling counters (Fig. 10 metrics), for
         GPU methods.
-    trace:
-        per-bucket execution trace (Figs. 2–3), when recording was on.
     num_edges:
         edge count of the traversed graph, for GTEPS.
     extra:
         implementation-specific diagnostics (bucket count, iteration
-        counts, final Δ, ...).
+        counts, final Δ, ...).  Bucketed engines keep one row per
+        processed bucket in ``extra["bucket_telemetry"]`` (the Figs. 2–3
+        series).
     faults:
         the :class:`~repro.faults.report.FaultReport` of a run executed
         under fault injection / the self-healing runtime; ``None`` for
@@ -64,7 +63,6 @@ class SSSPResult:
     time_ms: float = 0.0
     work: WorkTally | None = None
     counters: DeviceCounters | None = None
-    trace: TraceRecorder | None = None
     num_edges: int = 0
     extra: dict = field(default_factory=dict)
     faults: "FaultReport | None" = None

@@ -16,6 +16,7 @@ sys.path.insert(0, str(REPO / "tools"))
 
 from check_docs import (  # noqa: E402
     check_env_knobs,
+    check_extra_keys,
     check_index,
     check_links,
     doc_paths,
@@ -137,3 +138,17 @@ class TestEnvKnobCheck:
         doc = tmp_path / "ROADMAP.md"
         doc.write_text("retired `REPRO_NOT_A_KNOB`\n")
         assert check_env_knobs(doc, literals) == []
+
+
+class TestExtraKeyCheck:
+    @pytest.fixture(scope="class")
+    def literals(self):
+        return source_string_literals()
+
+    def test_unwritten_key_detected(self, tmp_path, literals):
+        doc = tmp_path / "page.md"
+        doc.write_text('see `result.extra["not_a_key"]` and '
+                       '`result.extra["bucket_telemetry"]`\n')
+        problems = check_extra_keys(doc, literals)
+        assert len(problems) == 1
+        assert "not_a_key" in problems[0]

@@ -1,10 +1,9 @@
-"""Tests for work accounting, trace recording and throughput metrics."""
+"""Tests for work accounting and throughput metrics."""
 
 import numpy as np
 import pytest
 
 from repro.metrics import (
-    TraceRecorder,
     WorkStats,
     geometric_mean,
     gteps,
@@ -37,6 +36,19 @@ class TestWorkStats:
         assert t.invalid_updates == 1
         assert t.update_ratio == 2.0
 
+    def test_finalize_spans_classify_each_span(self):
+        s = WorkStats()
+        s.record(np.array([1, 2]), np.array([5.0, 6.0]), np.array([True, True]))
+        s.record(np.array([3]), np.array([7.0]), np.array([False]))  # no batch
+        mark = s.update_batches
+        s.record(np.array([1]), np.array([4.0]), np.array([True]))
+        t, spans = s.finalize_spans(
+            np.array([0.0, 4.0, 6.0, 7.0]), [(0, mark), (mark, s.update_batches)]
+        )
+        assert mark == 1
+        assert spans == [(2, 1), (1, 1)]
+        assert (t.total_updates, t.valid_updates) == (3, 2)
+
     def test_empty_tally(self):
         t = WorkStats().finalize(np.array([0.0]))
         assert t.total_updates == 0
@@ -54,39 +66,6 @@ class TestWorkStats:
             s.record(np.array([0]), np.array([1.0]), np.array([False]))
         assert s.checks == 10
         assert s.total_updates == 0
-
-
-class TestTraceRecorder:
-    def test_bucket_lifecycle(self):
-        t = TraceRecorder()
-        t.begin_bucket(0, 5, 0.0, 1.0)
-        t.iteration(5)
-        t.iteration(3)
-        t.end_bucket(time_s=2.0)
-        t.begin_bucket(1, 9, 1.0, 2.0)
-        t.iteration(9)
-        t.end_bucket(time_s=1.0)
-        assert t.active_per_bucket() == [(0, 5), (1, 9)]
-        assert t.buckets[0].num_iterations == 2
-        assert t.peak_bucket().bucket_id == 1
-        assert t.peak_time_fraction() == pytest.approx(2 / 3)
-
-    def test_iteration_without_bucket_ignored(self):
-        t = TraceRecorder()
-        t.iteration(4)  # no open bucket: no crash, no record
-        assert t.buckets == []
-
-    def test_peak_of_empty(self):
-        t = TraceRecorder()
-        assert t.peak_bucket() is None
-        assert t.peak_time_fraction() == 0.0
-
-    def test_bucket_interval_recorded(self):
-        t = TraceRecorder()
-        t.begin_bucket(3, 1, 6.0, 8.5)
-        t.end_bucket()
-        b = t.buckets[0]
-        assert b.delta_lo == 6.0 and b.delta_hi == 8.5
 
 
 class TestThroughput:

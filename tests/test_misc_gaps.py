@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.graphs import dataset_names, from_edges, load
 from repro.reorder import attach_heavy_offsets, sort_adjacency_by_weight
-from repro.sssp import DeltaController, SSSPResult, sssp
+from repro.sssp import DeltaController, SSSPResult
 from repro.sssp.cpu_pq_delta import XEON_8269CY
 
 
@@ -107,13 +107,6 @@ class TestDeltaControllerProperties:
 
 
 class TestMethodKwargsSurface:
-    def test_record_trace_only_where_supported(self):
-        from repro.graphs import path
-
-        g = path(6)
-        r = sssp(g, 0, method="delta-cpu", record_trace=True)
-        assert r.trace is not None
-
     def test_max_buckets_guard(self):
         from repro.graphs import path
         from repro.sssp import rdbs_sssp

@@ -8,6 +8,7 @@ import pytest
 from repro.graphs import from_edges, kronecker, grid_road_network, path, star
 from repro.gpusim import T4, V100
 from repro.sssp import (
+    GPU_METHODS,
     adds_sssp,
     bl_sssp,
     nearfar_sssp,
@@ -73,7 +74,7 @@ class TestEdgeCases:
 
 
 #: every engine that takes a bucket width Δ
-DELTA_METHODS = ("rdbs", "adds", "near-far", "mlmq")
+DELTA_METHODS = ("rdbs", "adds", "near-far", "mlmq", "delta-cpu", "pq-delta*")
 
 
 @pytest.fixture
@@ -95,8 +96,9 @@ def fails_within_seconds():
 @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("method", DELTA_METHODS)
 def test_bad_delta_fails_fast(method, delta, fails_within_seconds):
+    kw = {"spec": SPEC} if method in GPU_METHODS else {}
     with pytest.raises(ValueError, match="delta must be finite and positive"):
-        sssp(GRAPHS["road"], 0, method=method, delta=delta, spec=SPEC)
+        sssp(GRAPHS["road"], 0, method=method, delta=delta, **kw)
 
 
 class TestRdbsEngine:
@@ -140,10 +142,10 @@ class TestRdbsEngine:
 
     def test_trace_recording(self):
         g = GRAPHS["unit-kron"]
-        r = rdbs_sssp(g, 0, delta=0.1, record_trace=True, spec=SPEC)
-        assert r.trace is not None
-        assert len(r.trace.buckets) == r.extra["buckets"]
-        assert r.trace.peak_bucket().initial_active > 0
+        r = rdbs_sssp(g, 0, delta=0.1, spec=SPEC)
+        rows = r.extra["bucket_telemetry"]
+        assert len(rows) == r.extra["buckets"]
+        assert max(row["active"] for row in rows) > 0
 
     def test_dynamic_delta_recorded(self):
         g = GRAPHS["kron"]

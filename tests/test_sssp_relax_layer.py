@@ -114,17 +114,6 @@ class TestRelaxBatch:
             )
         assert targets.size == 0
 
-    def test_multiple_stats_sinks(self, dev, pro_graph):
-        dg = DeviceGraph(dev, pro_graph)
-        dist = dev.full(5, np.inf)
-        dist.data[0] = 0.0
-        s1, s2 = WorkStats(), WorkStats()
-        with dev.launch("k") as k:
-            batch = dg.batch(np.array([0]), "all")
-            a = thread_per_vertex_edges(batch.counts)
-            relax_batch(k, dg, dist, np.array([0]), batch, a, (s1, s2))
-        assert s1.total_updates == s2.total_updates == 4
-
 
 class TestFrontierFlags:
     def test_push_dedups(self, dev):

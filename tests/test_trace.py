@@ -127,12 +127,12 @@ class TestEvents:
         """The telemetry on SSSPResult and the tracer's bucket spans are
         two views of the same annotate stream — they must agree."""
         result, tr = traced_rdbs
-        assert result.extra["delta_series"] == pytest.approx(tr.delta_series())
-        spans = [e.args for e in tr.events if e.kind == "bucket"]
         rows = result.extra["bucket_telemetry"]
-        assert [s["index"] for s in spans] == [r["bucket"] for r in rows]
+        assert [r["delta"] for r in rows] == pytest.approx(tr.delta_series())
+        spans = [e.args for e in tr.events if e.kind == "bucket"]
+        assert [s["index"] for s in spans] == [r["index"] for r in rows]
         assert [s["epsilon"] for s in spans] == pytest.approx(
-            result.extra["epsilon_series"]
+            [r["epsilon"] for r in rows]
         )
         # Eq. 2: each processed bucket's width is lo/hi-consistent
         for r in rows:
@@ -158,7 +158,9 @@ class TestEvents:
             result = sssp(small_kron, kron_source, method="rdbs")
         finally:
             unregister_global_observer(watcher)
-        assert watcher.widths == pytest.approx(result.extra["delta_series"])
+        assert watcher.widths == pytest.approx(
+            [r["delta"] for r in result.extra["bucket_telemetry"]]
+        )
 
     def test_adwl_histogram_counters(self, traced_rdbs):
         _, tr = traced_rdbs

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker: keep the docs true as the code moves.
 
-Four checks, run over ``README.md``, ``EXPERIMENTS.md``, ``ROADMAP.md``
+Five checks, run over ``README.md``, ``EXPERIMENTS.md``, ``ROADMAP.md``
 and every page under ``docs/``:
 
 1. **Cross-links** — every relative markdown link ``[...](path)`` must
@@ -20,6 +20,9 @@ and every page under ``docs/``:
    appear as a string literal under ``src/repro/``, so the docs never
    advertise a knob the code no longer reads.  ``ROADMAP.md`` is history
    and may name retired ones.
+5. **Result keys** — every ``extra["key"]`` a page names must likewise
+   appear as a string literal under ``src/repro/``, so the docs never
+   point at a result key the engines no longer write (same exemption).
 
 Exit status 0 when every check passes; 1 otherwise, with one line per
 problem.  Run it locally with ``python tools/check_docs.py``; CI runs it
@@ -47,6 +50,7 @@ HISTORY_FILES = {"ROADMAP.md"}
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 ENV_KNOB_RE = re.compile(r"\bREPRO_[A-Z_]+\b")
+EXTRA_KEY_RE = re.compile(r"""\bextra\[["']([^"']+)["']\]""")
 ENV_ASSIGN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 PLACEHOLDER_CHARS = "<>[]…"
 
@@ -207,6 +211,24 @@ def check_env_knobs(path: Path, literals: set[str]) -> list[str]:
     return problems
 
 
+# ----------------------------------------------------------------------
+# check 5: result keys the engines still write
+# ----------------------------------------------------------------------
+
+def check_extra_keys(path: Path, literals: set[str]) -> list[str]:
+    if path.name in HISTORY_FILES:
+        return []
+    problems = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for key in EXTRA_KEY_RE.findall(line):
+            if key not in literals:
+                problems.append(
+                    f"{_rel(path)}:{lineno}: names extra[{key!r}], which "
+                    f"no string literal under src/repro/ writes"
+                )
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     paths = doc_paths()
@@ -216,6 +238,7 @@ def main() -> int:
         problems.extend(check_links(path))
         problems.extend(check_commands(path))
         problems.extend(check_env_knobs(path, literals))
+        problems.extend(check_extra_keys(path, literals))
         n_commands += len(extract_commands(path))
     problems.extend(check_index())
     for problem in problems:
