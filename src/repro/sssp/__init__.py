@@ -1,7 +1,6 @@
 """SSSP algorithms: the paper's RDBS plus every baseline it compares against."""
 
 from .api import GPU_METHODS, METHODS, method_names, sssp
-from .batch import BatchResult, draw_sources, run_batch
 from .paths import (
     ShortestPathTree,
     build_parents,
@@ -53,9 +52,6 @@ __all__ = [
     "ConvergenceError",
     "rho_stepping_sssp",
     "default_rho",
-    "run_batch",
-    "draw_sources",
-    "BatchResult",
     "shortest_path_tree",
     "ShortestPathTree",
     "build_parents",

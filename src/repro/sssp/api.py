@@ -96,8 +96,8 @@ def sssp(graph: CSRGraph, source: int, method: str = "rdbs", **kwargs) -> SSSPRe
     Returns
     -------
     SSSPResult
-        distances (original id space), simulated time, work tally and —
-        for GPU methods — profiling counters.
+        distances (in ``graph``'s id space, like ``source``), simulated
+        time, work tally and — for GPU methods — profiling counters.
     """
     try:
         fn = METHODS[method]

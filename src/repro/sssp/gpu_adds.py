@@ -21,16 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import make_runtime
 from ..graphs.csr import CSRGraph
-from ..gpusim.device import GPUDevice, subset_assignment
+from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
-from ..metrics.workstats import WorkStats
 from ..util.scan import sorted_unique_ints
+from .engine import GPUSolve
 from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
-from .relax import DeviceGraph, relax_batch
+from .relax import relax_batch
 from .result import SSSPResult
 
 __all__ = ["adds_sssp"]
@@ -50,24 +49,17 @@ def adds_sssp(
     recovery=None,
 ) -> SSSPResult:
     """Run the ADDS-like asynchronous baseline on a simulated GPU."""
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
     delta = check_delta(delta, graph)
-
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, graph)
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, source, 0.0)
-    stats = WorkStats()
-    stats.record(np.array([source]), np.array([0.0]), np.array([True]))
-    runtime = make_runtime(recovery, device, dgraph, dist, source, "adds")
+    solve = GPUSolve(graph, source, "adds", spec=spec, recovery=recovery)
+    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
+    runtime = solve.runtime
+    n = graph.num_vertices
 
     threshold = delta
     cur_delta = delta
-    near: list[np.ndarray] = [np.array([source], dtype=np.int64)]
+    near: list[np.ndarray] = [np.array([solve.src], dtype=np.int64)]
     in_near = np.zeros(n, dtype=bool)
-    in_near[source] = True
+    in_near[solve.src] = True
     far_mask = np.zeros(n, dtype=bool)
     # device-resident near worklist and far pile; insertions append densely
     # behind rolling cursors (coalesced stores) into the slot arrays, and
@@ -135,14 +127,12 @@ def adds_sssp(
                 _adds_async(
                     k, dgraph, dist, near, in_near, far_mask,
                     near_slots, far_slots, near_spill, far_spill,
-                    cursors, stats, threshold,
+                    cursors, solve.stats, threshold,
                     max_steps, cur_delta, counters,
                 )
         except ConvergenceError as exc:
-            if runtime is None:
-                raise
-            runtime.recover(exc)
-            break  # the final repair sweeps restore the fixpoint
+            solve.give_up(exc)
+            break
         except InjectedKernelAbort as exc:
             if runtime is None:
                 raise
@@ -150,24 +140,9 @@ def adds_sssp(
             continue
         device.barrier()
 
-    if runtime is not None:
-        runtime.finish()
-
-    return SSSPResult(
-        dist=dist.data.copy(),
-        source=source,
-        method="adds",
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=stats.finalize(dist.data),
-        counters=device.counters,
-        num_edges=graph.num_edges,
-        extra={
-            "timeline": device.timeline,
-            "rounds": counters["rounds"], "delta0": delta,
-            "final_delta": cur_delta},
-        faults=runtime.report if runtime is not None else None,
-    )
+    return solve.result({
+        "rounds": counters["rounds"], "delta0": delta,
+        "final_delta": cur_delta})
 
 
 def _adds_async(

@@ -15,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import make_runtime
 from ..graphs.csr import CSRGraph
-from ..gpusim.device import GPUDevice, subset_assignment
+from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
-from ..metrics.workstats import WorkStats
+from .engine import GPUSolve
 from .errors import ConvergenceError
-from .relax import DeviceGraph, FrontierFlags, relax_batch
+from .relax import FrontierFlags, relax_batch
 from .result import SSSPResult
 
 __all__ = ["bl_sssp"]
@@ -38,30 +37,19 @@ def bl_sssp(
 ) -> SSSPResult:
     """Run the synchronous push-mode baseline on a simulated GPU.
 
-    ``max_iterations=None`` (the default) applies a finite safety bound of
-    ``n + 2`` iterations — unreachable on sane inputs (a frontier survives
-    at most ``n`` rounds), so tripping it means corrupted state and raises
+    ``max_iterations`` bounds the iterations; the default ``None`` is
+    ``n + 2``, unreachable on sane inputs (a frontier survives at most
+    ``n`` rounds).  Tripping the bound raises
     :class:`~repro.sssp.errors.ConvergenceError` (or breaks to the repair
-    sweeps when ``recovery`` is on).  An explicit ``max_iterations`` keeps
-    the historical truncation semantics: stop and return the partial
-    distances.
+    sweeps when ``recovery`` is on).
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
+    solve = GPUSolve(graph, source, "bl", spec=spec, recovery=recovery)
+    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
+    runtime = solve.runtime
+    flags = FrontierFlags(device, graph.num_vertices)
+    limit = graph.num_vertices + 2 if max_iterations is None else max_iterations
 
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, graph)
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, source, 0.0)
-    flags = FrontierFlags(device, n)
-    stats = WorkStats()
-    stats.record(np.array([source]), np.array([0.0]), np.array([True]))
-    runtime = make_runtime(recovery, device, dgraph, dist, source, "bl")
-    default_bound = max_iterations is None
-    limit = (n + 2) if default_bound else max_iterations
-
-    frontier = np.array([source], dtype=np.int64)
+    frontier = np.array([solve.src], dtype=np.int64)
     iterations = 0
     # per-iteration telemetry is host-only and gated on an attached observer
     note_rounds = bool(device.handlers("on_annotate"))
@@ -72,17 +60,12 @@ def bl_sssp(
                 "bl_round", iteration=iterations, frontier=int(frontier.size)
             )
         if iterations > limit:
-            if not default_bound:
-                break  # caller-requested truncation: partial result
-            exc = ConvergenceError(
+            solve.give_up(ConvergenceError(
                 "iteration limit exceeded",
                 method="bl", iterations=iterations - 1,
                 frontier=int(frontier.size),
-            )
-            if runtime is None:
-                raise exc
-            runtime.recover(exc)
-            break  # the final repair sweeps restore the fixpoint
+            ))
+            break
         if runtime is not None:
             runtime.epoch(int(frontier.size))
         flags.new_round()
@@ -91,12 +74,14 @@ def bl_sssp(
                 batch = dgraph.batch(frontier, "all")
                 # static load balancing: one thread per active vertex
                 a = thread_per_vertex_edges(batch.counts)
-                targets, updated = relax_batch(
-                    k, dgraph, dist, frontier, batch, a, stats
+                out = relax_batch(
+                    k, dgraph, dist, frontier, batch, a, solve.stats
                 )
-                if targets.size:
-                    sub = subset_assignment(a, updated)
-                    next_frontier = flags.push(k, targets[updated], sub)
+                if out.targets.size:
+                    sub = subset_assignment(a, out.updated)
+                    next_frontier = flags.push(
+                        k, out.targets[out.updated], sub
+                    )
                 else:
                     next_frontier = np.zeros(0, dtype=np.int64)
         except InjectedKernelAbort as exc:
@@ -107,24 +92,4 @@ def bl_sssp(
         device.barrier()  # synchronous mode: barrier every iteration
         frontier = next_frontier
 
-    if runtime is not None:
-        runtime.finish()
-
-    dist_out = graph.to_original_order(dist.data.copy())
-    source_out = (
-        int(graph.new_to_old[source]) if graph.new_to_old is not None else source
-    )
-    return SSSPResult(
-        dist=dist_out,
-        source=source_out,
-        method="bl",
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=stats.finalize(dist.data),
-        counters=device.counters,
-        num_edges=graph.num_edges,
-        extra={
-            "timeline": device.timeline,
-            "iterations": iterations},
-        faults=runtime.report if runtime is not None else None,
-    )
+    return solve.result({"iterations": iterations})

@@ -21,14 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import make_runtime
 from ..graphs.csr import CSRGraph
-from ..gpusim.device import GPUDevice, subset_assignment
+from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
-from ..metrics.workstats import WorkStats
+from .engine import GPUSolve
 from .errors import ConvergenceError
-from .relax import DeviceGraph, relax_batch
+from .relax import relax_batch
 from .result import SSSPResult
 
 __all__ = ["harish_narayanan_sssp"]
@@ -44,45 +43,32 @@ def harish_narayanan_sssp(
 ) -> SSSPResult:
     """Run the topology-driven 2007 baseline on a simulated GPU.
 
-    As for :func:`~repro.sssp.gpu_baseline.bl_sssp`, the default
-    ``max_iterations=None`` applies a finite ``n + 2`` safety bound that
-    raises :class:`~repro.sssp.errors.ConvergenceError` when tripped, while
-    an explicit bound keeps the historical truncate-and-return semantics.
+    ``max_iterations`` bounds the iterations as for
+    :func:`~repro.sssp.gpu_baseline.bl_sssp`: ``None`` is ``n + 2``, and
+    tripping the bound raises :class:`~repro.sssp.errors.ConvergenceError`
+    (or breaks to the repair sweeps when ``recovery`` is on).
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, graph)
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, source, 0.0)
-    mask = device.zeros(n, dtype=np.int8, name="mask")
-    device.host_store(mask, source, np.int8(1))
-    stats = WorkStats()
-    stats.record(np.array([source]), np.array([0.0]), np.array([True]))
-    runtime = make_runtime(
-        recovery, device, dgraph, dist, source, "harish-narayanan"
+    solve = GPUSolve(
+        graph, source, "harish-narayanan", spec=spec, recovery=recovery
     )
-    default_bound = max_iterations is None
-    limit = (n + 2) if default_bound else max_iterations
+    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
+    runtime = solve.runtime
+    n = graph.num_vertices
+    mask = device.zeros(n, dtype=np.int8, name="mask")
+    device.host_store(mask, solve.src, np.int8(1))
+    limit = n + 2 if max_iterations is None else max_iterations
 
     all_vertices = np.arange(n, dtype=np.int64)
     iterations = 0
     while True:
         iterations += 1
         if iterations > limit:
-            if not default_bound:
-                break  # caller-requested truncation: partial result
-            exc = ConvergenceError(
+            solve.give_up(ConvergenceError(
                 "iteration limit exceeded",
                 method="harish-narayanan", iterations=iterations - 1,
                 frontier=int(mask.data.sum()),
-            )
-            if runtime is None:
-                raise exc
-            runtime.recover(exc)
-            break  # the final repair sweeps restore the fixpoint
+            ))
+            break
         active = np.flatnonzero(mask.data)
         if active.size == 0:
             break
@@ -102,20 +88,20 @@ def harish_narayanan_sssp(
                 )
                 batch = dgraph.batch(active, "all")
                 a = thread_per_vertex_edges(batch.counts)
-                targets, updated = relax_batch(
-                    k, dgraph, dist, active, batch, a, stats
+                out = relax_batch(
+                    k, dgraph, dist, active, batch, a, solve.stats
                 )
-                if targets.size and updated.any():
+                if out.targets.size and out.updated.any():
                     # the original uses two kernels (relax into an
                     # updating-cost array, then commit) precisely because
                     # re-marking races the mask clear above; model that
                     # split with a device-wide sync
                     k.device_barrier()
-                    sub_u = subset_assignment(a, updated)
+                    sub_u = subset_assignment(a, out.updated)
                     k.scatter(
                         mask,
-                        targets[updated],
-                        np.ones(int(updated.sum()), dtype=np.int8),
+                        out.targets[out.updated],
+                        np.ones(int(out.updated.sum()), dtype=np.int8),
                         sub_u,
                     )
         except InjectedKernelAbort as exc:
@@ -131,18 +117,4 @@ def harish_narayanan_sssp(
             continue
         device.barrier()
 
-    if runtime is not None:
-        runtime.finish()
-
-    return SSSPResult(
-        dist=dist.data.copy(),
-        source=source,
-        method="harish-narayanan",
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=stats.finalize(dist.data),
-        counters=device.counters,
-        num_edges=graph.num_edges,
-        extra={"timeline": device.timeline, "iterations": iterations},
-        faults=runtime.report if runtime is not None else None,
-    )
+    return solve.result({"iterations": iterations})

@@ -40,16 +40,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import WatchdogTimeout, make_runtime
+from ..faults.runtime import WatchdogTimeout
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import GPUDevice
 from ..gpusim.kernels import grid_stride, thread_per_item
 from ..gpusim.spec import GPUSpec, V100
 from ..metrics.workstats import WorkStats
 from ..util.scan import sorted_unique_ints
+from .engine import GPUSolve
 from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
-from .relax import DeviceGraph, relax_batch
+from .relax import relax_batch
 from .result import SSSPResult
 
 __all__ = ["mlmq_sssp", "NUM_QUEUES", "WINDOW_LEVELS", "GROUP_CHUNK"]
@@ -185,40 +186,30 @@ def mlmq_sssp(
     epoch checkpoints, a per-level watchdog, and final verify/repair
     sweeps.  Off (``None``) it costs nothing.
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
     if window_levels < 1 or num_queues < 1:
         raise ValueError("window_levels and num_queues must be >= 1")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     delta = check_delta(delta, graph)
+    solve = GPUSolve(graph, source, "mlmq", spec=spec, recovery=recovery)
+    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
+    runtime = solve.runtime
 
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, graph)
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, source, 0.0)
-    stats = WorkStats()
-    stats.record(np.array([source]), np.array([0.0]), np.array([True]))
-    runtime = make_runtime(recovery, device, dgraph, dist, source, "mlmq")
-
-    state = _QueuePool(device, n, graph.num_edges, num_queues)
+    state = _QueuePool(device, graph.num_vertices, graph.num_edges,
+                       num_queues)
 
     # seed: the source enters its hashed queue of level 0 (one counted
     # append, the same store discipline every later push uses)
-    src_arr = np.array([source], dtype=np.int64)
+    src_arr = np.array([solve.src], dtype=np.int64)
     with device.launch("mlmq_init") as k:
         pool, start = state.reserve(1)
         k.scatter(pool, start + np.arange(1, dtype=np.int64), src_arr,
                   thread_per_item(1))
     state.enqueue(0, int(_queue_of(src_arr, num_queues)[0]), src_arr)
-    state.queue_level[source] = 0
+    state.queue_level[solve.src] = 0
 
     tally = {"rounds": 0, "stale": 0, "advances": 0, "steals": 0,
              "stolen_slots": 0}
-    #: one row per processed level: the result's
-    #: ``extra["bucket_telemetry"]`` and the ``bucket_close`` payload
-    bucket_telemetry: list[dict] = []
     levels_processed = 0
 
     while True:
@@ -262,7 +253,7 @@ def mlmq_sssp(
             drain = _drain_level(
                 device, dgraph, dist, state, lvl, delta=delta,
                 window=window_levels, num_queues=num_queues, chunk=chunk,
-                stats=stats, watchdog=watchdog, tally=tally,
+                stats=solve.stats, watchdog=watchdog, tally=tally,
                 max_rounds=max_rounds, note=note,
             )
             state.drop_level(lvl)
@@ -273,53 +264,35 @@ def mlmq_sssp(
             row = {"index": lvl, "lo": lo, "hi": hi, "delta": hi - lo,
                    "active": int(members.size), **drain, "aborted": False,
                    "occupancy": occupancy}
-            device.annotate("bucket_close", **row)
-            bucket_telemetry.append(row)
+            solve.close_bucket(row)
         except (WatchdogTimeout, InjectedKernelAbort) as exc:
             if runtime is None:
                 raise
             _mlmq_reseed(runtime, exc, state, dist)
             continue
         except ConvergenceError as exc:
-            if runtime is None:
-                raise
-            runtime.recover(exc)
-            break  # the final repair sweeps restore the fixpoint
+            solve.give_up(exc)
+            break
 
-    if runtime is not None:
-        runtime.finish()
-
-    work = stats.finalize(dist.data)
+    solve.finish()
+    work = solve.work
     totals = device.counters.totals
     wasted = (
         (work.relaxations - work.valid_updates) / work.relaxations
         if work.relaxations else 0.0
     )
-    return SSSPResult(
-        dist=dist.data.copy(),
-        source=source,
-        method="mlmq",
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=work,
-        counters=device.counters,
-        num_edges=graph.num_edges,
-        extra={
-            "timeline": device.timeline,
-            "delta": delta,
-            "window_levels": window_levels,
-            "num_queues": num_queues,
-            "levels": levels_processed,
-            "rounds": tally["rounds"],
-            "advances": tally["advances"],
-            "stale_pops": tally["stale"],
-            "mlmq_steals": int(totals.mlmq_steals),
-            "mlmq_stolen_slots": int(totals.mlmq_stolen_slots),
-            "wasted_relaxation_ratio": float(wasted),
-            "bucket_telemetry": bucket_telemetry,
-        },
-        faults=runtime.report if runtime is not None else None,
-    )
+    return solve.result({
+        "delta": delta,
+        "window_levels": window_levels,
+        "num_queues": num_queues,
+        "levels": levels_processed,
+        "rounds": tally["rounds"],
+        "advances": tally["advances"],
+        "stale_pops": tally["stale"],
+        "mlmq_steals": int(totals.mlmq_steals),
+        "mlmq_stolen_slots": int(totals.mlmq_stolen_slots),
+        "wasted_relaxation_ratio": float(wasted),
+    })
 
 
 def _drain_level(

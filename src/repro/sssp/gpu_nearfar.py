@@ -24,12 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import make_runtime
 from ..graphs.csr import CSRGraph
-from ..gpusim.device import GPUDevice, subset_assignment
+from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
-from ..metrics.workstats import WorkStats
+from .engine import GPUSolve
 from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
 from .persistent import (
@@ -41,7 +40,7 @@ from .persistent import (
     fold_min,
     publish_count,
 )
-from .relax import DeviceGraph, relax_batch
+from .relax import relax_batch
 from .result import SSSPResult
 
 __all__ = ["nearfar_sssp"]
@@ -64,21 +63,14 @@ def nearfar_sssp(
     recovery=None,
 ) -> SSSPResult:
     """Run synchronous Near-Far on a simulated GPU."""
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
     delta = check_delta(delta, graph)
-
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, graph)
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, source, 0.0)
-    stats = WorkStats()
-    stats.record(np.array([source]), np.array([0.0]), np.array([True]))
-    runtime = make_runtime(recovery, device, dgraph, dist, source, "near-far")
+    solve = GPUSolve(graph, source, "near-far", spec=spec, recovery=recovery)
+    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
+    runtime = solve.runtime
+    n = graph.num_vertices
 
     threshold = delta
-    near = np.array([source], dtype=np.int64)
+    near = np.array([solve.src], dtype=np.int64)
     far_mask = np.zeros(n, dtype=bool)
     # windowed far pile: the host mirrors each far vertex's latest inserted
     # distance — exactly the register-resident value the winning atomic
@@ -88,7 +80,6 @@ def nearfar_sssp(
     # wholesale; only the straddling boundary window needs the counted
     # gather-and-ballot split.
     far_val = np.full(n, np.inf)
-    settled_below = np.zeros(n, dtype=bool)
     iterations = 0
 
     chain = PersistentChain(device)
@@ -146,23 +137,20 @@ def nearfar_sssp(
 
         iterations += 1
         if iterations > max_iterations:
-            exc = ConvergenceError(
+            solve.give_up(ConvergenceError(
                 "near-far iteration limit exceeded",
                 method="near-far", iterations=iterations - 1,
                 frontier=int(near.size), delta=delta,
-            )
-            if runtime is None:
-                raise exc
-            runtime.recover(exc)
-            break  # the final repair sweeps restore the fixpoint
+            ))
+            break
         if runtime is not None and runtime.epoch(int(near.size)):
             chain.end()
-        settled_below[near] = True
         try:
             with chain.segment("nearfar_relax") as k:
                 batch = dgraph.batch(near, "all")
                 a = thread_per_vertex_edges(batch.counts)
-                out = relax_batch(k, dgraph, dist, near, batch, a, stats)
+                out = relax_batch(k, dgraph, dist, near, batch, a,
+                                  solve.stats)
                 if out.targets.size:
                     upd_targets = out.targets[out.updated]
                     # classify on the value the winning atomic wrote — the
@@ -222,23 +210,7 @@ def nearfar_sssp(
         far_val[near_next] = np.inf
         near = near_next
 
-    if runtime is not None:
-        runtime.finish()
-
-    return SSSPResult(
-        dist=dist.data.copy(),
-        source=source,
-        method="near-far",
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=stats.finalize(dist.data),
-        counters=device.counters,
-        num_edges=graph.num_edges,
-        extra={
-            "timeline": device.timeline,
-            "iterations": iterations, "delta": delta},
-        faults=runtime.report if runtime is not None else None,
-    )
+    return solve.result({"iterations": iterations, "delta": delta})
 
 
 def _per_warp(threads: np.ndarray, warp_size: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import Watchdog, WatchdogTimeout, make_runtime
+from ..faults.runtime import Watchdog, WatchdogTimeout
 from ..graphs.csr import CSRGraph
 from ..gpusim.compaction import compact_multisplit
 from ..gpusim.device import GPUDevice, KernelContext
@@ -46,6 +46,7 @@ from ..util.scan import sorted_unique_ints
 from ..metrics.workstats import WorkStats
 from ..reorder.pipeline import apply_pro
 from .buckets import DeltaController
+from .engine import GPUSolve
 from .errors import ConvergenceError
 from .persistent import PersistentChain, controller_step, publish_grid_min
 from .relax import DeviceGraph, relax_batch
@@ -130,10 +131,11 @@ def rdbs_sssp(
 ) -> SSSPResult:
     """Run the RDBS engine (or any ablation arm) on a simulated GPU.
 
-    Returns distances in the *original* vertex id space even when ``pro``
-    relabels internally.  ``async_chunk`` sets how many active vertices
-    each asynchronous micro-round drains (smaller = fresher distances /
-    fewer redundant updates, larger = fewer scheduling rounds).
+    ``source`` and the returned distances are in ``graph``'s id space even
+    when ``pro`` relabels internally (see :mod:`repro.sssp.engine`).
+    ``async_chunk`` sets how many active vertices each asynchronous
+    micro-round drains (smaller = fresher distances / fewer redundant
+    updates, larger = fewer scheduling rounds).
 
     ``recovery`` (``True`` or a :class:`repro.faults.RecoveryPolicy`)
     enables the self-healing runtime: epoch checkpoints, invariant probes,
@@ -147,9 +149,6 @@ def rdbs_sssp(
     """
     if async_chunk < 1:
         raise ValueError("async_chunk must be >= 1")
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
     delta = check_delta(delta, graph)
 
     try:
@@ -184,33 +183,26 @@ def _rdbs_run(
 ) -> SSSPResult:
     """One full search at a fixed Δ (see :func:`rdbs_sssp`)."""
     n = graph.num_vertices
-
-    # ------------------------------------------------------------------
+    method = "rdbs" if (pro and adwl and basyn) else _arm_name(pro, adwl, basyn)
     # preprocessing (not timed, matching the paper's methodology)
-    # ------------------------------------------------------------------
-    work_graph = apply_pro(graph, delta) if pro else graph
-    src = int(work_graph.old_to_new[source]) if pro else source
-
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, work_graph)
+    solve = GPUSolve(
+        graph, source, method, spec=spec, recovery=recovery,
+        work_graph=apply_pro(graph, delta) if pro else None,
+    )
+    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
+    runtime, stats = solve.runtime, solve.stats
     # execution strategy follows the graph's actual capabilities: a caller
     # may hand in a graph that already carries heavy offsets (pre-applied
     # PRO) with pro=False — it still gets branch-free light/heavy ranges
     use_offsets = dgraph.heavy is not None
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, src, 0.0)
     in_queue = np.zeros(n, dtype=bool)  # host mirror of the queue flags
     # device buffer receiving the compacted next-bucket candidates; sized
     # to the edge count because duplicate updates (several heavy edges
     # improving one vertex in one pass) each append an entry.  Write-only
     # scratch — left uninitialized (cudaMalloc semantics)
     candidate_buf = device.empty(
-        max(work_graph.num_edges, 1), dtype=np.int64, name="candidates"
+        max(graph.num_edges, 1), dtype=np.int64, name="candidates"
     )
-    stats = WorkStats()
-    stats.record(np.array([src]), np.array([0.0]), np.array([True]))
-
-    runtime = make_runtime(recovery, device, dgraph, dist, src, "rdbs")
     #: live BASYN toggle — the watchdog degrades it to synchronous mid-run
     basyn_active = basyn
     #: bucket fusion: the BASYN bucket loop is one persistent kernel
@@ -223,12 +215,9 @@ def _rdbs_run(
     lo = 0.0
     buckets_processed = 0
     total_rounds = 0
-    #: one row per processed bucket (the Δ_i trajectory of Eq. 1–2 and
-    #: the Figs. 2–3 series): the result's ``extra["bucket_telemetry"]``
-    #: and the ``bucket_close`` payload the trace layer's bucket spans
-    #: show.  Aborted buckets keep None feedback fields.
-    bucket_telemetry: list[dict] = []
-    #: ``stats`` batch marks bounding each row's phase 1
+    #: ``stats`` batch marks bounding each bucket row's phase 1 (rows are
+    #: the Δ_i trajectory of Eq. 1–2 and the Figs. 2–3 series; aborted
+    #: buckets keep None feedback fields)
     phase1_spans: list[tuple[int, int]] = []
 
     while True:
@@ -363,43 +352,25 @@ def _rdbs_run(
                 rounds=outcome.rounds, converged=int(outcome.settled.size),
                 threads=outcome.threads_used, phase1_active=outcome.drained,
             )
-        device.annotate("bucket_close", **row)
-        bucket_telemetry.append(row)
+        solve.close_bucket(row)
         phase1_spans.append(
             (p1_start, stats.update_batches if p1_end is None else p1_end)
         )
 
-    if runtime is not None:
-        runtime.finish()
-    tally, phase1_counts = stats.finalize_spans(dist.data, phase1_spans)
-    for row, (updates, valid) in zip(bucket_telemetry, phase1_counts):
+    phase1_counts = solve.finish(phase1_spans)
+    for row, (updates, valid) in zip(solve.bucket_telemetry, phase1_counts):
         row.update(phase1_updates=updates, phase1_valid=valid)
 
-    dist_out = work_graph.to_original_order(dist.data.copy()) if pro else dist.data.copy()
-    method = "rdbs" if (pro and adwl and basyn) else _arm_name(pro, adwl, basyn)
-    return SSSPResult(
-        dist=dist_out,
-        source=source,
-        method=method,
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=tally,
-        counters=device.counters,
-        num_edges=graph.num_edges,
-        extra={
-            "timeline": device.timeline,
-            "buckets": buckets_processed,
-            "rounds": total_rounds,
-            "delta0": delta,
-            "final_delta": controller.widths[-1] if controller and controller.widths else delta,
-            "pro": pro,
-            "adwl": adwl,
-            "basyn": basyn,
-            "delta_rescaled": rescaled,
-            "bucket_telemetry": bucket_telemetry,
-        },
-        faults=runtime.report if runtime is not None else None,
-    )
+    return solve.result({
+        "buckets": buckets_processed,
+        "rounds": total_rounds,
+        "delta0": delta,
+        "final_delta": controller.widths[-1] if controller and controller.widths else delta,
+        "pro": pro,
+        "adwl": adwl,
+        "basyn": basyn,
+        "delta_rescaled": rescaled,
+    })
 
 
 def _arm_name(pro: bool, adwl: bool, basyn: bool) -> str:
@@ -701,7 +672,7 @@ def _phase23_fused(
                 weight_filter = (split, False)
             if batch.num_edges:
                 a = grid_stride(batch.num_edges, PHASE23_THREADS)
-                targets, updated = relax_batch(
+                out = relax_batch(
                     k, dgraph, dist, settled, batch, a, stats,
                     weight_filter=weight_filter,
                 )
@@ -710,9 +681,11 @@ def _phase23_fused(
                 if (
                     weight_filter is None
                     and candidate_buf is not None
-                    and targets.size
+                    and out.targets.size
                 ):
-                    compact_multisplit(k, candidate_buf, updated, targets, a)
+                    compact_multisplit(
+                        k, candidate_buf, out.updated, out.targets, a
+                    )
         # phase 3: one dist read per vertex to build the next bucket
         a_scan = grid_stride(n, PHASE23_THREADS)
         dvals = k.gather(dist, np.arange(n, dtype=np.int64), a_scan)

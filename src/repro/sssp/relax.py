@@ -207,11 +207,6 @@ class RelaxOutcome:
     #: per-edge tentative distance handed to the atomic
     new_dist: np.ndarray
 
-    def __iter__(self):
-        # (targets, updated) unpacking remains valid for call sites that
-        # do not need the written values
-        return iter((self.targets, self.updated))
-
 
 _EMPTY_OUTCOME = RelaxOutcome(
     targets=np.zeros(0, dtype=np.int64),

@@ -23,11 +23,12 @@ class SSSPResult:
     Attributes
     ----------
     dist:
-        shortest distance from the source to every vertex **in the
-        original vertex id space** (implementations that reorder internally
-        map back before returning); unreachable vertices hold ``inf``.
+        shortest distance from the source to every vertex **in the input
+        graph's id space** — whatever permutation that graph carries;
+        implementations that reorder internally map back before returning.
+        Unreachable vertices hold ``inf``.
     source:
-        the source vertex (original ids).
+        the source vertex, in the input graph's id space.
     method:
         implementation label (``"rdbs"``, ``"bl"``, ``"adds"``, ...).
     graph_name:

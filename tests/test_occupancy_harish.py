@@ -1,7 +1,6 @@
 """Tests for the occupancy calculator, the Harish–Narayanan baseline and
 the async chunk-size knob."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import kronecker, path, star
@@ -12,7 +11,13 @@ from repro.gpusim import (
     clamp_grid,
     occupancy,
 )
-from repro.sssp import harish_narayanan_sssp, rdbs_sssp, sssp, validate_distances
+from repro.sssp import (
+    ConvergenceError,
+    harish_narayanan_sssp,
+    rdbs_sssp,
+    sssp,
+    validate_distances,
+)
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -107,8 +112,8 @@ class TestHarishNarayanan:
 
     def test_iteration_cutoff(self):
         g = path(30)
-        r = harish_narayanan_sssp(g, 0, spec=SPEC, max_iterations=3)
-        assert np.isinf(r.dist[-1])
+        with pytest.raises(ConvergenceError, match="iteration limit"):
+            harish_narayanan_sssp(g, 0, spec=SPEC, max_iterations=3)
 
     def test_source_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,10 @@ get wrong —
   one bucket sequence),
 * disconnected graphs and sources that are isolated or sit in a small
   component (most distances stay ``inf``),
-* directed and symmetric edge sets —
+* directed and symmetric edge sets,
+* the same graphs relabeled by descending degree: every GPU engine
+  takes ``source`` and returns ``dist`` in its input graph's id space,
+  even when the input already carries a relabeling permutation —
 
 plus the extreme-Δ cases on ``kron:8,8``: Δ = 1e-3 (hundreds of thousands
 of empty intervals between buckets) and Δ = 1e9 (one bucket holds the
@@ -28,7 +31,8 @@ import pytest
 
 from repro.graphs import from_edges, kronecker, largest_component_vertices
 from repro.gpusim import V100
-from repro.sssp import sssp, validate_distances
+from repro.reorder import reorder_by_degree
+from repro.sssp import GPU_METHODS, sssp, validate_distances
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -72,6 +76,14 @@ def adversarial_graph(seed: int):
     return g, source
 
 
+def relabeled_graph(seed: int):
+    """The seed's adversarial graph relabeled by descending degree, and
+    the same source vertex under its new id."""
+    g, s = adversarial_graph(seed)
+    rg = reorder_by_degree(g)
+    return rg, int(rg.old_to_new[s])
+
+
 def assert_matches_dijkstra(g, s, dist) -> None:
     """``dist`` equals the binary-heap Dijkstra's distances (and SciPy's)."""
     validate_distances(g, s, dist)
@@ -99,6 +111,15 @@ def test_nearfar_matches_dijkstra(seed):
 def test_engine_matches_dijkstra(seed, method):
     g, s = adversarial_graph(seed)
     r = sssp(g, s, method=method, spec=SPEC)
+    assert_matches_dijkstra(g, s, r.dist)
+
+
+@pytest.mark.parametrize("method", sorted(GPU_METHODS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_relabeled_input_matches_dijkstra(seed, method):
+    g, s = relabeled_graph(seed)
+    r = sssp(g, s, method=method, spec=SPEC)
+    assert r.source == s
     assert_matches_dijkstra(g, s, r.dist)
 
 

@@ -1,4 +1,4 @@
-"""Tests for shortest-path-tree reconstruction and batch evaluation."""
+"""Tests for shortest-path-tree reconstruction."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,7 @@ from repro.graphs import from_edges, kronecker, path, star
 from repro.gpusim import V100
 from repro.sssp import (
     build_parents,
-    draw_sources,
     extract_path,
-    run_batch,
     scipy_distances,
     shortest_path_tree,
     validate_path,
@@ -120,36 +118,3 @@ class TestShortestPathTree:
         t = shortest_path_tree(g, 0, method="dijkstra")
         assert t.reached == 2
 
-
-class TestBatch:
-    def test_draw_sources_in_component(self):
-        g = from_edges(np.array([0, 1, 5]), np.array([1, 2, 6]), np.ones(3),
-                       num_vertices=7, symmetrize=True)
-        sources = draw_sources(g, num_sources=3, seed=1)
-        assert set(sources) <= {0, 1, 2}
-
-    def test_draw_more_than_available(self):
-        g = path(4)
-        assert len(draw_sources(g, num_sources=100)) == 4
-
-    def test_batch_aggregation(self):
-        g = kronecker(8, 8, weights="int", seed=6)
-        b = run_batch(g, "rdbs", num_sources=4, validate=True, spec=SPEC)
-        assert len(b.results) == 4
-        assert b.min_time_ms <= b.mean_time_ms <= b.max_time_ms
-        assert b.stdev_time_ms >= 0
-        s = b.summary()
-        assert s["sources"] == 4
-        assert s["gteps"] > 0
-        assert s["update_ratio"] >= 1.0
-
-    def test_explicit_sources(self):
-        g = path(10)
-        b = run_batch(g, "dijkstra", sources=[0, 9])
-        assert b.sources == [0, 9]
-        assert b.stdev_time_ms == 0.0 or len(b.results) == 2
-
-    def test_single_source_stdev_zero(self):
-        g = path(6)
-        b = run_batch(g, "delta-cpu", sources=[0])
-        assert b.stdev_time_ms == 0.0

@@ -83,8 +83,8 @@ class TestRelaxBatch:
         with dev.launch("k") as k:
             batch = dg.batch(np.array([0]), "all")
             a = thread_per_vertex_edges(batch.counts)
-            targets, updated = relax_batch(k, dg, dist, np.array([0]), batch, a, stats)
-        assert updated.all()
+            out = relax_batch(k, dg, dist, np.array([0]), batch, a, stats)
+        assert out.updated.all()
         assert stats.total_updates == 4
         # distances of vertex 0's neighbors now set
         assert np.isfinite(dist.data).sum() == 5
@@ -109,10 +109,10 @@ class TestRelaxBatch:
         with dev.launch("k") as k:
             batch = dg.batch(np.array([], dtype=np.int64), "all")
             a = thread_per_vertex_edges(batch.counts)
-            targets, updated = relax_batch(
+            out = relax_batch(
                 k, dg, dist, np.array([], dtype=np.int64), batch, a, None
             )
-        assert targets.size == 0
+        assert out.targets.size == 0
 
 
 class TestFrontierFlags:
