@@ -60,7 +60,13 @@ from .graphs import (
 from .faults import GPU_METHODS, plan_names
 from .serve.chaos import chaos_plan_names
 from .gpusim import A100, T4, V100
-from .sssp import DistanceMismatch, method_names, sssp, validate_distances
+from .sssp import (
+    METHOD_OPTIONS,
+    DistanceMismatch,
+    method_names,
+    sssp,
+    validate_distances,
+)
 
 __all__ = ["main", "parse_graph_spec", "parse_gpu_spec"]
 
@@ -117,14 +123,20 @@ def _pick_source(graph: CSRGraph, arg: str) -> int:
     return int(arg)
 
 
-def _gpu_kwargs(args, method: str) -> dict:
+def _gpu_kwargs(args, method: str, *, delta_methods_only: bool = False) -> dict:
+    """The solver keywords the command line sets for ``method``.
+
+    ``--delta`` on a method that takes no Δ exits with a one-line error,
+    or, with ``delta_methods_only``, is left out for that method.
+    """
     kw: dict = {}
     if method in GPU_METHODS:
         kw["spec"] = parse_gpu_spec(args.gpu, args.workload_scale)
-    if args.delta is not None and method not in (
-        "dijkstra", "bellman-ford"
-    ):
-        kw["delta"] = args.delta
+    if args.delta is not None:
+        if "delta" in METHOD_OPTIONS[method]:
+            kw["delta"] = args.delta
+        elif not delta_methods_only:
+            raise SystemExit(f"method {method!r} takes no --delta")
     return kw
 
 
@@ -158,7 +170,8 @@ def _cmd_compare(args) -> int:
     print(f"graph: {graph}, source {source}\n")
     print(f"{'method':<16} {'time (ms)':>10} {'GTEPS':>8} {'ratio':>7}")
     for m in methods:
-        r = sssp(graph, source, method=m, **_gpu_kwargs(args, m))
+        r = sssp(graph, source, method=m,
+                 **_gpu_kwargs(args, m, delta_methods_only=True))
         if not args.no_validate:
             validate_distances(graph, source, r.dist)
         ratio = r.work.update_ratio if r.work else float("nan")

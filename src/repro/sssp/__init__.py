@@ -1,6 +1,6 @@
 """SSSP algorithms: the paper's RDBS plus every baseline it compares against."""
 
-from .api import GPU_METHODS, METHODS, method_names, sssp
+from .api import GPU_METHODS, METHOD_OPTIONS, METHODS, method_names, sssp
 from .paths import (
     ShortestPathTree,
     build_parents,
@@ -28,6 +28,7 @@ __all__ = [
     "sssp",
     "METHODS",
     "GPU_METHODS",
+    "METHOD_OPTIONS",
     "method_names",
     "mlmq_sssp",
     "SSSPResult",

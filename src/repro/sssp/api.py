@@ -6,7 +6,9 @@ examples, tests and benchmarks can sweep methods uniformly.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable
+from functools import partial
 
 from ..graphs.csr import CSRGraph
 from .cpu_pq_delta import pq_delta_star_sssp
@@ -21,21 +23,13 @@ from .reference import bellman_ford, dijkstra
 from .rho_stepping import rho_stepping_sssp
 from .result import SSSPResult
 
-__all__ = ["sssp", "METHODS", "GPU_METHODS", "method_names"]
-
-
-def _rdbs_arm(pro: bool, adwl: bool, basyn: bool) -> Callable[..., SSSPResult]:
-    def run(graph: CSRGraph, source: int, **kw) -> SSSPResult:
-        return rdbs_sssp(graph, source, pro=pro, adwl=adwl, basyn=basyn, **kw)
-
-    return run
-
+__all__ = ["sssp", "METHODS", "GPU_METHODS", "METHOD_OPTIONS", "method_names"]
 
 #: CPU references and competitors
 _CPU_METHODS: dict[str, Callable[..., SSSPResult]] = {
     # references (exact)
-    "dijkstra": lambda g, s, **kw: dijkstra(g, s),
-    "bellman-ford": lambda g, s, **kw: bellman_ford(g, s),
+    "dijkstra": dijkstra,
+    "bellman-ford": bellman_ford,
     # competitors
     "delta-cpu": delta_stepping_cpu,
     "pq-delta*": pq_delta_star_sssp,
@@ -54,11 +48,11 @@ _GPU_METHODS: dict[str, Callable[..., SSSPResult]] = {
     "adds": adds_sssp,
     # the paper's algorithm and its ablation arms (Fig. 8)
     "rdbs": rdbs_sssp,
-    "basyn": _rdbs_arm(pro=False, adwl=False, basyn=True),
-    "basyn+pro": _rdbs_arm(pro=True, adwl=False, basyn=True),
-    "basyn+adwl": _rdbs_arm(pro=False, adwl=True, basyn=True),
-    "basyn+pro+adwl": _rdbs_arm(pro=True, adwl=True, basyn=True),
-    "sync-delta": _rdbs_arm(pro=False, adwl=False, basyn=False),
+    "basyn": partial(rdbs_sssp, pro=False, adwl=False, basyn=True),
+    "basyn+pro": partial(rdbs_sssp, pro=True, adwl=False, basyn=True),
+    "basyn+adwl": partial(rdbs_sssp, pro=False, adwl=True, basyn=True),
+    "basyn+pro+adwl": partial(rdbs_sssp, pro=True, adwl=True, basyn=True),
+    "sync-delta": partial(rdbs_sssp, pro=False, adwl=False, basyn=False),
     # the multi-level-multi-queue successor (ROADMAP item 1)
     "mlmq": mlmq_sssp,
 }
@@ -71,6 +65,15 @@ METHODS: dict[str, Callable[..., SSSPResult]] = {
 
 #: names of the simulated-GPU engines, derived from the registry
 GPU_METHODS: frozenset[str] = frozenset(_GPU_METHODS)
+
+
+#: the options each method accepts: the keywords the function it calls
+#: takes after ``(graph, source)``, minus those a ``partial`` fixes
+METHOD_OPTIONS: dict[str, frozenset[str]] = {
+    name: frozenset(list(inspect.signature(fn).parameters)[2:])
+    - set(getattr(fn, "keywords", ()))
+    for name, fn in METHODS.items()
+}
 
 
 def method_names() -> list[str]:
@@ -91,7 +94,9 @@ def sssp(graph: CSRGraph, source: int, method: str = "rdbs", **kwargs) -> SSSPRe
     method:
         one of :func:`method_names`; defaults to the paper's RDBS.
     **kwargs:
-        forwarded to the implementation (``delta=``, ``spec=``, ...).
+        forwarded to the implementation (``delta=``, ``spec=``, ...);
+        an option the method does not take (see :data:`METHOD_OPTIONS`)
+        raises :class:`ValueError`.
 
     Returns
     -------
@@ -104,4 +109,11 @@ def sssp(graph: CSRGraph, source: int, method: str = "rdbs", **kwargs) -> SSSPRe
     except KeyError:
         known = ", ".join(METHODS)
         raise ValueError(f"unknown method {method!r}; known: {known}") from None
+    unknown = sorted(set(kwargs) - METHOD_OPTIONS[method])
+    if unknown:
+        takes = ", ".join(sorted(METHOD_OPTIONS[method])) or "none"
+        raise ValueError(
+            f"method {method!r} does not take {', '.join(unknown)}; "
+            f"its options: {takes}"
+        )
     return fn(graph, source, **kwargs)

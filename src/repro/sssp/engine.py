@@ -105,6 +105,17 @@ class GPUSolve:
             raise exc
         self.runtime.recover(exc)
 
+    def on_abort(self, exc: BaseException) -> np.ndarray:
+        """A kernel aborted: raise ``exc`` without a runtime.
+
+        With one, the runtime rolls ``dist`` back to its last checkpoint
+        and returns the finite vertices the engine reseeds its worklist
+        from (:meth:`RecoveryRuntime.on_abort`).
+        """
+        if self.runtime is None:
+            raise exc
+        return self.runtime.on_abort(exc)
+
     def close_bucket(self, row: dict) -> None:
         """Publish one processed bucket's row (``bucket_close``) and keep it."""
         self.device.annotate("bucket_close", **row)

@@ -23,7 +23,7 @@ import numpy as np
 from ..faults.plan import InjectedKernelAbort
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import subset_assignment
-from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
+from ..gpusim.kernels import grid_stride, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
 from ..util.scan import sorted_unique_ints
 from .engine import GPUSolve
@@ -31,6 +31,7 @@ from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
 from .relax import relax_batch
 from .result import SSSPResult
+from .worklist import SlotPool
 
 __all__ = ["adds_sssp"]
 
@@ -61,17 +62,9 @@ def adds_sssp(
     in_near = np.zeros(n, dtype=bool)
     in_near[solve.src] = True
     far_mask = np.zeros(n, dtype=bool)
-    # device-resident near worklist and far pile; insertions append densely
-    # behind rolling cursors (coalesced stores) into the slot arrays, and
-    # overflow into the vertex-addressed spill arrays.  Write-only scratch,
-    # so the storage stays uninitialized (cudaMalloc semantics) — a read
-    # before a write is a bug the sanitizer flags.
-    slot_cap = max(graph.num_edges, 1)
-    near_slots = device.empty(slot_cap, dtype=np.int64, name="near_slots")
-    far_slots = device.empty(slot_cap, dtype=np.int64, name="far_slots")
-    near_spill = device.empty(n, dtype=np.int64, name="near_spill")
-    far_spill = device.empty(n, dtype=np.int64, name="far_spill")
-    cursors = {"near": 0, "far": 0}
+    # device-resident near worklist and far pile (repro.sssp.worklist)
+    near_pool = SlotPool(device, max(graph.num_edges, 1), "near_slots")
+    far_pool = SlotPool(device, max(graph.num_edges, 1), "far_slots")
     counters = {"steps": 0, "rounds": 0}
     # dynamic-Δ feedback: aim to keep a near set around the device's
     # resident-warp parallelism (ADDS's utilization-driven adjustment)
@@ -96,9 +89,7 @@ def adds_sssp(
                     order, offs = k.multisplit(keys, 2, a)
                     promote = candidates[order[: offs[1]]]
             except InjectedKernelAbort as exc:
-                if runtime is None:
-                    raise
-                near = _adds_reseed(runtime, exc, in_near, far_mask)
+                near = _adds_reseed(solve, exc, in_near, far_mask)
                 continue
             device.barrier()
             far_mask[promote] = False
@@ -126,17 +117,14 @@ def adds_sssp(
             with device.launch("adds_async") as k:
                 _adds_async(
                     k, dgraph, dist, near, in_near, far_mask,
-                    near_slots, far_slots, near_spill, far_spill,
-                    cursors, solve.stats, threshold,
+                    near_pool, far_pool, solve.stats, threshold,
                     max_steps, cur_delta, counters,
                 )
         except ConvergenceError as exc:
             solve.give_up(exc)
             break
         except InjectedKernelAbort as exc:
-            if runtime is None:
-                raise
-            near = _adds_reseed(runtime, exc, in_near, far_mask)
+            near = _adds_reseed(solve, exc, in_near, far_mask)
             continue
         device.barrier()
 
@@ -147,14 +135,12 @@ def adds_sssp(
 
 def _adds_async(
     k, dgraph, dist, near, in_near, far_mask,
-    near_slots, far_slots, near_spill, far_spill,
-    cursors, stats, threshold, max_steps, cur_delta, counters,
+    near_pool, far_pool, stats, threshold, max_steps, cur_delta, counters,
 ):
     """Drain the near worklist inside one persistent asynchronous kernel.
 
-    Worklist insertions are dense coalesced appends behind the rolling
-    ``cursors`` into ``near_slots`` / ``far_slots``, overflowing into the
-    vertex-addressed spill arrays.
+    Worklist insertions are dense coalesced appends into ``near_pool`` /
+    ``far_pool``.
     """
     # per-round telemetry is host-only and gated on an attached observer
     note_rounds = bool(k.device.handlers("on_annotate"))
@@ -204,47 +190,22 @@ def _adds_async(
             in_near[fresh] = True
             far_mask[fresh] = False
             near.append(fresh)
-            a_push = thread_per_item(fresh.size)
-            fsize = int(fresh.size)
-            ncur = cursors["near"]
-            if ncur + fsize <= near_slots.size:
-                k.scatter(
-                    near_slots, ncur + np.arange(fsize, dtype=np.int64),
-                    fresh, a_push,
-                )
-                cursors["near"] = ncur + fsize
-            else:
-                # full slot array (re-activation storm): spill into the
-                # vertex-addressed array — distinct ids by construction
-                # (sorted_unique_ints)
-                # repro-static: assume-disjoint
-                k.scatter(near_spill, fresh, fresh, a_push)
+            near_pool.store(k, fresh)
         far_new = sorted_unique_ints(far_hits)
         far_new = far_new[~in_near[far_new]]
         if far_new.size:
             far_mask[far_new] = True
-            a_far = thread_per_item(far_new.size)
-            wsize = int(far_new.size)
-            fcur = cursors["far"]
-            if fcur + wsize <= far_slots.size:
-                k.scatter(
-                    far_slots, fcur + np.arange(wsize, dtype=np.int64),
-                    far_new, a_far,
-                )
-                cursors["far"] = fcur + wsize
-            else:
-                # repro-static: assume-disjoint
-                k.scatter(far_spill, far_new, far_new, a_far)
+            far_pool.store(k, far_new)
 
 
-def _adds_reseed(runtime, exc, in_near, far_mask):
+def _adds_reseed(solve, exc, in_near, far_mask):
     """Roll back after an aborted kernel and rebuild the near worklist.
 
     Every finite vertex of the restored checkpoint re-enters the near set;
     re-relaxing settled vertices costs extra work but cannot change a
     correct distance.
     """
-    fin = runtime.on_abort(exc)
+    fin = solve.on_abort(exc)
     in_near[:] = False
     in_near[fin] = True
     far_mask[:] = False

@@ -85,9 +85,7 @@ def bl_sssp(
                 else:
                     next_frontier = np.zeros(0, dtype=np.int64)
         except InjectedKernelAbort as exc:
-            if runtime is None:
-                raise
-            frontier = runtime.on_abort(exc)
+            frontier = solve.on_abort(exc)
             continue
         device.barrier()  # synchronous mode: barrier every iteration
         frontier = next_frontier

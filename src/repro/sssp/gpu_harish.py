@@ -105,11 +105,9 @@ def harish_narayanan_sssp(
                         sub_u,
                     )
         except InjectedKernelAbort as exc:
-            if runtime is None:
-                raise
             # the mask array is not checkpointed; conservatively re-mark
             # every finite vertex so no relaxation is lost
-            fin = runtime.on_abort(exc)
+            fin = solve.on_abort(exc)
             device.host_store(
                 mask, all_vertices, np.zeros(n, dtype=np.int8)
             )

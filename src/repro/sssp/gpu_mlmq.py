@@ -14,8 +14,8 @@ This engine realises that design on the simulated device:
 
 * **placement** — one warp-ballot multisplit classifies each round's
   improved vertices by ``(level offset, queue id)`` in a single pass;
-  pushes are dense cursor appends into shared slot pools (coalesced
-  stores), the same discipline as the RDBS/ADDS multisplit paths;
+  pushes go to the shared worklist store of RDBS and ADDS
+  (:class:`repro.sssp.worklist.SlotPool`);
 * **relaxation** — popped batches relax edge-parallel under a balanced
   grid-stride assignment, so power-law hubs cannot serialize a queue
   group the way vertex-per-thread mappings do;
@@ -23,7 +23,7 @@ This engine realises that design on the simulated device:
   from the largest remaining queue of the level (ties to the lowest
   queue id), one counted descriptor CAS per handoff (``mlmq_steals`` /
   ``mlmq_stolen_slots``);
-* **windowing** — only ``window_levels`` levels are materialised at a
+* **windowing** — only :data:`WINDOW_LEVELS` levels are materialised at a
   time; farther improvements park in an overflow pile (value-mirrored,
   like Near-Far's far pile) and are promoted by a counted
   reclassification kernel (``mlmq_advance``) when the window reaches
@@ -42,7 +42,6 @@ import numpy as np
 from ..faults.plan import InjectedKernelAbort
 from ..faults.runtime import WatchdogTimeout
 from ..graphs.csr import CSRGraph
-from ..gpusim.device import GPUDevice
 from ..gpusim.kernels import grid_stride, thread_per_item
 from ..gpusim.spec import GPUSpec, V100
 from ..metrics.workstats import WorkStats
@@ -52,6 +51,7 @@ from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
 from .relax import relax_batch
 from .result import SSSPResult
+from .worklist import SlotPool, pop_oldest
 
 __all__ = ["mlmq_sssp", "NUM_QUEUES", "WINDOW_LEVELS", "GROUP_CHUNK"]
 
@@ -75,26 +75,25 @@ _DRAIN_THREADS = 32 * 256
 _HASH_MULT = np.int64(2654435761)
 
 
-def _queue_of(vertices: np.ndarray, num_queues: int) -> np.ndarray:
+#: multisplit bucket of the beyond-window improvements
+_OVERFLOW_BUCKET = WINDOW_LEVELS * NUM_QUEUES
+
+
+def _queue_of(vertices: np.ndarray) -> np.ndarray:
     """Deterministic queue id per vertex: ``hash(v) mod B``."""
-    return ((vertices * _HASH_MULT) >> np.int64(16)) % np.int64(num_queues)
+    return ((vertices * _HASH_MULT) >> np.int64(16)) % np.int64(NUM_QUEUES)
 
 
 class _QueuePool:
     """Host bookkeeping of the queue hierarchy.
 
-    Queue *contents* are mirrored host-side (the repo-wide worklist
-    discipline: slot arrays on the device are write-only scratch whose
-    insertion traffic is counted, while membership lives in host mirrors
-    — exactly how ADDS keeps its near list and RDBS its queue flags).
-    Pushes are dense cursor appends into a shared device slot pool; when
-    a pool fills, a fresh one is allocated and the cursor rewinds.
+    Queue *contents* are mirrored host-side; every push also goes to the
+    device worklist store ``pool`` (:mod:`repro.sssp.worklist`), shared by
+    all queues.
     """
 
-    def __init__(self, device: GPUDevice, n: int, num_edges: int,
-                 num_queues: int) -> None:
-        self.device = device
-        self.num_queues = num_queues
+    def __init__(self, pool: SlotPool, n: int) -> None:
+        self.pool = pool
         #: level -> per-queue FIFO chunk lists
         self.queues: dict[int, list[list[np.ndarray]]] = {}
         #: level -> per-queue pending sizes
@@ -104,50 +103,24 @@ class _QueuePool:
         #: beyond-window improvements: membership + value mirror
         self.overflow_mask = np.zeros(n, dtype=bool)
         self.overflow_val = np.full(n, np.inf)
-        self._cap = max(int(num_edges), 1024)
-        self._pool = device.empty(self._cap, dtype=np.int64,
-                                  name="mlmq_pool0")
-        self._cursor = 0
-        self._pool_seq = 1
 
-    # -- device-side slot accounting -----------------------------------
-    def reserve(self, size: int):
-        """A ``(pool, start)`` slot range for ``size`` appended entries."""
-        if self._cursor + size > self._pool.size:
-            self._pool = self.device.empty(
-                max(self._cap, size), dtype=np.int64,
-                name=f"mlmq_pool{self._pool_seq}",
-            )
-            self._pool_seq += 1
-            self._cursor = 0
-        start = self._cursor
-        self._cursor += size
-        return self._pool, start
+    def push_chunks(self, k, chunks: list[tuple[int, int, np.ndarray]]) -> int:
+        """Queue each ``(level, queue, vertices)`` chunk; one device store.
 
-    # -- host mirrors ---------------------------------------------------
-    def enqueue(self, level: int, queue: int, vertices: np.ndarray) -> None:
-        if level not in self.queues:
-            self.queues[level] = [[] for _ in range(self.num_queues)]
-            self.sizes[level] = np.zeros(self.num_queues, dtype=np.int64)
-        self.queues[level][queue].append(vertices)
-        self.sizes[level][queue] += vertices.size
-
-    def pop(self, level: int, queue: int, count: int) -> np.ndarray:
-        """Remove the ``count`` oldest entries of one queue (FIFO)."""
-        chunks = self.queues[level][queue]
-        taken: list[np.ndarray] = []
-        left = count
-        while left > 0:
-            head = chunks[0]
-            if head.size <= left:
-                taken.append(chunks.pop(0))
-                left -= head.size
-            else:
-                taken.append(head[:left])
-                chunks[0] = head[left:]
-                left = 0
-        self.sizes[level][queue] -= count
-        return taken[0] if len(taken) == 1 else np.concatenate(taken)
+        Returns the number of vertices pushed.
+        """
+        if not chunks:
+            return 0
+        pushed = np.concatenate([vs for _, _, vs in chunks])
+        self.pool.store(k, pushed)
+        for level, queue, vs in chunks:
+            if level not in self.queues:
+                self.queues[level] = [[] for _ in range(NUM_QUEUES)]
+                self.sizes[level] = np.zeros(NUM_QUEUES, dtype=np.int64)
+            self.queues[level][queue].append(vs)
+            self.sizes[level][queue] += vs.size
+            self.queue_level[vs] = level
+        return int(pushed.size)
 
     def level_size(self, level: int) -> int:
         s = self.sizes.get(level)
@@ -171,45 +144,35 @@ def mlmq_sssp(
     *,
     delta: float | None = None,
     spec: GPUSpec = V100,
-    window_levels: int = WINDOW_LEVELS,
-    num_queues: int = NUM_QUEUES,
-    chunk: int = GROUP_CHUNK,
     max_rounds: int = 10_000_000,
     recovery=None,
 ) -> SSSPResult:
     """Run the Multi-Level-Multi-Queue engine on a simulated GPU.
 
-    ``window_levels`` × ``num_queues`` queues are live at once; ``chunk``
-    sets how many slots one queue group drains per micro-round.
+    :data:`WINDOW_LEVELS` × :data:`NUM_QUEUES` queues are live at once;
+    each queue group drains :data:`GROUP_CHUNK` slots per micro-round.
     ``recovery`` (``True`` or a :class:`repro.faults.RecoveryPolicy`)
     enables the self-healing runtime exactly as for the other engines:
     epoch checkpoints, a per-level watchdog, and final verify/repair
     sweeps.  Off (``None``) it costs nothing.
     """
-    if window_levels < 1 or num_queues < 1:
-        raise ValueError("window_levels and num_queues must be >= 1")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     delta = check_delta(delta, graph)
     solve = GPUSolve(graph, source, "mlmq", spec=spec, recovery=recovery)
     device, dgraph, dist = solve.device, solve.dgraph, solve.dist
     runtime = solve.runtime
 
-    state = _QueuePool(device, graph.num_vertices, graph.num_edges,
-                       num_queues)
+    state = _QueuePool(
+        SlotPool(device, max(graph.num_edges, 1024), "mlmq_pool"),
+        graph.num_vertices,
+    )
 
     # seed: the source enters its hashed queue of level 0 (one counted
-    # append, the same store discipline every later push uses)
+    # append, the same store every later push uses)
     src_arr = np.array([solve.src], dtype=np.int64)
     with device.launch("mlmq_init") as k:
-        pool, start = state.reserve(1)
-        k.scatter(pool, start + np.arange(1, dtype=np.int64), src_arr,
-                  thread_per_item(1))
-    state.enqueue(0, int(_queue_of(src_arr, num_queues)[0]), src_arr)
-    state.queue_level[solve.src] = 0
+        state.push_chunks(k, [(0, int(_queue_of(src_arr)[0]), src_arr)])
 
-    tally = {"rounds": 0, "stale": 0, "advances": 0, "steals": 0,
-             "stolen_slots": 0}
+    tally = {"rounds": 0, "stale": 0, "advances": 0}
     levels_processed = 0
 
     while True:
@@ -231,11 +194,9 @@ def mlmq_sssp(
             # promote overflow entries the window now covers
             if state.overflow_mask.any() and (
                 state.overflow_val[state.overflow_mask].min()
-                < (lvl + window_levels) * delta
+                < (lvl + WINDOW_LEVELS) * delta
             ):
-                _advance_window(device, dist, state, lvl, delta=delta,
-                                window=window_levels,
-                                num_queues=num_queues)
+                _advance_window(device, dist, state, lvl, delta=delta)
                 tally["advances"] += 1
             if state.level_size(lvl) == 0:
                 continue
@@ -247,12 +208,11 @@ def mlmq_sssp(
             occupancy = state.sizes[lvl].copy()
             watchdog = (
                 runtime.new_watchdog(state.level_size(lvl),
-                                     chunk * num_queues)
+                                     GROUP_CHUNK * NUM_QUEUES)
                 if runtime is not None else None
             )
             drain = _drain_level(
                 device, dgraph, dist, state, lvl, delta=delta,
-                window=window_levels, num_queues=num_queues, chunk=chunk,
                 stats=solve.stats, watchdog=watchdog, tally=tally,
                 max_rounds=max_rounds, note=note,
             )
@@ -266,9 +226,7 @@ def mlmq_sssp(
                    "occupancy": occupancy}
             solve.close_bucket(row)
         except (WatchdogTimeout, InjectedKernelAbort) as exc:
-            if runtime is None:
-                raise
-            _mlmq_reseed(runtime, exc, state, dist)
+            _mlmq_reseed(solve, exc, state, dist)
             continue
         except ConvergenceError as exc:
             solve.give_up(exc)
@@ -283,8 +241,6 @@ def mlmq_sssp(
     )
     return solve.result({
         "delta": delta,
-        "window_levels": window_levels,
-        "num_queues": num_queues,
         "levels": levels_processed,
         "rounds": tally["rounds"],
         "advances": tally["advances"],
@@ -297,26 +253,27 @@ def mlmq_sssp(
 
 def _drain_level(
     device, dgraph, dist, state: _QueuePool, lvl: int, *,
-    delta: float, window: int, num_queues: int, chunk: int,
-    stats: WorkStats, watchdog, tally: dict, max_rounds: int, note: bool,
+    delta: float, stats: WorkStats, watchdog, tally: dict, max_rounds: int,
+    note: bool,
 ) -> dict:
     """Drain one level's queues inside one persistent asynchronous kernel.
 
-    Each micro-round every queue group pops up to ``chunk`` slots from
-    its own queue; groups whose queue is empty steal (ascending group id,
-    deterministically) from the largest remaining queue of the level.
+    Each micro-round every queue group pops up to :data:`GROUP_CHUNK`
+    slots from its own queue; groups whose queue is empty steal
+    (ascending group id, deterministically) from the largest remaining
+    queue of the level.
     The combined batch is filtered against the level mirror (stale copies
     drop out), relaxed edge-parallel, and the improvements are
-    reclassified by one multisplit into ``window`` levels × ``B`` queues
-    plus an overflow bucket.  Returns the level's row fields ``rounds``,
-    ``converged``, ``steals``, ``stale`` and ``stolen_slots``.
+    reclassified by one multisplit into :data:`WINDOW_LEVELS` levels ×
+    :data:`NUM_QUEUES` queues plus an overflow bucket.  Returns the
+    level's row fields ``rounds``, ``converged``, ``steals``, ``stale``
+    and ``stolen_slots``.
     """
     rounds = 0
     stale = 0
     steals = 0
     stolen = 0
     converged = 0
-    overflow_bucket = window * num_queues
     with device.launch("mlmq_drain") as k:
         while state.level_size(lvl) > 0:
             rounds += 1
@@ -333,11 +290,11 @@ def _drain_level(
             # ---- pop planning: own queues first, then deterministic
             # stealing by the idle groups -----------------------------
             sizes = state.sizes[lvl]
-            take = np.minimum(sizes, chunk)
+            take = np.minimum(sizes, GROUP_CHUNK)
             remaining = sizes - take
             for g in np.flatnonzero(take == 0):
                 victim = int(np.argmax(remaining))  # ties: lowest qid
-                amount = int(min(chunk, remaining[victim]))
+                amount = int(min(GROUP_CHUNK, remaining[victim]))
                 if amount <= 0:
                     break
                 remaining[victim] -= amount
@@ -348,9 +305,10 @@ def _drain_level(
                 if note:
                     device.annotate("mlmq_steal", level=lvl, group=int(g),
                                     queue=victim, slots=amount)
+            sizes -= take
             popped = np.concatenate([
-                state.pop(lvl, q, int(take[q]))
-                for q in range(num_queues) if take[q] > 0
+                pop_oldest(state.queues[lvl][q], int(take[q]))
+                for q in range(NUM_QUEUES) if take[q] > 0
             ])
 
             # ---- pop + liveness filter: each popped slot loads the
@@ -387,9 +345,7 @@ def _drain_level(
                 if upd.size:
                     pushed = _classify_and_push(
                         k, state, upd, out.new_dist[out.updated], lvl,
-                        delta=delta, window=window,
-                        num_queues=num_queues,
-                        overflow_bucket=overflow_bucket,
+                        delta=delta,
                     )
             if note:
                 device.annotate(
@@ -399,39 +355,37 @@ def _drain_level(
                     pending=state.level_size(lvl),
                 )
     tally["stale"] += stale
-    tally["steals"] += steals
-    tally["stolen_slots"] += stolen
     return {"rounds": rounds, "converged": converged, "steals": steals,
             "stale": stale, "stolen_slots": stolen}
 
 
 def _classify_and_push(
     k, state: _QueuePool, targets: np.ndarray, values: np.ndarray,
-    lvl: int, *, delta: float, window: int, num_queues: int,
-    overflow_bucket: int,
+    lvl: int, *, delta: float,
 ) -> int:
     """Multisplit-classify one round's improvements and append them.
 
     Deduplicates targets first (several edges improving one vertex in one
     pass), then one ballot multisplit groups the winners by
-    ``(level offset, queue id)``; in-window buckets append densely behind
-    the pool cursor, the overflow bucket updates the far-pile mirrors.
+    ``(level offset, queue id)``; in-window buckets append to the
+    worklist store, the overflow bucket updates the far-pile mirrors.
     """
     cand = sorted_unique_ints(targets)
     pos = np.searchsorted(cand, targets)
     dv = np.full(cand.size, np.inf)
     np.minimum.at(dv, pos, values)
     lvl_of = np.floor(dv / delta).astype(np.int64)
-    rel = np.clip(lvl_of - lvl, 0, window)
-    qid = _queue_of(cand, num_queues)
-    keys = np.where(rel < window, rel * num_queues + qid, overflow_bucket)
+    rel = np.clip(lvl_of - lvl, 0, WINDOW_LEVELS)
+    qid = _queue_of(cand)
+    keys = np.where(rel < WINDOW_LEVELS, rel * NUM_QUEUES + qid,
+                    _OVERFLOW_BUCKET)
     a_ms = thread_per_item(cand.size)
-    order, offs = k.multisplit(keys, overflow_bucket + 1, a_ms)
+    order, offs = k.multisplit(keys, _OVERFLOW_BUCKET + 1, a_ms)
 
     push_chunks: list[tuple[int, int, np.ndarray]] = []
-    for r in range(window):
-        for q in range(num_queues):
-            b = r * num_queues + q
+    for r in range(WINDOW_LEVELS):
+        for q in range(NUM_QUEUES):
+            b = r * NUM_QUEUES + q
             seg = order[offs[b]:offs[b + 1]]
             if seg.size == 0:
                 continue
@@ -446,11 +400,10 @@ def _classify_and_push(
             vs = vs[sel]
             if vs.size == 0:
                 continue
-            state.queue_level[vs] = tgt
             state.overflow_mask[vs] = False
             push_chunks.append((tgt, q, vs))
 
-    seg = order[offs[overflow_bucket]:offs[overflow_bucket + 1]]
+    seg = order[offs[_OVERFLOW_BUCKET]:offs[_OVERFLOW_BUCKET + 1]]
     if seg.size:
         vs = cand[seg]
         vals = dv[seg]
@@ -458,32 +411,20 @@ def _classify_and_push(
         vs, vals = vs[free], vals[free]
         state.overflow_mask[vs] = True
         np.minimum.at(state.overflow_val, vs, vals)
-
-    if not push_chunks:
-        return 0
-    push_all = np.concatenate([vs for _, _, vs in push_chunks])
-    csize = int(push_all.size)
-    pool, cursor = state.reserve(csize)
-    a_push = thread_per_item(csize)
-    k.scatter(pool, cursor + np.arange(csize, dtype=np.int64), push_all,
-              a_push)
-    for tgt, q, vs in push_chunks:
-        state.enqueue(tgt, q, vs)
-    return csize
+    return state.push_chunks(k, push_chunks)
 
 
 def _advance_window(
-    device, dist, state: _QueuePool, lvl: int, *,
-    delta: float, window: int, num_queues: int,
+    device, dist, state: _QueuePool, lvl: int, *, delta: float,
 ) -> int:
     """Promote overflow entries into the queue window (counted kernel).
 
     The overflow pile keeps a value mirror (``overflow_val``, maintained
     like Near-Far's far pile), so the candidate set is known host-side;
     the kernel gathers the authoritative distances, reclassifies them by
-    one multisplit, and appends the promotions densely.
+    one multisplit, and appends the promotions to the worklist store.
     """
-    bound = (lvl + window) * delta
+    bound = (lvl + WINDOW_LEVELS) * delta
     cand = np.flatnonzero(state.overflow_mask
                           & (state.overflow_val < bound))
     if cand.size == 0:
@@ -501,26 +442,18 @@ def _advance_window(
         # out-of-window floors only arise from boundary rounding, and
         # popping a vertex one level early is always admissible under
         # relaxed ordering (re-relaxation is idempotent)
-        rel = np.clip(lvl_of - lvl, 0, window - 1)
-        qid = _queue_of(cand, num_queues)
-        keys = rel * num_queues + qid
-        order, offs = k.multisplit(keys, window * num_queues, a)
+        rel = np.clip(lvl_of - lvl, 0, WINDOW_LEVELS - 1)
+        keys = rel * NUM_QUEUES + _queue_of(cand)
+        order, offs = k.multisplit(keys, WINDOW_LEVELS * NUM_QUEUES, a)
         state.overflow_mask[cand] = False
         push_chunks: list[tuple[int, int, np.ndarray]] = []
-        for r in range(window):
-            for q in range(num_queues):
-                b = r * num_queues + q
+        for r in range(WINDOW_LEVELS):
+            for q in range(NUM_QUEUES):
+                b = r * NUM_QUEUES + q
                 seg = order[offs[b]:offs[b + 1]]
                 if seg.size:
                     push_chunks.append((lvl + r, q, cand[seg]))
-        push_all = np.concatenate([c for _, _, c in push_chunks])
-        csize = int(push_all.size)
-        pool, cursor = state.reserve(csize)
-        k.scatter(pool, cursor + np.arange(csize, dtype=np.int64),
-                  push_all, thread_per_item(csize))
-        for tgt, q, chunk_vs in push_chunks:
-            state.enqueue(tgt, q, chunk_vs)
-            state.queue_level[chunk_vs] = tgt
+        state.push_chunks(k, push_chunks)
     if device.handlers("on_annotate"):
         device.annotate("mlmq_advance", level=lvl,
                         promoted=int(cand.size),
@@ -528,7 +461,7 @@ def _advance_window(
     return int(cand.size)
 
 
-def _mlmq_reseed(runtime, exc, state: _QueuePool, dist) -> None:
+def _mlmq_reseed(solve, exc, state: _QueuePool, dist) -> None:
     """Roll back after an aborted kernel and rebuild the queue hierarchy.
 
     Every finite vertex of the restored checkpoint re-enters through the
@@ -536,7 +469,7 @@ def _mlmq_reseed(runtime, exc, state: _QueuePool, dist) -> None:
     normal counted kernel.  Re-relaxing settled vertices costs extra work
     but cannot change a correct distance.
     """
-    fin = runtime.on_abort(exc)
+    fin = solve.on_abort(exc)
     state.queues.clear()
     state.sizes.clear()
     state.queue_level[:] = -1

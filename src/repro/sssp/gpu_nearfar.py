@@ -124,10 +124,8 @@ def nearfar_sssp(
                         promote_b = boundary[order[: offs[1]]]
                         k.device_barrier()
                 except InjectedKernelAbort as exc:
-                    if runtime is None:
-                        raise
                     near, far_mask = _nearfar_reseed(
-                        runtime, exc, chain, far_mask, far_val, dist)
+                        solve, exc, chain, far_mask, far_val, dist)
                     continue
             promote = np.union1d(full, promote_b)
             far_val[promote] = np.inf
@@ -193,10 +191,8 @@ def nearfar_sssp(
                                     ops=THRESHOLD_OPS, reset=np.inf)
                     far_cell = (far_cell + 1) % RING
         except InjectedKernelAbort as exc:
-            if runtime is None:
-                raise
             near, far_mask = _nearfar_reseed(
-                runtime, exc, chain, far_mask, far_val, dist)
+                solve, exc, chain, far_mask, far_val, dist)
             continue
 
         near_next = np.unique(near_hits)
@@ -220,7 +216,7 @@ def _per_warp(threads: np.ndarray, warp_size: int) -> np.ndarray:
     return np.unique(threads // warp_size, return_counts=True)[1]
 
 
-def _nearfar_reseed(runtime, exc, chain, far_mask, far_val, dist):
+def _nearfar_reseed(solve, exc, chain, far_mask, far_val, dist):
     """Roll back after an aborted kernel and rebuild the worklist.
 
     The rollback is a host synchronization, so it ends the persistent
@@ -232,7 +228,7 @@ def _nearfar_reseed(runtime, exc, chain, far_mask, far_val, dist):
     change a correct distance.  The far pile's value mirror is rebuilt
     from the restored checkpoint's distances.
     """
-    fin = runtime.on_abort(exc)
+    fin = solve.on_abort(exc)
     chain.end()
     far_mask[:] = False
     far_mask[fin] = True

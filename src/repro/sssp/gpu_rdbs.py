@@ -51,6 +51,7 @@ from .errors import ConvergenceError
 from .persistent import PersistentChain, controller_step, publish_grid_min
 from .relax import DeviceGraph, relax_batch
 from .result import SSSPResult
+from .worklist import SlotPool, pop_oldest
 
 __all__ = ["rdbs_sssp", "default_delta", "check_delta", "BUCKET_RESCALE"]
 
@@ -210,6 +211,10 @@ def _rdbs_run(
     #: double-buffered next-bucket minimum: phase 2&3 folds its scan into
     #: ``next_min[cell]`` and resets the other cell for the next bucket
     next_min = device.full(2, np.inf, name="next_min") if basyn else None
+    #: BASYN's workload-list slots, rewound by every bucket's phase 1;
+    #: one per edge, since every push follows an updated relaxation
+    pool = (SlotPool(device, max(graph.num_edges, 1), "workload_slots")
+            if basyn else None)
     cell = 0
     controller = DeltaController(delta) if basyn_active else None
     lo = 0.0
@@ -292,7 +297,7 @@ def _rdbs_run(
                 outcome = _phase1_async(
                     device, dgraph, dist, members, b_lo, b_hi, split,
                     pro=use_offsets, adwl=adwl, stats=stats,
-                    in_queue=in_queue, chunk_size=async_chunk,
+                    in_queue=in_queue, pool=pool, chunk_size=async_chunk,
                     watchdog=watchdog, chain=chain,
                 )
             else:
@@ -469,6 +474,7 @@ def _phase1_async(
     adwl: bool,
     stats: WorkStats,
     in_queue: np.ndarray,
+    pool: SlotPool,
     chunk_size: int = ASYNC_CHUNK,
     watchdog: Watchdog | None = None,
     chain: PersistentChain,
@@ -482,23 +488,15 @@ def _phase1_async(
     A device barrier ends the drain before phase 2&3 runs in the same
     kernel; the segment continues the persistent kernel ``chain`` when
     the previous bucket left it resident instead of launching a new one.
+    Re-activations append densely to ``pool``; the previous drain ended
+    on a device barrier, so each drain rewinds it to slot 0.
     """
     settled_mask = np.zeros(dist.size, dtype=bool)
     threads_used = 0
     drained: list[int] = []
     queue: list[np.ndarray] = [members]
     in_queue[members] = True
-    # multisplit placement appends re-activations *densely* behind a
-    # rolling cursor (coalesced stores instead of vertex-scattered ones);
-    # sized to the edge count because every push follows an updated
-    # relaxation.  The spill list absorbs the pathological overflow case
-    # with vertex-addressed stamp stores.  Write-only scratch, so both
-    # allocations stay uninitialized (cudaMalloc semantics)
-    queue_slots = device.empty(
-        max(dgraph.graph.num_edges, 1), dtype=np.int64, name="workload_slots",
-    )
-    queue_spill = device.empty(dist.size, dtype=np.int64, name="workload_spill")
-    cursor = 0
+    pool.rewind()
     # per-round drain telemetry is host-side only, so it is gated on an
     # attached on_annotate observer — without one, no payload is built
     note_rounds = bool(device.handlers("on_annotate"))
@@ -506,19 +504,7 @@ def _phase1_async(
     with chain.segment("phase1_async") as k:
         while queue:
             reactivated = 0
-            chunk_parts: list[np.ndarray] = []
-            need = chunk_size
-            while queue and need > 0:
-                head = queue[0]
-                if head.size <= need:
-                    chunk_parts.append(head)
-                    need -= head.size
-                    queue.pop(0)
-                else:
-                    chunk_parts.append(head[:need])
-                    queue[0] = head[need:]
-                    need = 0
-            chunk = np.concatenate(chunk_parts)
+            chunk = pop_oldest(queue, chunk_size)
             in_queue[chunk] = False
             settled_mask[chunk] = True
             drained.append(int(chunk.size))
@@ -548,23 +534,12 @@ def _phase1_async(
                 order, offs = k.multisplit(keys, 2, a_ms)
                 push = cand[order[offs[1]:]]
                 if push.size:
-                    csize = int(push.size)
-                    a_push = thread_per_item(csize)
-                    if cursor + csize <= queue_slots.size:
-                        k.scatter(
-                            queue_slots,
-                            cursor + np.arange(csize, dtype=np.int64),
-                            push, a_push,
-                        )
-                        cursor += csize
-                    else:
-                        # overflow spill: vertex-addressed stamp stores
-                        # (same-value, benign)
-                        # repro-static: assume-disjoint
-                        k.scatter(queue_spill, push, push, a_push)
+                    # multisplit placement appends re-activations densely
+                    # (coalesced stores instead of vertex-scattered ones)
+                    pool.store(k, push)
                     in_queue[push] = True
                     queue.append(push)
-                    reactivated = csize
+                    reactivated = int(push.size)
             if note_rounds:
                 device.annotate(
                     "async_round", round=len(drained), drained=int(chunk.size),

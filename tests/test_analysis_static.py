@@ -17,6 +17,10 @@ from repro.analysis.static import (
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 
+#: kernels that push onto a device worklist
+WORKLIST_KERNELS = {"phase1_async", "adds_async", "mlmq_init", "mlmq_drain",
+                    "mlmq_advance"}
+
 #: every launch label the engine corpus must produce a signature for
 EXPECTED_KERNELS = {
     "phase1_async", "phase1_sync", "phase23_fused",   # rdbs
@@ -468,6 +472,22 @@ class TestManifest:
         sigs, _ = analyze_paths([str(SRC)])
         drift = diff_manifest(committed, build_manifest(sigs))
         assert drift == [], "\n".join(drift)
+
+    def test_worklist_stores_are_proven_disjoint(self):
+        # every worklist store goes through repro.sssp.worklist: a dense
+        # cursor append the analyzer proves without an in-source escape
+        committed = load_manifest(REPO / "ANALYSIS_manifest.json")
+        kernels = {
+            sig["label"]: sig for sig in committed["kernels"].values()
+            if sig["label"] in WORKLIST_KERNELS
+        }
+        assert set(kernels) == WORKLIST_KERNELS
+        for label, sig in kernels.items():
+            assert sig["scatters"], label
+            assert "call" not in sig["ops"], label
+            for s in sig["scatters"]:
+                assert (s["class"], s["justified"]) == ("disjoint", False), (
+                    label, s)
 
     def test_signatures_carry_no_line_numbers(self):
         committed = load_manifest(REPO / "ANALYSIS_manifest.json")

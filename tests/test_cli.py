@@ -142,6 +142,16 @@ class TestCommands:
     def test_delta_override(self, capsys):
         assert main(["solve", "kron:7,4", "--delta", "500"]) == 0
 
+    def test_delta_rejected_by_method_without_delta(self):
+        with pytest.raises(SystemExit, match="'bl' takes no --delta"):
+            main(["solve", "kron:8,8", "--method", "bl", "--delta", "0.5"])
+
+    def test_compare_forwards_delta_to_delta_methods_only(self, capsys):
+        # the default methods are bl,adds,rdbs; bl takes no Δ
+        assert main(["compare", "kron:8,8", "--delta", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "bl" in out and "adds" in out and "rdbs" in out
+
     def test_no_validate(self, capsys):
         assert main(["solve", "kron:7,4", "--no-validate"]) == 0
         assert "validated" not in capsys.readouterr().out

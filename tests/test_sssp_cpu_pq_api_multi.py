@@ -7,6 +7,7 @@ from repro.graphs import kronecker, grid_road_network, path
 from repro.gpusim import V100, multi_gpu_sssp
 from repro.sssp import (
     CPUSpec,
+    METHOD_OPTIONS,
     XEON_8269CY,
     method_names,
     pq_delta_star_sssp,
@@ -67,6 +68,21 @@ class TestApi:
         g = kronecker(6, 4, weights="int", seed=34)
         r = sssp(g, 0, method="rdbs", spec=SPEC, delta=500.0)
         assert r.extra["delta0"] == 500.0
+
+    def test_options_read_off_the_implementation(self):
+        assert METHOD_OPTIONS["dijkstra"] == frozenset()
+        assert "delta" not in METHOD_OPTIONS["bl"]
+        # the Fig. 8 arms take what rdbs_sssp takes, minus the fixed flags
+        assert METHOD_OPTIONS["rdbs"] - METHOD_OPTIONS["basyn+pro"] == {
+            "pro", "adwl", "basyn"}
+
+    def test_unknown_option_rejected(self):
+        with pytest.raises(ValueError, match="'dijkstra' does not take detla"):
+            sssp(path(4), 0, method="dijkstra", detla=3)
+        with pytest.raises(ValueError, match="'bl' does not take delta"):
+            sssp(path(4), 0, method="bl", spec=SPEC, delta=0.5)
+        with pytest.raises(ValueError, match="'sync-delta' does not take pro"):
+            sssp(path(4), 0, method="sync-delta", pro=True)
 
     def test_default_method_is_rdbs(self):
         g = path(6)

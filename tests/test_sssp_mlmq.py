@@ -88,7 +88,7 @@ class TestCorrectness:
         r = mlmq_sssp(small_kron, kron_source, spec=SPEC)
         extra = r.extra
         for key in (
-            "delta", "window_levels", "num_queues", "levels", "rounds",
+            "delta", "levels", "rounds",
             "advances", "stale_pops", "mlmq_steals", "mlmq_stolen_slots",
             "wasted_relaxation_ratio", "bucket_telemetry",
         ):
