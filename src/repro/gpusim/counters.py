@@ -124,9 +124,15 @@ class KernelCounters:
         return self.active_lanes / self.lane_slots
 
     def merge(self, other: "KernelCounters") -> None:
-        """Accumulate ``other`` into this counter set in place."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        """Accumulate ``other`` into this counter set in place.
+
+        The instance dict holds exactly the dataclass fields, so one pass
+        over it replaces the per-field reflection (this runs once per
+        kernel segment).
+        """
+        mine = self.__dict__
+        for name, value in other.__dict__.items():
+            mine[name] += value
 
     def copy(self) -> "KernelCounters":
         """An independent copy of the current counts."""

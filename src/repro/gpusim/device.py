@@ -30,6 +30,7 @@ rules.
 from __future__ import annotations
 
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Iterator
@@ -90,17 +91,21 @@ class ObserverList(list):
     tells the owning device to re-bind its per-event handler tuples
     whenever membership changes, so the per-event cost collapses to one
     dict lookup over pre-bound methods (and to a single falsy check when
-    no observer handles the event).
+    no observer handles the event).  The back-reference to the device is
+    weak, so a device is freed as soon as its last user drops it rather
+    than at the next cyclic garbage collection.
     """
 
     __slots__ = ("_device",)
 
     def __init__(self, device: "GPUDevice", iterable=()) -> None:
         super().__init__(iterable)
-        self._device = device
+        self._device = weakref.ref(device)
 
     def _changed(self) -> None:
-        self._device._rebuild_dispatch()
+        device = self._device()
+        if device is not None:
+            device._rebuild_dispatch()
 
     def append(self, item) -> None:
         super().append(item)
@@ -403,8 +408,12 @@ class KernelContext:
         c = self.counters
         if a.num_items == 0:
             return
-        sslots, order = stable_sort_with_order(a.slots)
-        staken = taken[order]
+        # a one-step mapping (a thread per item) lists its slots in order:
+        # group them without a sort
+        sslots, staken = a.slots, taken
+        if a.max_steps > 1 or not bool((sslots[1:] >= sslots[:-1]).all()):
+            sslots, order = stable_sort_with_order(sslots)
+            staken = taken[order]
         starts = np.ones(sslots.size, dtype=bool)
         starts[1:] = sslots[1:] != sslots[:-1]
         gstarts = np.flatnonzero(starts)

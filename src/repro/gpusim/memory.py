@@ -105,6 +105,8 @@ def coalesce(
     """
     if addresses.size == 0:
         return 0, 0, np.zeros(0, dtype=np.int64)
+    if addresses.size == 1:  # one lane: one instruction, one transaction
+        return 1, 1, addresses // sector_bytes
     sectors = addresses // sector_bytes
     # unique (slot, sector) pairs; slots and sectors are non-negative so a
     # composite key is safe with int64 as long as sectors < 2**40.

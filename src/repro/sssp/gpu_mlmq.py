@@ -26,8 +26,19 @@ This engine realises that design on the simulated device:
 * **windowing** — only :data:`WINDOW_LEVELS` levels are materialised at a
   time; farther improvements park in an overflow pile (value-mirrored,
   like Near-Far's far pile) and are promoted by a counted
-  reclassification kernel (``mlmq_advance``) when the window reaches
-  them.
+  reclassification segment (``mlmq_advance``) when the window reaches
+  them;
+* **one persistent kernel** — the level loop runs on a
+  :class:`~repro.sssp.persistent.PersistentChain`: after the
+  ``mlmq_init`` host launch, every advance and drain is a continuation
+  segment, and each level's drain ends in one device barrier.  The
+  advance that opens a level shares the synchronization window of that
+  level's drain, so there is one barrier per level.  The next-level
+  choice is charged device work: lanes that park improvements fold their
+  distances into a next-level cell (:func:`fold_min_filtered`), and after
+  the barrier the block leaders read it beside one coalesced load of the
+  window's queue-size descriptors.  The chain ends where the host
+  synchronizes: a fault-runtime probe or checkpoint, or a rollback.
 
 Stale pops are benign by construction: a queued copy is *live* iff the
 vertex's level mirror still records that level; anything else is popped,
@@ -49,6 +60,14 @@ from ..util.scan import sorted_unique_ints
 from .engine import GPUSolve
 from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
+from .persistent import (
+    BLOCK,
+    RING,
+    PersistentChain,
+    block_leaders,
+    controller_step,
+    fold_min_filtered,
+)
 from .relax import relax_batch
 from .result import SSSPResult
 from .worklist import SlotPool, pop_oldest
@@ -78,6 +97,15 @@ _HASH_MULT = np.int64(2654435761)
 #: multisplit bucket of the beyond-window improvements
 _OVERFLOW_BUCKET = WINDOW_LEVELS * NUM_QUEUES
 
+#: the window's queue-size descriptors, read by one coalesced load
+_DESCRIPTORS = np.arange(WINDOW_LEVELS * NUM_QUEUES, dtype=np.int64)
+
+#: dependent instructions of the next-level choice a block leader runs
+#: after a level's barrier: a ballot of the nonempty descriptors and its
+#: find-first-set, the overflow level (divide, floor), the minimum of the
+#: two and the window-advance test
+LEVEL_OPS = 6
+
 
 def _queue_of(vertices: np.ndarray) -> np.ndarray:
     """Deterministic queue id per vertex: ``hash(v) mod B``."""
@@ -104,23 +132,34 @@ class _QueuePool:
         self.overflow_mask = np.zeros(n, dtype=bool)
         self.overflow_val = np.full(n, np.inf)
 
-    def push_chunks(self, k, chunks: list[tuple[int, int, np.ndarray]]) -> int:
-        """Queue each ``(level, queue, vertices)`` chunk; one device store.
+    def push_chunks(self, k, vertices: np.ndarray, buckets: np.ndarray,
+                    base: int) -> int:
+        """Queue each vertex in its window bucket; one device store.
 
-        Returns the number of vertices pushed.
+        ``vertices[i]`` goes to bucket ``buckets[i]``: queue ``b %
+        NUM_QUEUES`` of level ``base + b // NUM_QUEUES`` for bucket ``b``.
+        The entries come in chunks of one bucket each, in ascending bucket
+        order, as a multisplit leaves them.  Returns the number pushed.
         """
-        if not chunks:
+        if vertices.size == 0:
             return 0
-        pushed = np.concatenate([vs for _, _, vs in chunks])
-        self.pool.store(k, pushed)
-        for level, queue, vs in chunks:
-            if level not in self.queues:
-                self.queues[level] = [[] for _ in range(NUM_QUEUES)]
-                self.sizes[level] = np.zeros(NUM_QUEUES, dtype=np.int64)
-            self.queues[level][queue].append(vs)
-            self.sizes[level][queue] += vs.size
-            self.queue_level[vs] = level
-        return int(pushed.size)
+        self.pool.store(k, vertices)
+        self.queue_level[vertices] = base + buckets // NUM_QUEUES
+        cut = (np.flatnonzero(buckets[1:] != buckets[:-1]) + 1).tolist()
+        starts = [0, *cut]
+        chunk_buckets = buckets[starts].tolist()
+        counts = np.bincount(
+            buckets, minlength=WINDOW_LEVELS * NUM_QUEUES
+        ).reshape(WINDOW_LEVELS, NUM_QUEUES)
+        for r in {b // NUM_QUEUES for b in chunk_buckets}:
+            if base + r not in self.queues:
+                self.queues[base + r] = [[] for _ in range(NUM_QUEUES)]
+                self.sizes[base + r] = np.zeros(NUM_QUEUES, dtype=np.int64)
+            self.sizes[base + r] += counts[r]
+        for b, s, e in zip(chunk_buckets, starts, [*cut, vertices.size]):
+            level, queue = divmod(b, NUM_QUEUES)
+            self.queues[base + level][queue].append(vertices[s:e])
+        return int(vertices.size)
 
     def level_size(self, level: int) -> int:
         s = self.sizes.get(level)
@@ -165,12 +204,23 @@ def mlmq_sssp(
         SlotPool(device, max(graph.num_edges, 1024), "mlmq_pool"),
         graph.num_vertices,
     )
+    chain = PersistentChain(device)
+    #: the next-level decision's device cells: lanes that park
+    #: improvements in the overflow pile fold their distances into
+    #: ``level_min[cell]`` during a level's drain, and the block leaders
+    #: read it, beside the window's queue-size descriptors, after the
+    #: level's barrier.  They price the decision; the host picks the level
+    #: from its exact mirrors
+    level_min = device.full(RING, np.inf, name="mlmq_level_min")
+    descriptors = device.zeros(_DESCRIPTORS.size, dtype=np.int64,
+                               name="mlmq_queue_sizes")
+    cell = 0
 
     # seed: the source enters its hashed queue of level 0 (one counted
     # append, the same store every later push uses)
     src_arr = np.array([solve.src], dtype=np.int64)
-    with device.launch("mlmq_init") as k:
-        state.push_chunks(k, [(0, int(_queue_of(src_arr)[0]), src_arr)])
+    with chain.segment("mlmq_init") as k:
+        state.push_chunks(k, src_arr, _queue_of(src_arr), 0)
 
     tally = {"rounds": 0, "stale": 0, "advances": 0}
     levels_processed = 0
@@ -178,25 +228,23 @@ def mlmq_sssp(
     while True:
         qlevels = state.nonempty_levels()
         lvl: int | None = min(qlevels) if qlevels else None
-        if state.overflow_mask.any():
-            olvl = int(np.floor(
-                state.overflow_val[state.overflow_mask].min() / delta
-            ))
+        omin = (state.overflow_val[state.overflow_mask].min()
+                if state.overflow_mask.any() else np.inf)
+        if omin < np.inf:
+            olvl = int(np.floor(omin / delta))
             lvl = olvl if lvl is None else min(lvl, olvl)
         if lvl is None:
             break
         lo = lvl * delta
         hi = (lvl + 1) * delta
-        if runtime is not None:
-            runtime.epoch(state.total_pending(), mark=lo)
+        if runtime is not None and runtime.epoch(state.total_pending(),
+                                                 mark=lo):
+            chain.end()
 
         try:
             # promote overflow entries the window now covers
-            if state.overflow_mask.any() and (
-                state.overflow_val[state.overflow_mask].min()
-                < (lvl + WINDOW_LEVELS) * delta
-            ):
-                _advance_window(device, dist, state, lvl, delta=delta)
+            if omin < (lvl + WINDOW_LEVELS) * delta:
+                _advance_window(chain, dist, state, lvl, delta=delta)
                 tally["advances"] += 1
             if state.level_size(lvl) == 0:
                 continue
@@ -212,10 +260,12 @@ def mlmq_sssp(
                 if runtime is not None else None
             )
             drain = _drain_level(
-                device, dgraph, dist, state, lvl, delta=delta,
+                chain, dgraph, dist, state, lvl, delta=delta,
                 stats=solve.stats, watchdog=watchdog, tally=tally,
-                max_rounds=max_rounds, note=note,
+                max_rounds=max_rounds, note=note, level_min=level_min,
+                cell=cell, descriptors=descriptors,
             )
+            cell = (cell + 1) % RING
             state.drop_level(lvl)
             if note:
                 flr = np.floor(dist.data / delta)
@@ -226,7 +276,7 @@ def mlmq_sssp(
                    "occupancy": occupancy}
             solve.close_bucket(row)
         except (WatchdogTimeout, InjectedKernelAbort) as exc:
-            _mlmq_reseed(solve, exc, state, dist)
+            _mlmq_reseed(solve, exc, chain, state, dist)
             continue
         except ConvergenceError as exc:
             solve.give_up(exc)
@@ -252,11 +302,11 @@ def mlmq_sssp(
 
 
 def _drain_level(
-    device, dgraph, dist, state: _QueuePool, lvl: int, *,
+    chain: PersistentChain, dgraph, dist, state: _QueuePool, lvl: int, *,
     delta: float, stats: WorkStats, watchdog, tally: dict, max_rounds: int,
-    note: bool,
+    note: bool, level_min, cell: int, descriptors,
 ) -> dict:
-    """Drain one level's queues inside one persistent asynchronous kernel.
+    """Drain one level's queues: one segment of the persistent kernel.
 
     Each micro-round every queue group pops up to :data:`GROUP_CHUNK`
     slots from its own queue; groups whose queue is empty steal
@@ -265,16 +315,20 @@ def _drain_level(
     The combined batch is filtered against the level mirror (stale copies
     drop out), relaxed edge-parallel, and the improvements are
     reclassified by one multisplit into :data:`WINDOW_LEVELS` levels ×
-    :data:`NUM_QUEUES` queues plus an overflow bucket.  Returns the
-    level's row fields ``rounds``, ``converged``, ``steals``, ``stale``
-    and ``stolen_slots``.
+    :data:`NUM_QUEUES` queues plus an overflow bucket; parked lanes fold
+    into ``level_min[cell]``.  The drained level closes on one device
+    barrier, after which the block leaders read that cell and the queue
+    ``descriptors`` to choose the next level.  Returns the level's row
+    fields ``rounds``, ``converged``, ``steals``, ``stale`` and
+    ``stolen_slots``.
     """
+    device = chain.device
     rounds = 0
     stale = 0
     steals = 0
     stolen = 0
     converged = 0
-    with device.launch("mlmq_drain") as k:
+    with chain.segment("mlmq_drain") as k:
         while state.level_size(lvl) > 0:
             rounds += 1
             tally["rounds"] += 1
@@ -289,12 +343,13 @@ def _drain_level(
 
             # ---- pop planning: own queues first, then deterministic
             # stealing by the idle groups -----------------------------
-            sizes = state.sizes[lvl]
-            take = np.minimum(sizes, GROUP_CHUNK)
-            remaining = sizes - take
-            for g in np.flatnonzero(take == 0):
-                victim = int(np.argmax(remaining))  # ties: lowest qid
-                amount = int(min(GROUP_CHUNK, remaining[victim]))
+            sizes = state.sizes[lvl].tolist()
+            take = [min(size, GROUP_CHUNK) for size in sizes]
+            remaining = [size - t for size, t in zip(sizes, take)]
+            for g in [q for q, t in enumerate(take) if t == 0]:
+                # the fullest remaining queue; ties: lowest qid
+                victim = max(range(NUM_QUEUES), key=remaining.__getitem__)
+                amount = min(GROUP_CHUNK, remaining[victim])
                 if amount <= 0:
                     break
                 remaining[victim] -= amount
@@ -303,12 +358,12 @@ def _drain_level(
                 stolen += amount
                 k.mlmq_steal(amount)
                 if note:
-                    device.annotate("mlmq_steal", level=lvl, group=int(g),
+                    device.annotate("mlmq_steal", level=lvl, group=g,
                                     queue=victim, slots=amount)
-            sizes -= take
+            state.sizes[lvl] -= take
             popped = np.concatenate([
-                pop_oldest(state.queues[lvl][q], int(take[q]))
-                for q in range(NUM_QUEUES) if take[q] > 0
+                pop_oldest(state.queues[lvl][q], take[q])
+                for q in range(NUM_QUEUES) if take[q]
             ])
 
             # ---- pop + liveness filter: each popped slot loads the
@@ -345,7 +400,7 @@ def _drain_level(
                 if upd.size:
                     pushed = _classify_and_push(
                         k, state, upd, out.new_dist[out.updated], lvl,
-                        delta=delta,
+                        delta=delta, level_min=level_min, cell=cell,
                     )
             if note:
                 device.annotate(
@@ -354,6 +409,13 @@ def _drain_level(
                     stale=int(popped.size - valid.size), pushed=pushed,
                     pending=state.level_size(lvl),
                 )
+        k.device_barrier()
+        # the next-level choice: one coalesced load of the window's
+        # queue-size descriptors, and every block leader reads the
+        # overflow level folded into this level's cell
+        k.gather(descriptors, _DESCRIPTORS, thread_per_item(_DESCRIPTORS.size))
+        controller_step(k, block_leaders(_DRAIN_THREADS // BLOCK), level_min,
+                        cell, ops=LEVEL_OPS, reset=np.inf)
     tally["stale"] += stale
     return {"rounds": rounds, "converged": converged, "steals": steals,
             "stale": stale, "stolen_slots": stolen}
@@ -361,75 +423,76 @@ def _drain_level(
 
 def _classify_and_push(
     k, state: _QueuePool, targets: np.ndarray, values: np.ndarray,
-    lvl: int, *, delta: float,
+    lvl: int, *, delta: float, level_min, cell: int,
 ) -> int:
     """Multisplit-classify one round's improvements and append them.
 
     Deduplicates targets first (several edges improving one vertex in one
     pass), then one ballot multisplit groups the winners by
     ``(level offset, queue id)``; in-window buckets append to the
-    worklist store, the overflow bucket updates the far-pile mirrors.
+    worklist store, the overflow bucket updates the far-pile mirrors and
+    folds its distances into ``level_min[cell]``.
     """
     cand = sorted_unique_ints(targets)
     pos = np.searchsorted(cand, targets)
     dv = np.full(cand.size, np.inf)
-    np.minimum.at(dv, pos, values)
+    if cand.size == targets.size:
+        dv[pos] = values
+    else:
+        np.minimum.at(dv, pos, values)
     lvl_of = np.floor(dv / delta).astype(np.int64)
     rel = np.clip(lvl_of - lvl, 0, WINDOW_LEVELS)
-    qid = _queue_of(cand)
-    keys = np.where(rel < WINDOW_LEVELS, rel * NUM_QUEUES + qid,
-                    _OVERFLOW_BUCKET)
+    # rel == WINDOW_LEVELS lands in the overflow bucket
+    keys = np.minimum(rel * NUM_QUEUES + _queue_of(cand), _OVERFLOW_BUCKET)
     a_ms = thread_per_item(cand.size)
     order, offs = k.multisplit(keys, _OVERFLOW_BUCKET + 1, a_ms)
 
-    push_chunks: list[tuple[int, int, np.ndarray]] = []
-    for r in range(WINDOW_LEVELS):
-        for q in range(NUM_QUEUES):
-            b = r * NUM_QUEUES + q
-            seg = order[offs[b]:offs[b + 1]]
-            if seg.size == 0:
-                continue
-            vs = cand[seg]
-            tgt = lvl + r
-            # live-copy dedup: push only when nothing is queued for the
-            # vertex, or the improvement crosses below the queued level
-            # (the higher copy goes stale); same-level re-improvements
-            # skip the push — the pending pop reads the fresher distance
-            cur = state.queue_level[vs]
-            sel = (cur == -1) | (tgt < cur)
-            vs = vs[sel]
-            if vs.size == 0:
-                continue
-            state.overflow_mask[vs] = False
-            push_chunks.append((tgt, q, vs))
+    # in-window buckets, in bucket order.  Live-copy dedup: push only when
+    # nothing is queued for the vertex, or the improvement crosses below
+    # the queued level (the higher copy goes stale); same-level
+    # re-improvements skip the push — the pending pop reads the fresher
+    # distance
+    win = order[:offs[_OVERFLOW_BUCKET]]
+    vs = cand[win]
+    cur = state.queue_level[vs]
+    sel = (cur == -1) | (lvl + rel[win] < cur)
+    vs = vs[sel]
+    state.overflow_mask[vs] = False
 
-    seg = order[offs[_OVERFLOW_BUCKET]:offs[_OVERFLOW_BUCKET + 1]]
+    seg = order[offs[_OVERFLOW_BUCKET]:]
     if seg.size:
-        vs = cand[seg]
+        over = cand[seg]
         vals = dv[seg]
-        free = state.queue_level[vs] == -1
-        vs, vals = vs[free], vals[free]
-        state.overflow_mask[vs] = True
-        np.minimum.at(state.overflow_val, vs, vals)
-    return state.push_chunks(k, push_chunks)
+        free = state.queue_level[over] == -1
+        over, vals = over[free], vals[free]
+        state.overflow_mask[over] = True
+        # ``over`` is duplicate-free: a plain element-wise minimum
+        state.overflow_val[over] = np.minimum(state.overflow_val[over], vals)
+        # the parked lanes of the placement's contiguous overflow tail
+        fold_min_filtered(k, vals, thread_per_item(int(vals.size)),
+                          level_min, cell)
+    return state.push_chunks(k, vs, keys[win][sel], lvl)
 
 
 def _advance_window(
-    device, dist, state: _QueuePool, lvl: int, *, delta: float,
+    chain: PersistentChain, dist, state: _QueuePool, lvl: int, *,
+    delta: float,
 ) -> int:
-    """Promote overflow entries into the queue window (counted kernel).
+    """Promote overflow entries into the queue window (counted segment).
 
     The overflow pile keeps a value mirror (``overflow_val``, maintained
     like Near-Far's far pile), so the candidate set is known host-side;
-    the kernel gathers the authoritative distances, reclassifies them by
-    one multisplit, and appends the promotions to the worklist store.
+    the segment gathers the authoritative distances, reclassifies them by
+    one multisplit, and appends the promotions to the worklist store.  It
+    opens level ``lvl``, whose drain follows in the same synchronization
+    window.
     """
     bound = (lvl + WINDOW_LEVELS) * delta
     cand = np.flatnonzero(state.overflow_mask
                           & (state.overflow_val < bound))
     if cand.size == 0:
         return 0
-    with device.launch("mlmq_advance") as k:
+    with chain.segment("mlmq_advance") as k:
         a = thread_per_item(cand.size)
         dvals = k.gather(dist, cand, a)
         k.alu(a, ops=2)
@@ -444,16 +507,10 @@ def _advance_window(
         # relaxed ordering (re-relaxation is idempotent)
         rel = np.clip(lvl_of - lvl, 0, WINDOW_LEVELS - 1)
         keys = rel * NUM_QUEUES + _queue_of(cand)
-        order, offs = k.multisplit(keys, WINDOW_LEVELS * NUM_QUEUES, a)
+        order, _offs = k.multisplit(keys, WINDOW_LEVELS * NUM_QUEUES, a)
         state.overflow_mask[cand] = False
-        push_chunks: list[tuple[int, int, np.ndarray]] = []
-        for r in range(WINDOW_LEVELS):
-            for q in range(NUM_QUEUES):
-                b = r * NUM_QUEUES + q
-                seg = order[offs[b]:offs[b + 1]]
-                if seg.size:
-                    push_chunks.append((lvl + r, q, cand[seg]))
-        state.push_chunks(k, push_chunks)
+        state.push_chunks(k, cand[order], keys[order], lvl)
+    device = chain.device
     if device.handlers("on_annotate"):
         device.annotate("mlmq_advance", level=lvl,
                         promoted=int(cand.size),
@@ -461,15 +518,20 @@ def _advance_window(
     return int(cand.size)
 
 
-def _mlmq_reseed(solve, exc, state: _QueuePool, dist) -> None:
+def _mlmq_reseed(solve, exc, chain: PersistentChain, state: _QueuePool,
+                 dist) -> None:
     """Roll back after an aborted kernel and rebuild the queue hierarchy.
+
+    The rollback is a host synchronization, so it ends the persistent
+    kernel: the next segment is a host launch.
 
     Every finite vertex of the restored checkpoint re-enters through the
     overflow pile; the next window advance reclassifies them with the
-    normal counted kernel.  Re-relaxing settled vertices costs extra work
+    normal counted segment.  Re-relaxing settled vertices costs extra work
     but cannot change a correct distance.
     """
     fin = solve.on_abort(exc)
+    chain.end()
     state.queues.clear()
     state.sizes.clear()
     state.queue_level[:] = -1

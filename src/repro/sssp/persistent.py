@@ -11,7 +11,7 @@ device work handed across the barrier through small device cells:
 
 * before the barrier, the threads holding work fold their contribution
   into the current cell (:func:`publish_grid_min`, :func:`fold_min`,
-  :func:`publish_count`);
+  :func:`fold_min_filtered`, :func:`publish_count`);
 * after it, every block leader reads the cell and runs the decision step,
   and one lane resets the cell the next decision will fold into
   (:func:`controller_step`).
@@ -19,6 +19,24 @@ device work handed across the barrier through small device cells:
 A cell is reset one phase before anything folds into it again, so a
 decision made every segment cycles through three cells (:data:`RING`);
 RDBS, whose buckets span two barriers, needs only two.
+
+Three engines run on a chain: RDBS under BASYN (one bucket per two
+barriers), Near-Far (one relax or split segment per barrier) and MLMQ
+(one barrier per level: the window advance that opens a level shares
+the synchronization window of its drain).  Which minimum fold wins
+depends on how many lanes fold into one cell and how many still lower it:
+
+* :func:`publish_grid_min` — a scan over every vertex (RDBS's next-bucket
+  scan): thousands of lanes, so a warp butterfly and one atomic per block;
+* :func:`fold_min` — one atomic per lane (Near-Far's far hits).  It wins
+  when a fold has few lanes and most of them lower the cell: their
+  serialized conflicts cost less than the dependent load a filter adds;
+* :func:`fold_min_filtered` — a plain read first, an atomic only from
+  lanes below the cell.  It wins when many lanes fold into one cell and
+  few still lower it, so conflicts dominate.  MLMQ's next-level cell,
+  folded by every round of a level's drain, is that case on kron and
+  Amazon; on road-TX, with few parked lanes per round, :func:`fold_min`
+  would be about 1% faster (docs/mlmq.md has the measurements).
 
 The chain ends — the next segment is a host launch — wherever the host
 must synchronize: a fault-runtime probe or checkpoint, a rollback, or an
@@ -34,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..gpusim.device import GPUDevice, KernelContext
+from ..gpusim.device import GPUDevice, KernelContext, subset_assignment
 from ..gpusim.kernels import (
     WorkAssignment,
     thread_per_item,
@@ -48,6 +66,7 @@ __all__ = [
     "block_leaders",
     "controller_step",
     "fold_min",
+    "fold_min_filtered",
     "publish_count",
     "publish_grid_min",
     "warp_leaders",
@@ -152,6 +171,27 @@ def fold_min(
     if values.size:
         k.atomic_min(cells, np.full(values.size, cell, dtype=np.int64),
                      values, a)
+
+
+def fold_min_filtered(
+    k: KernelContext, values: np.ndarray, a: WorkAssignment, cells, cell: int
+) -> None:
+    """Each lane reads ``cells[cell]`` and folds its value only if below it.
+
+    Exact by monotonicity: the cell only falls, so the value a lane reads
+    is at least the cell's current one, and a lane whose value is not
+    below it would not have lowered the cell.  Costs one dependent load
+    per fold; saves the atomics (and their same-address conflicts) of
+    every lane that no longer lowers the cell.
+    """
+    if values.size:
+        idx = np.full(values.size, cell, dtype=np.int64)
+        below = values < k.gather(cells, idx, a)
+        if below.all():
+            k.atomic_min(cells, idx, values, a)
+        elif below.any():
+            k.atomic_min(cells, idx[below], values[below],
+                         subset_assignment(a, below))
 
 
 def publish_count(

@@ -175,15 +175,17 @@ def segmented_exclusive_cummin(
         seg_first = np.maximum.accumulate(np.where(seg_start, idx, 0))
         pos_in_seg = idx - seg_first
         inclusive = values.astype(np.float64, copy=True)
+        inner = np.flatnonzero(pos_in_seg)
+        # each pass reads the previous pass's values (both gathers happen
+        # before the store) and narrows to the positions the next reaches
+        can = inner
         d = 1
-        max_pos = int(pos_in_seg.max())
-        while d <= max_pos:
-            can = np.flatnonzero(pos_in_seg >= d)
+        while can.size:
             inclusive[can] = np.minimum(inclusive[can], inclusive[can - d])
             d <<= 1
+            can = can[pos_in_seg[can] >= d]
         exclusive = np.full(n, np.inf)
-        inner = pos_in_seg > 0
-        exclusive[inner] = inclusive[np.flatnonzero(inner) - 1]
+        exclusive[inner] = inclusive[inner - 1]
         return exclusive
 
 
@@ -203,7 +205,9 @@ def serialized_min_outcome(
     addresses in ``idx`` (the device already computes it for conflict
     accounting).  When every address is distinct, serialization order is
     immaterial — each op observes the cell's initial value — so the sort
-    and segmented scan are skipped entirely.
+    and segmented scan are skipped entirely.  When every op hits one
+    address (a fold into a single cell), program order is already the
+    cell's order, so the scan is one running minimum.
     """
     n = idx.size
     if n == 0:
@@ -214,6 +218,15 @@ def serialized_min_outcome(
         updated = svals < initial
         current[idx] = np.minimum(initial, svals)
         return initial, updated
+    if distinct == 1:
+        cell = int(idx[0])
+        svals = np.asarray(values, dtype=np.float64)
+        old = np.empty(n, dtype=np.float64)
+        old[0] = current[cell]
+        np.minimum.accumulate(svals[:-1], out=old[1:])
+        np.minimum(old[0], old[1:], out=old[1:])
+        current[cell] = np.minimum(old[0], svals.min())
+        return old, svals < old
     sidx, order = stable_sort_with_order(idx)
     svals = np.asarray(values, dtype=np.float64)[order]
     start = np.ones(n, dtype=bool)

@@ -475,7 +475,9 @@ class TestManifest:
 
     def test_worklist_stores_are_proven_disjoint(self):
         # every worklist store goes through repro.sssp.worklist: a dense
-        # cursor append the analyzer proves without an in-source escape
+        # cursor append the analyzer proves without an in-source escape.
+        # The one other store is the persistent controller's one-lane
+        # reset of MLMQ's next-level cell (repro.sssp.persistent)
         committed = load_manifest(REPO / "ANALYSIS_manifest.json")
         kernels = {
             sig["label"]: sig for sig in committed["kernels"].values()
@@ -486,6 +488,9 @@ class TestManifest:
             assert sig["scatters"], label
             assert "call" not in sig["ops"], label
             for s in sig["scatters"]:
+                if (label, s["array"]) == ("mlmq_drain", "level_min"):
+                    continue
+                assert s["array"] == "slots", (label, s)
                 assert (s["class"], s["justified"]) == ("disjoint", False), (
                     label, s)
 

@@ -1,8 +1,12 @@
 """Tests for the simulated device: kernel ops, counters, time accounting."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.graphs import kronecker
 from repro.gpusim import (
     GPUDevice,
     T4,
@@ -12,6 +16,11 @@ from repro.gpusim import (
     thread_per_item,
     thread_per_vertex_edges,
 )
+from repro.gpusim.device import (
+    register_global_observer,
+    unregister_global_observer,
+)
+from repro.sssp import sssp
 
 
 @pytest.fixture
@@ -217,3 +226,30 @@ class TestCriticalPath:
             k.gather(arr, idx, threads_per_vertex_edges(counts, 256))
         t_block = k.time_s
         assert t_hub > 2 * t_block
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("method", ["mlmq", "rdbs", "near-far"])
+    def test_device_freed_when_solve_returns(self, method):
+        """No reference cycle keeps a device alive: with the cyclic
+        collector off, it is freed as soon as its solve returns."""
+        refs = []
+
+        class _Devices:
+            def on_alloc(self, device, arr, initialized):
+                if not refs:
+                    refs.append(weakref.ref(device))
+
+        obs = _Devices()
+        g = kronecker(6, 8, weights="int", seed=0)
+        enabled = gc.isenabled()
+        gc.disable()
+        register_global_observer(obs)
+        try:
+            result = sssp(g, 0, method=method)
+        finally:
+            unregister_global_observer(obs)
+            if enabled:
+                gc.enable()
+        assert result.counters.totals.kernel_launches > 0
+        assert len(refs) == 1 and refs[0]() is None

@@ -8,10 +8,14 @@ This file locks in the equivalences the performance layer relies on:
 * ``stable_sort_with_order`` equals a stable argsort, including the
   composite-key packing fast path and its fallbacks;
 * ``distinct_count`` / ``sorted_unique_ints`` equal ``np.unique``;
-* ``serialized_min_outcome``'s distinct-address fast path equals the
-  general segmented-scan path, which itself equals a scalar reference;
+* ``serialized_min_outcome``'s distinct-address and single-address fast
+  paths equal the general segmented-scan path, which itself equals a
+  scalar reference;
 * the scan-coalesce memo returns exactly what a fresh ``coalesce`` call
-  would, and only engages for true ``arange`` scans;
+  would, and only engages for true ``arange`` scans; a one-lane access
+  is one instruction and one transaction;
+* ``KernelContext.branch`` counts the same whatever order the items of
+  a slot arrive in (sorted slots skip the grouping sort);
 * assignment factories report the analytic ``num_slots`` (the
   ``np.unique`` fallback was removed from the hot path);
 * observer dispatch rebuilds on list mutation, and ``host_copy`` only
@@ -281,6 +285,57 @@ def test_serialized_min_distinct_fast_path_equals_general():
     np.testing.assert_array_equal(old_fast, old_gen)
     np.testing.assert_array_equal(upd_fast, upd_gen)
     np.testing.assert_array_equal(cur_fast, cur_gen)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 700])
+def test_serialized_min_single_address_fast_path_equals_reference(n):
+    rng = np.random.default_rng(n)
+    idx = np.full(n, 2, dtype=np.int64)
+    # repeated values, infinities and values above the cell all occur
+    values = rng.choice([0.5, 1.0, 3.0, 7.0, np.inf], size=n)
+    for start in (np.inf, 2.0, 0.25):
+        base = np.array([9.0, 9.0, start, 9.0])
+        cur_fast = base.copy()
+        old_fast, upd_fast = serialized_min_outcome(
+            cur_fast, idx, values, distinct=1
+        )
+        cur_ref = base.copy()
+        old_ref, upd_ref = _serialized_min_scalar(cur_ref, idx, values)
+        np.testing.assert_array_equal(old_fast, old_ref)
+        np.testing.assert_array_equal(upd_fast, upd_ref)
+        np.testing.assert_array_equal(cur_fast, cur_ref)
+
+
+def test_coalesce_single_lane():
+    addr = np.array([4096 + 17 * 8], dtype=np.int64)
+    instructions, transactions, sectors = coalesce(
+        addr, np.array([5], dtype=np.int64), 32, 128
+    )
+    assert (instructions, transactions) == (1, 1)
+    np.testing.assert_array_equal(sectors, addr // 32)
+
+
+def test_branch_counts_independent_of_item_order():
+    """Sorted slots skip the grouping sort; any item order counts alike."""
+    rng = np.random.default_rng(11)
+    a = grid_stride(3000, 256)
+    taken = rng.random(3000) < 0.3
+    perm = rng.permutation(3000)
+    shuffled = _finalize(a.slots[perm], a.num_threads, 32, a.max_steps,
+                         a.num_slots)
+    by_order = np.argsort(a.slots, kind="stable")
+    ordered = _finalize(a.slots[by_order], a.num_threads, 32, a.max_steps,
+                        a.num_slots)
+    counts = []
+    for assignment, mask in ((a, taken), (shuffled, taken[perm]),
+                             (ordered, taken[by_order])):
+        device = GPUDevice(V100)
+        with device.launch("k") as k:
+            k.branch(assignment, mask)
+        c = device.counters.totals
+        counts.append((c.branch_instructions, c.divergent_branches,
+                       c.inst_executed_other, c.lane_slots))
+    assert counts[0] == counts[1] == counts[2]
 
 
 # ---------------------------------------------------------------------------
