@@ -40,7 +40,7 @@ from .occupancy import OccupancyLimits, OccupancyResult, clamp_grid, occupancy
 from .multi import MultiGPUResult, multi_gpu_sssp, NVLINK2_GBPS, PCIE3_GBPS
 from .spec import A100, T4, V100, GPUSpec
 from .timeline import KernelRecord, Timeline, attribute_bottleneck
-from .timemodel import SERIAL_CPI, kernel_time
+from .timemodel import SERIAL_CPI, kernel_time, relax_filter_gate
 
 __all__ = [
     "GPUDevice",
@@ -71,6 +71,7 @@ __all__ = [
     "ALPHA",
     "BETA",
     "kernel_time",
+    "relax_filter_gate",
     "SERIAL_CPI",
     "MultiGPUResult",
     "multi_gpu_sssp",

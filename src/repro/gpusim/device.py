@@ -47,9 +47,9 @@ from ..perf.profile import active_profiler
 from .multisplit import ballot_rounds
 from ..util.scan import (
     distinct_count,
+    grouped_counts,
     multisplit_order,
     serialized_min_outcome,
-    stable_sort_with_order,
 )
 
 __all__ = [
@@ -163,11 +163,16 @@ def unregister_global_observer(observer) -> None:
         _GLOBAL_OBSERVERS.remove(observer)
 
 
-def subset_assignment(assignment: WorkAssignment, mask: np.ndarray) -> WorkAssignment:
+def subset_assignment(
+    assignment: WorkAssignment, mask: np.ndarray, num_slots: int | None = None
+) -> WorkAssignment:
     """Restrict an assignment to the work items selected by ``mask``.
 
     Used for predicated operations: inactive lanes issue no memory requests,
     but the surviving slots still cost full warp instructions.
+    ``num_slots`` is the number of slots holding a selected item when the
+    caller already knows it — the value :meth:`KernelContext.branch` on
+    ``mask`` returns — and is counted here otherwise.
     """
     slots = assignment.slots[mask]
     if slots.size == 0:
@@ -179,7 +184,7 @@ def subset_assignment(assignment: WorkAssignment, mask: np.ndarray) -> WorkAssig
     return _dc_replace(
         assignment,
         slots=slots,
-        num_slots=distinct_count(slots),
+        num_slots=distinct_count(slots) if num_slots is None else num_slots,
         max_steps=max_step,
         num_items=int(slots.size),
     )
@@ -394,43 +399,39 @@ class KernelContext:
     def branch(
         self, a: WorkAssignment, taken: np.ndarray, cost_taken: int = 1,
         cost_not_taken: int = 1,
-    ) -> None:
+    ) -> int:
         """Account a data-dependent branch over the assignment's items.
 
         A slot whose lanes disagree is *divergent*: SIMT hardware executes
         both paths with complementary masks, so the slot issues
         ``cost_taken + cost_not_taken`` instructions instead of one path's
         worth — the penalty PRO's weight-sorting removes (motivation 1).
+
+        Returns the number of slots with at least one taken lane: the
+        ``num_slots`` of ``subset_assignment(a, taken)``.
         """
         taken = np.asarray(taken, dtype=bool)
         if taken.size != a.num_items:
             raise ValueError("taken mask must match the assignment's items")
         c = self.counters
         if a.num_items == 0:
-            return
-        # a one-step mapping (a thread per item) lists its slots in order:
-        # group them without a sort
-        sslots, staken = a.slots, taken
-        if a.max_steps > 1 or not bool((sslots[1:] >= sslots[:-1]).all()):
-            sslots, order = stable_sort_with_order(sslots)
-            staken = taken[order]
-        starts = np.ones(sslots.size, dtype=bool)
-        starts[1:] = sslots[1:] != sslots[:-1]
-        gstarts = np.flatnonzero(starts)
-        any_taken = np.maximum.reduceat(staken.astype(np.int8), gstarts) > 0
-        all_taken = np.minimum.reduceat(staken.astype(np.int8), gstarts) > 0
-        divergent = any_taken & ~all_taken
-        num_slots = gstarts.size
+            return 0
+        lanes, taken_lanes = grouped_counts(a.slots, taken)
+        num_slots = lanes.size
+        taken_slots = int(np.count_nonzero(taken_lanes))
+        uniform_taken = int(np.count_nonzero(taken_lanes == lanes))
+        divergent = taken_slots - uniform_taken
         c.branch_instructions += num_slots
-        c.divergent_branches += int(divergent.sum())
+        c.divergent_branches += divergent
         issued = (
-            int(divergent.sum()) * (cost_taken + cost_not_taken)
-            + int(any_taken.sum() - (divergent & any_taken).sum()) * cost_taken
-            + int((~any_taken).sum()) * cost_not_taken
+            divergent * (cost_taken + cost_not_taken)
+            + uniform_taken * cost_taken
+            + (num_slots - taken_slots) * cost_not_taken
         )
         c.inst_executed_other += issued
         self.critical_instructions += a.max_steps
         self._note_assignment(a, issued)
+        return taken_slots
 
     def multisplit(
         self, keys: np.ndarray, num_buckets: int, a: WorkAssignment

@@ -29,7 +29,7 @@ from __future__ import annotations
 from .counters import KernelCounters
 from .spec import GPUSpec
 
-__all__ = ["kernel_time", "SERIAL_CPI"]
+__all__ = ["kernel_time", "relax_filter_gate", "SERIAL_CPI"]
 
 #: cycles per instruction for a dependent single-warp chain (issue latency
 #: of back-to-back dependent instructions on Volta-class SMs)
@@ -74,3 +74,28 @@ def kernel_time(
     )
 
     return max(issue_s, mem_s, crit_s) + atom_s
+
+
+def relax_filter_gate(spec: GPUSpec) -> float:
+    """Lanes per dependent step from which a test before ``atomicMin`` pays.
+
+    The filter (:func:`repro.sssp.relax.relax_batch`) reads ``dist[v]``
+    and issues the ``atomicMin`` only from lanes whose tentative distance
+    is below it.  Priced with this model:
+
+    * it adds two dependent steps (the load and the compare branch) to
+      the critical path: ``2 * SERIAL_CPI`` cycles per step;
+    * every same-address conflict it drops saves
+      ``atomic_serialization_cycles / num_sms`` cycles of the atomic term.
+
+    So it breaks even at ``b = 2 * SERIAL_CPI * num_sms /
+    atomic_serialization_cycles`` dropped conflicts per step (32 on V100).
+    A batch issues at most one conflict per lane, and on a critical-path
+    bound graph few lanes of a narrow batch conflict at all, so the gate
+    asks for a warp's worth of lanes per conflict: ``warp_size * b`` lanes
+    per step — 1024 on V100, 512 on T4, 1382.4 on A100.
+    """
+    breakeven = (
+        2 * SERIAL_CPI * spec.num_sms / spec.atomic_serialization_cycles
+    )
+    return spec.warp_size * breakeven

@@ -68,9 +68,11 @@ def bfs_gpu(
                 v = k.gather(dgraph.adj, sub_batch.edge_idx, assignment)
                 lv = k.gather(level, v, assignment)
                 unvisited = ~np.isfinite(lv)
-                k.branch(assignment, unvisited)
-                if unvisited.any():
-                    sub = subset_assignment(assignment, unvisited)
+                unvisited_slots = k.branch(assignment, unvisited)
+                if unvisited_slots:
+                    sub = subset_assignment(
+                        assignment, unvisited, unvisited_slots
+                    )
                     k.scatter(
                         level,
                         v[unvisited],

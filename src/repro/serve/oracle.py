@@ -35,8 +35,9 @@ __all__ = ["WarmOracle", "warm_oracle", "certified_answer"]
 #: bump to invalidate cached oracle bundles when the build recipe changes
 #: — including engine cost-model changes, since the bundle memoizes the
 #: k landmark runs' *simulated build times* (v2: warp-ballot multisplit
-#: bucket placement changed the exact engines' kernel costs)
-ORACLE_BUNDLE_VERSION = 2
+#: bucket placement changed the exact engines' kernel costs; v3: the relax
+#: layer's test before atomicMin did)
+ORACLE_BUNDLE_VERSION = 3
 
 
 @dataclass(frozen=True)

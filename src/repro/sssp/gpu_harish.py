@@ -80,9 +80,9 @@ def harish_narayanan_sssp(
                 # topology-driven overhead: n loads per iteration)
                 a_all = thread_per_item(n)
                 flags = k.gather(mask, all_vertices, a_all)
-                k.branch(a_all, flags != 0)
+                marked_slots = k.branch(a_all, flags != 0)
                 # marked vertices clear their mask and relax all out-edges
-                sub = subset_assignment(a_all, flags != 0)
+                sub = subset_assignment(a_all, flags != 0, marked_slots)
                 k.scatter(
                     mask, active, np.zeros(active.size, dtype=np.int8), sub
                 )

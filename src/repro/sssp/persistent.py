@@ -38,6 +38,15 @@ depends on how many lanes fold into one cell and how many still lower it:
   Amazon; on road-TX, with few parked lanes per round, :func:`fold_min`
   would be about 1% faster (docs/mlmq.md has the measurements).
 
+The relax layer applies the same read-then-atomic test to ``dist``
+(:func:`repro.sssp.relax.relax_batch`), but there the lanes spread over
+many cells, so whether it pays is decided per batch by width: a batch
+filters once its lanes per dependent step reach
+:func:`repro.gpusim.timemodel.relax_filter_gate`.  A fold here targets
+one cell, so its choice is fixed per call site; the gate does not apply
+to these folds, and :func:`fold_min` and :func:`fold_min_filtered` are
+unaffected by it.
+
 The chain ends — the next segment is a host launch — wherever the host
 must synchronize: a fault-runtime probe or checkpoint, a rollback, or an
 engine-specific host step such as RDBS's PRO offset re-split

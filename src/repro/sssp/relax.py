@@ -7,7 +7,9 @@ Every GPU algorithm in this library is built from the same three moves:
   arithmetic a CUDA kernel performs with ``row[u] + j``);
 * :func:`relax_batch` — the relaxation inner loop of Algorithm 1: gather
   ``dist[u]`` once per active vertex, gather the edge targets and weights,
-  compute tentative distances and resolve them with ``atomicMin``; and
+  compute tentative distances and resolve them with ``atomicMin`` —
+  behind a plain ``dist[v]`` test when the batch is wide enough for the
+  dropped conflicts to pay for it; and
 * :class:`FrontierFlags` — duplicate suppression for the next frontier via
   a device flag array (gather, branch, scatter), the standard GPU worklist
   idiom.
@@ -31,6 +33,7 @@ from ..gpusim.kernels import (
     thread_per_item,
 )
 from ..gpusim.memory import DeviceArray
+from ..gpusim.timemodel import relax_filter_gate
 from ..metrics.workstats import WorkStats
 from ..util.scan import segmented_arange, sorted_unique_ints
 
@@ -194,10 +197,12 @@ class DeviceGraph:
 class RelaxOutcome:
     """Result of one :func:`relax_batch` call.
 
-    ``new_dist[i]`` is the tentative distance the ``atomicMin`` for target
-    ``targets[i]`` carried — for updated entries, exactly the value the
-    atomic wrote (the register-resident result a real kernel branches on,
-    so consumers never need an un-counted host read of ``dist``).
+    ``new_dist[i]`` is the tentative distance lane ``i`` computed for
+    target ``targets[i]`` — for updated entries, exactly the value its
+    ``atomicMin`` wrote (the register-resident result a real kernel
+    branches on, so consumers never need an un-counted host read of
+    ``dist``).  Lanes the test before the atomic dropped stay in the
+    outcome with ``updated=False``.
     """
 
     #: per-relaxed-edge target vertex
@@ -231,7 +236,8 @@ def relax_batch(
     Implements Algorithm 1 with full accounting: per-vertex ``dist[u]``
     load, per-edge target/weight loads, the tentative-distance compute, and
     the ``atomicMin`` resolution (plus its check/update classification into
-    ``stats``).
+    ``stats``).  A wide batch tests ``dist[v]`` before the atomic (see
+    :func:`_resolve_min`); the outcome is the same either way.
 
     ``weight_filter=(delta, want_light)`` emulates the *unsorted* CSR case
     (no PRO): the kernel touches every edge of the batch, executes a
@@ -258,18 +264,45 @@ def relax_batch(
     if weight_filter is not None:
         delta, want_light = weight_filter
         taken = (wt < delta) if want_light else (wt >= delta)
-        ctx.branch(assignment, taken)
-        sub = subset_assignment(assignment, taken)
-        v_sel, nd_sel = v[taken], nd[taken]
-        _old, updated = ctx.atomic_min(dist, v_sel, nd_sel, sub)
-        if stats is not None:
-            stats.record(v_sel, nd_sel, updated)
-        return RelaxOutcome(targets=v_sel, updated=updated, new_dist=nd_sel)
+        taken_slots = ctx.branch(assignment, taken)
+        assignment = subset_assignment(assignment, taken, taken_slots)
+        v, nd = v[taken], nd[taken]
 
-    _old, updated = ctx.atomic_min(dist, v, nd, assignment)
+    updated = _resolve_min(ctx, dist, v, nd, assignment)
     if stats is not None:
         stats.record(v, nd, updated)
     return RelaxOutcome(targets=v, updated=updated, new_dist=nd)
+
+
+def _resolve_min(
+    ctx: KernelContext,
+    dist: DeviceArray,
+    v: np.ndarray,
+    nd: np.ndarray,
+    a: WorkAssignment,
+) -> np.ndarray:
+    """``atomicMin(&dist[v], nd)`` per lane; returns the ``updated`` mask.
+
+    A batch of at least :func:`~repro.gpusim.timemodel.relax_filter_gate`
+    lanes per dependent step tests before it writes: every lane reads
+    ``dist[v]`` and only lanes below their cell issue the atomic.  The
+    filter is exact by monotonicity — ``dist`` only falls, so a lane not
+    below the value it read would not have lowered the cell — and the
+    mask it returns is the plain atomic's, with dropped lanes as checks.
+    Narrower batches issue the plain atomic: there the added load and
+    compare cost more critical path than the dropped conflicts save.
+    """
+    gate = relax_filter_gate(ctx.device.spec)
+    if a.num_items < gate * max(a.max_steps, 1):
+        return ctx.atomic_min(dist, v, nd, a)[1]
+    below = nd < ctx.gather(dist, v, a)
+    below_slots = ctx.branch(a, below)
+    updated = np.zeros(v.size, dtype=bool)
+    if below_slots:
+        updated[below] = ctx.atomic_min(
+            dist, v[below], nd[below], subset_assignment(a, below, below_slots)
+        )[1]
+    return updated
 
 
 class FrontierFlags:
@@ -308,10 +341,10 @@ class FrontierFlags:
             return np.zeros(0, dtype=np.int64)
         current = ctx.gather(self.flags, targets, assignment)
         fresh_mask = current != self._stamp
-        ctx.branch(assignment, fresh_mask)
+        fresh_slots = ctx.branch(assignment, fresh_mask)
         fresh = sorted_unique_ints(targets[fresh_mask])
         if fresh.size:
-            sub = subset_assignment(assignment, fresh_mask)
+            sub = subset_assignment(assignment, fresh_mask, fresh_slots)
             ctx.scatter(
                 self.flags,
                 targets[fresh_mask],

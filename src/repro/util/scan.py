@@ -21,6 +21,7 @@ from ..perf.profile import region
 
 __all__ = [
     "distinct_count",
+    "grouped_counts",
     "multisplit_order",
     "segmented_arange",
     "segmented_exclusive_cummin",
@@ -96,10 +97,12 @@ def multisplit_order(
 def _bincount_range(values: np.ndarray) -> tuple[int, int] | None:
     """``(lo, hi)`` when a shifted bincount is the cheap way to dedup.
 
-    A counting pass is O(n + range); it beats ``np.unique``'s hash/sort
-    machinery whenever the value range is comparable to the array length,
-    which holds for vertex ids, slot ids and device addresses in the hot
-    simulator paths.  Returns None when the range is too wide.
+    A counting pass is O(n + range); it beats sorting whenever the value
+    range is comparable to the array length, which holds for vertex ids,
+    slot ids and device addresses in the hot simulator paths.  Returns
+    None when the range is too wide (callers then sort: a plain
+    ``np.sort`` plus a neighbour compare, several times faster than
+    ``np.unique``'s hash path on the batch sizes the simulator sees).
     """
     lo = int(values.min())
     hi = int(values.max())
@@ -119,11 +122,45 @@ def distinct_count(values: np.ndarray) -> int:
     with region("primitive:scan"):
         rng = _bincount_range(values)
         if rng is None:
-            return int(np.unique(values).size)
+            s = np.sort(values)
+            return 1 + int(np.count_nonzero(s[1:] != s[:-1]))
         lo, hi = rng
         return int(
             np.count_nonzero(np.bincount(values - lo, minlength=hi - lo + 1))
         )
+
+
+def grouped_counts(
+    keys: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(items, selected)`` per distinct key of a non-negative int array.
+
+    For each distinct value of ``keys`` in ascending order: how many
+    elements carry it, and how many of those have ``mask`` set — the
+    per-slot lane tallies a SIMT branch is priced from.  A counting pass
+    when the key range allows (see :func:`_bincount_range`), otherwise a
+    stable sort (skipped when the keys are already in order).
+    """
+    if keys.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    with region("primitive:scan"):
+        rng = _bincount_range(keys)
+        if rng is not None:
+            lo, hi = rng
+            shifted = keys - lo
+            items = np.bincount(shifted, minlength=hi - lo + 1)
+            selected = np.bincount(shifted[mask], minlength=hi - lo + 1)
+            present = items > 0
+            return items[present], selected[present]
+        if not bool((keys[1:] >= keys[:-1]).all()):
+            keys, order = stable_sort_with_order(keys)
+            mask = mask[order]
+        starts = np.ones(keys.size, dtype=bool)
+        starts[1:] = keys[1:] != keys[:-1]
+        gstarts = np.flatnonzero(starts)
+        items = np.diff(np.append(gstarts, keys.size))
+        selected = np.add.reduceat(mask.astype(np.int64), gstarts)
+        return items, selected
 
 
 def sorted_unique_ints(values: np.ndarray) -> np.ndarray:
@@ -137,7 +174,10 @@ def sorted_unique_ints(values: np.ndarray) -> np.ndarray:
     with region("primitive:scan"):
         rng = _bincount_range(values)
         if rng is None:
-            return np.unique(values).astype(np.int64, copy=False)
+            s = np.sort(values).astype(np.int64, copy=False)
+            keep = np.ones(s.size, dtype=bool)
+            keep[1:] = s[1:] != s[:-1]
+            return s[keep]
         lo, hi = rng
         out = np.flatnonzero(np.bincount(values - lo, minlength=hi - lo + 1))
         if lo:

@@ -19,12 +19,17 @@ get wrong —
 
 plus the extreme-Δ cases on ``kron:8,8``: Δ = 1e-3 (hundreds of thousands
 of empty intervals between buckets) and Δ = 1e9 (one bucket holds the
-whole graph) for every Δ engine.  Every distance must equal the SciPy
+whole graph) for every Δ engine; and RDBS, MLMQ and BL on a one-SM spec
+whose low relax-filter gate sends their wide batches through the test
+before ``atomicMin`` (same distances and work as the plain atomic).
+Every distance must equal the SciPy
 oracle's (every engine but the BASYN arms is held against the
 repository's binary-heap Dijkstra as well).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +37,7 @@ import pytest
 from repro.graphs import from_edges, kronecker, largest_component_vertices
 from repro.gpusim import V100
 from repro.reorder import reorder_by_degree
-from repro.sssp import GPU_METHODS, sssp, validate_distances
+from repro.sssp import GPU_METHODS, relax, sssp, validate_distances
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -173,3 +178,33 @@ def test_nearfar_extreme_delta_on_kron(delta):
 def test_engine_extreme_delta_on_kron(delta, method):
     r = sssp(KRON, KRON_SRC, method=method, delta=delta, spec=SPEC)
     assert_matches_dijkstra(KRON, KRON_SRC, r.dist)
+
+
+#: ``SPEC`` on one SM: its relax-filter gate is 12.8 lanes per step
+#: (``repro.gpusim.relax_filter_gate``), so the wide batches of these
+#: small graphs take the test before ``atomicMin``
+LOW_GATE = replace(SPEC, num_sms=1)
+
+
+@pytest.mark.parametrize("method", ("rdbs", "basyn", "mlmq", "bl"))
+def test_filtered_relax_matches_plain_atomic(method, monkeypatch):
+    """The filtered relax gives the plain atomic's distances and work."""
+    filtered = sssp(KRON, KRON_SRC, method=method, spec=LOW_GATE)
+    assert_matches_dijkstra(KRON, KRON_SRC, filtered.dist)
+    monkeypatch.setattr(relax, "relax_filter_gate", lambda spec: np.inf)
+    plain = sssp(KRON, KRON_SRC, method=method, spec=LOW_GATE)
+    np.testing.assert_array_equal(filtered.dist, plain.dist)
+    assert filtered.work == plain.work
+    # the filter fired: it dropped same-address conflicts
+    assert (
+        filtered.counters.totals.atomic_conflicts
+        < plain.counters.totals.atomic_conflicts
+    )
+
+
+@pytest.mark.parametrize("method", ("rdbs", "mlmq", "bl"))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_filtered_relax_matches_dijkstra(seed, method):
+    g, s = adversarial_graph(seed)
+    r = sssp(g, s, method=method, spec=LOW_GATE)
+    assert_matches_dijkstra(g, s, r.dist)

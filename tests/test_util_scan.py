@@ -13,6 +13,7 @@ from repro.util import (
 from repro.util.scan import (
     _bincount_range,
     distinct_count,
+    grouped_counts,
     multisplit_order,
     sorted_unique_ints,
     stable_sort_with_order,
@@ -107,6 +108,53 @@ class TestDedupPrimitives:
         got = sorted_unique_ints(arr)
         assert got.dtype == np.int64
         assert np.array_equal(got, oracle)
+
+    @given(st.lists(st.integers(0, 10**9), min_size=1, max_size=80))
+    @settings(max_examples=80, deadline=None)
+    def test_wide_range_sort_matches_np_unique(self, vals):
+        arr = np.array(vals, dtype=np.int64)
+        oracle = np.unique(arr)
+        assert distinct_count(arr) == oracle.size
+        got = sorted_unique_ints(arr)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle)
+
+
+class TestGroupedCounts:
+    """Per-key (items, selected) tallies against a np.unique oracle."""
+
+    def test_empty(self):
+        items, selected = grouped_counts(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+        )
+        assert items.size == selected.size == 0
+
+    @pytest.mark.parametrize("high", [50, 10**9])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unique_oracle(self, high, data):
+        """Narrow keys take the counting pass, wide keys the sort."""
+        n = data.draw(st.integers(1, 80))
+        keys = np.array(
+            data.draw(st.lists(st.integers(0, high), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        mask = np.array(
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        )
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        items, selected = grouped_counts(keys, mask)
+        assert np.array_equal(items, np.bincount(inverse))
+        assert np.array_equal(
+            selected, np.bincount(inverse[mask], minlength=uniq.size)
+        )
+
+    def test_sorted_wide_keys_skip_the_sort(self):
+        keys = np.array([0, 0, 10**12, 10**12, 10**12], dtype=np.int64)
+        mask = np.array([True, False, False, True, True])
+        items, selected = grouped_counts(keys, mask)
+        assert list(items) == [2, 3]
+        assert list(selected) == [1, 2]
 
 
 class TestMultisplitOrder:
