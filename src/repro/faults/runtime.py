@@ -230,6 +230,25 @@ class RecoveryRuntime:
             self.checkpoint(mark)
         return probed or checkpointed
 
+    def quiet_epochs(self) -> int:
+        """How many coming :meth:`epoch` calls run neither probe nor checkpoint."""
+        p = self.policy
+        return min(p.probe_interval - 1 - self._epoch % p.probe_interval,
+                   p.checkpoint_interval - 1
+                   - self._epoch % p.checkpoint_interval)
+
+    def pass_epochs(self, count: int) -> None:
+        """Count ``count`` quiet epoch boundaries at once.
+
+        For an engine that walks several iterations in bulk; each still
+        counts as one epoch.  ``count`` must not exceed
+        :meth:`quiet_epochs`, so nothing is skipped that would have run.
+        """
+        if count > self.quiet_epochs():
+            raise ValueError(
+                f"{count} epochs would pass a probe or checkpoint")
+        self._epoch += count
+
     def new_watchdog(self, work: int, chunk: int) -> Watchdog:
         """A round budget sized to the work one async phase should need."""
         p = self.policy

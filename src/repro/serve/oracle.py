@@ -36,8 +36,9 @@ __all__ = ["WarmOracle", "warm_oracle", "certified_answer"]
 #: — including engine cost-model changes, since the bundle memoizes the
 #: k landmark runs' *simulated build times* (v2: warp-ballot multisplit
 #: bucket placement changed the exact engines' kernel costs; v3: the relax
-#: layer's test before atomicMin did)
-ORACLE_BUNDLE_VERSION = 3
+#: layer's test before atomicMin did; v4: ADDS's persistent loop and
+#: RDBS's in-kernel offset re-split did)
+ORACLE_BUNDLE_VERSION = 4
 
 
 @dataclass(frozen=True)

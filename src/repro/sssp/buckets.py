@@ -98,22 +98,79 @@ class DeltaController:
         t_term = (t2 - t1) / t_sum
         return c_term * t_term * self.delta0
 
+    @property
+    def next_lo(self) -> float:
+        """Lower bound of the next interval (the last one's ``hi``)."""
+        return self._next_lo
+
+    def _next_width(self) -> tuple[float, float]:
+        """Bucket ``i``'s (Δ_i, ε_i) under Eq. 2, without producing it."""
+        i = len(self.widths)
+        if i < 2:
+            return self.delta0, 0.0
+        eps = self.epsilon(i)
+        width = self.widths[-1] + eps
+        return min(max(width, self.min_delta), self.max_delta), eps
+
     def next_interval(self) -> BucketInterval:
         """Produce bucket ``i``'s interval, applying Eq. 2 for its width."""
         i = len(self.widths)
-        if i < 2:
-            width = self.delta0
-            eps = 0.0
-        else:
-            eps = self.epsilon(i)
-            width = self.widths[-1] + eps
-            width = min(max(width, self.min_delta), self.max_delta)
+        width, eps = self._next_width()
         self.widths.append(width)
         self.epsilons.append(eps)
         lo = self._next_lo
         hi = lo + width
         self._next_lo = hi
         return BucketInterval(index=i, lo=lo, hi=hi)
+
+    def skip_empty(self, bound: float, limit: int | None = None) -> int:
+        """Close every coming interval that ends at or below ``bound``.
+
+        Equals calling :meth:`next_interval` and then ``feedback(0, 0)``
+        while the next interval's ``hi <= bound``, at most ``limit`` times;
+        returns how many intervals it closed.  Once the last two feedbacks
+        are zero, ε is 0 and the width stays constant, so the rest of such
+        a run is walked in bulk: its bounds are sequential float sums
+        (``np.add.accumulate``), equal to the one-by-one walk's.
+        """
+        limit = np.inf if limit is None else limit
+        closed = 0
+        while closed < limit:
+            i = len(self.widths)
+            if i >= 2 and self.history[i - 2:i] == [(0, 0), (0, 0)]:
+                closed += self._skip_constant(bound, limit - closed)
+                break
+            width, _eps = self._next_width()
+            if self._next_lo + width > bound:
+                break
+            self.next_interval()
+            self.feedback(0, 0)
+            closed += 1
+        return closed
+
+    def _skip_constant(self, bound: float, limit: float) -> int:
+        """Bulk part of :meth:`skip_empty`: ε is 0 from here on."""
+        width, eps = self._next_width()
+        closed = 0
+        while closed < limit:
+            lo = self._next_lo
+            # about as many steps as fit below ``bound``, plus slack for
+            # the rounding of the sequential sums
+            est = (bound - lo) / width + 2
+            steps = int(min(est, limit - closed, 1 << 20)) if est > 0 else 0
+            if steps <= 0:
+                break
+            sums = np.add.accumulate(np.concatenate(([lo], np.full(steps, width))))
+            fit = int(np.searchsorted(sums[1:], bound, side="right"))
+            if fit:
+                self.widths.extend([width] * fit)
+                self.epsilons.extend([eps] * fit)
+                self.history.extend([(0, 0)] * fit)
+                self._next_lo = float(sums[fit])
+                closed += fit
+            if fit < steps:
+                break
+        return closed
 
 
 def bucket_of(dist: np.ndarray, delta: float) -> np.ndarray:

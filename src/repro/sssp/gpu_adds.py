@@ -14,6 +14,24 @@ closed-source original are unavoidable; what is preserved (async execution,
 work-efficient near/far batching, dynamic Δ, vertex-centric mapping on the
 unsorted CSR) is exactly the behaviour the paper's comparison attributes to
 ADDS.
+
+The loop runs as one persistent kernel (:mod:`repro.sssp.persistent`):
+only the first ``adds_async`` drain is a host launch, and every later
+drain and far-pile split is a continuation segment.  Each drain ends in
+one device barrier; the split after it shares the next drain's
+synchronization window, so there is one barrier per threshold (the
+initial Δ and each advance).  That is exact by monotonicity: a vertex the
+drain lowers below the new threshold is pushed to the near set by the
+drain's own placement.  The choices the host used to make between
+launches are charged device work: far-hit lanes fold their new distances
+into a far-minimum cell (:func:`~repro.sssp.persistent.fold_min_filtered`),
+the split's block leaders read it to advance the threshold
+(:func:`~repro.sssp.persistent.controller_step`), and the promoted count
+that drives the Δ feedback is a warp-aggregated
+:func:`~repro.sssp.persistent.publish_count`, read by the block leaders
+after the barrier of the drain that follows.  The host still decides
+from its exact mirrors.  The chain ends where the host synchronizes: a
+fault-runtime probe or checkpoint, or a rollback.
 """
 
 from __future__ import annotations
@@ -23,12 +41,22 @@ import numpy as np
 from ..faults.plan import InjectedKernelAbort
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import subset_assignment
-from ..gpusim.kernels import grid_stride, thread_per_vertex_edges
+from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
 from ..util.scan import sorted_unique_ints
 from .engine import GPUSolve
 from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
+from .persistent import (
+    BLOCK,
+    RING,
+    PersistentChain,
+    block_leaders,
+    controller_step,
+    fold_min_filtered,
+    per_warp,
+    publish_count,
+)
 from .relax import relax_batch
 from .result import SSSPResult
 from .worklist import SlotPool
@@ -38,6 +66,15 @@ __all__ = ["adds_sssp"]
 _SCAN_THREADS = 32 * 256
 #: near-set vertices processed per asynchronous micro-round
 _CHUNK = 2048
+
+#: dependent instructions of the threshold advance a block leader runs in
+#: a split: both candidate thresholds and their maximum
+THRESHOLD_OPS = 3
+
+#: dependent instructions of the Δ feedback a block leader runs after a
+#: drain's barrier: the two tests against the target band, the scaled
+#: width and its clamp
+DELTA_OPS = 4
 
 
 def adds_sssp(
@@ -70,9 +107,22 @@ def adds_sssp(
     # resident-warp parallelism (ADDS's utilization-driven adjustment)
     target = spec.resident_warps
 
+    chain = PersistentChain(device)
+    #: far-hit lanes fold their new distances into ``far_min[cell]``
+    #: during a drain, and the next split's block leaders read it to
+    #: advance the threshold.  The cell prices the advance; the host takes
+    #: the exact minimum over the whole far pile
+    far_min = device.full(RING, np.inf, name="adds_far_min")
+    #: each split's promoting warps add their tally to ``promoted[cell]``;
+    #: the block leaders read it for the Δ feedback after the barrier of
+    #: the drain the split opened
+    promoted = device.zeros(RING, dtype=np.int64, name="adds_promoted")
+    cell = 0
+
     while near or far_mask.any():
-        if runtime is not None:
-            runtime.epoch(sum(int(c.size) for c in near))
+        if runtime is not None and runtime.epoch(
+                sum(int(c.size) for c in near)):
+            chain.end()
         if not near:
             candidates = np.flatnonzero(far_mask)
             if candidates.size == 0:
@@ -80,18 +130,34 @@ def adds_sssp(
             min_far = float(dist.data[candidates].min())
             threshold = max(threshold + cur_delta, min_far + cur_delta)
             try:
-                with device.launch("adds_split") as k:
+                with chain.segment("adds_split") as k:
                     a = grid_stride(candidates.size, _SCAN_THREADS)
+                    a_blocks = block_leaders(
+                        -(-min(candidates.size, _SCAN_THREADS) // BLOCK))
+                    # every block leader advances the threshold past the
+                    # far minimum the last drain folded
+                    controller_step(k, a_blocks, far_min, cell,
+                                    ops=THRESHOLD_OPS, reset=np.inf)
                     dvals = k.gather(dist, candidates, a)
                     # one ballot round partitions near/far; the stable
                     # bucket order is the candidates' original order
                     keys = (dvals >= threshold).astype(np.int64)
                     order, offs = k.multisplit(keys, 2, a)
-                    promote = candidates[order[: offs[1]]]
+                    lanes = order[: offs[1]]
+                    promote = candidates[lanes]
+                    # grid-stride item i runs on thread i % T
+                    publish_count(
+                        k, per_warp(lanes % a.num_threads,
+                                    device.spec.warp_size),
+                        promoted, cell)
+                    if promote.size == 0:
+                        # no drain follows to order this split before the
+                        # next one
+                        k.device_barrier()
             except InjectedKernelAbort as exc:
-                near = _adds_reseed(solve, exc, in_near, far_mask)
+                near = _adds_reseed(solve, exc, chain, in_near, far_mask)
                 continue
-            device.barrier()
+            cell = (cell + 1) % RING
             far_mask[promote] = False
             in_near[promote] = True
             if device.handlers("on_annotate"):
@@ -112,21 +178,26 @@ def adds_sssp(
                 cur_delta = max(cur_delta / 1.25, delta)
             continue
 
-        # ---- asynchronous near-set processing: one persistent kernel ----
+        # ---- asynchronous near-set processing: one drain segment ----
         try:
-            with device.launch("adds_async") as k:
+            with chain.segment("adds_async") as k:
                 _adds_async(
                     k, dgraph, dist, near, in_near, far_mask,
                     near_pool, far_pool, solve.stats, threshold,
-                    max_steps, cur_delta, counters,
+                    max_steps, cur_delta, counters, far_min, cell,
                 )
+                k.device_barrier()
+                # every block leader applies the Δ feedback of the split
+                # that opened this drain
+                controller_step(k, block_leaders(-(-_CHUNK // BLOCK)),
+                                promoted, (cell - 1) % RING, ops=DELTA_OPS,
+                                reset=0)
         except ConvergenceError as exc:
             solve.give_up(exc)
             break
         except InjectedKernelAbort as exc:
-            near = _adds_reseed(solve, exc, in_near, far_mask)
+            near = _adds_reseed(solve, exc, chain, in_near, far_mask)
             continue
-        device.barrier()
 
     return solve.result({
         "rounds": counters["rounds"], "delta0": delta,
@@ -136,11 +207,13 @@ def adds_sssp(
 def _adds_async(
     k, dgraph, dist, near, in_near, far_mask,
     near_pool, far_pool, stats, threshold, max_steps, cur_delta, counters,
+    far_min, cell,
 ):
-    """Drain the near worklist inside one persistent asynchronous kernel.
+    """Drain the near worklist: one segment of the persistent kernel.
 
     Worklist insertions are dense coalesced appends into ``near_pool`` /
-    ``far_pool``.
+    ``far_pool``; the far-hit lanes fold their new distances into
+    ``far_min[cell]`` for the next split.
     """
     # per-round telemetry is host-only and gated on an attached observer
     note_rounds = bool(k.device.handlers("on_annotate"))
@@ -176,13 +249,19 @@ def _adds_async(
             continue
         # classify on the value the winning atomic wrote (register
         # resident) rather than an un-counted host re-read of dist
-        is_near = out.new_dist[out.updated] < threshold
+        new_vals = out.new_dist[out.updated]
+        is_near = new_vals < threshold
         sub = subset_assignment(a, out.updated)
         # one ballot round partitions near/far; the stable bucket order
         # keeps the updated-target order
         order, offs = k.multisplit((~is_near).astype(np.int64), 2, sub)
         near_hits = upd[order[: offs[1]]]
         far_hits = upd[order[offs[1]:]]
+        # the far hits' minimum, one lane per far hit of the placement's
+        # contiguous far half
+        far_vals = new_vals[order[offs[1]:]]
+        fold_min_filtered(k, far_vals, thread_per_item(int(far_vals.size)),
+                          far_min, cell)
 
         fresh = sorted_unique_ints(near_hits)
         fresh = fresh[~in_near[fresh]]
@@ -198,14 +277,18 @@ def _adds_async(
             far_pool.store(k, far_new)
 
 
-def _adds_reseed(solve, exc, in_near, far_mask):
+def _adds_reseed(solve, exc, chain, in_near, far_mask):
     """Roll back after an aborted kernel and rebuild the near worklist.
+
+    The rollback is a host synchronization, so it ends the persistent
+    kernel: the next segment is a host launch.
 
     Every finite vertex of the restored checkpoint re-enters the near set;
     re-relaxing settled vertices costs extra work but cannot change a
     correct distance.
     """
     fin = solve.on_abort(exc)
+    chain.end()
     in_near[:] = False
     in_near[fin] = True
     far_mask[:] = False

@@ -38,6 +38,7 @@ from .persistent import (
     block_leaders,
     controller_step,
     fold_min,
+    per_warp,
     publish_count,
 )
 from .relax import relax_batch
@@ -167,7 +168,7 @@ def nearfar_sssp(
                     # near hits per warp (thread t relaxes near[t]) ...
                     hit_pos = batch.src_pos[out.updated]
                     publish_count(
-                        k, _per_warp(hit_pos[is_near], device.spec.warp_size),
+                        k, per_warp(hit_pos[is_near], device.spec.warp_size),
                         near_count, cell)
                     # ... and the far hits' minimum, one lane per far hit
                     # of the placement's contiguous far half
@@ -207,13 +208,6 @@ def nearfar_sssp(
         near = near_next
 
     return solve.result({"iterations": iterations, "delta": delta})
-
-
-def _per_warp(threads: np.ndarray, warp_size: int) -> np.ndarray:
-    """Hit count of every warp holding at least one of ``threads``."""
-    if threads.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.unique(threads // warp_size, return_counts=True)[1]
 
 
 def _nearfar_reseed(solve, exc, chain, far_mask, far_val, dist):

@@ -18,9 +18,13 @@ independent toggles:
   persistent kernel (PriorityGraph-style bucket fusion): after the first
   host launch, every phase-1 and phase-2&3 segment is a device-side
   continuation split by device barriers, and the next-bucket choice is
-  charged as device work.  The kernel ends, and the next bucket starts
-  with a host launch, only where the host must synchronize: a PRO offset
-  re-split, a fault-runtime probe/checkpoint, or a rollback.
+  charged as device work.  A PRO offset re-split no longer ends the
+  kernel: it is one more segment, ended by its own device barrier before
+  the phase 1 that reads the new offsets.  The kernel ends, and the next
+  bucket starts with a host launch, only where the host must
+  synchronize: a fault-runtime probe/checkpoint, or a rollback.  Runs of
+  empty Eq. 1–2 intervals between buckets are walked in bulk
+  (:meth:`~repro.sssp.buckets.DeltaController.skip_empty`).
 
 With all three off the engine degenerates to the classic synchronous
 GPU Δ-stepping of §2.2 (which doubles as the ablation baseline).  The
@@ -235,15 +239,21 @@ def _rdbs_run(
 
         # next bucket interval: dynamic (Eq. 1–2) or fixed width
         if controller is not None:
+            # empty buckets: zero feedback each, walked in bulk.  Each one
+            # past the first is an epoch of its own; a synchronizing epoch
+            # (its probe may repair dist) ends the walk
+            skipped = controller.skip_empty(
+                min_unsettled,
+                None if runtime is None else runtime.quiet_epochs() + 1)
+            if skipped:
+                if runtime is not None:
+                    runtime.pass_epochs(skipped - 1)
+                lo = controller.next_lo
+                continue
             interval = controller.next_interval()
             b_lo, b_hi = interval.lo, interval.hi
             bucket_id = interval.index
             eps_i = controller.epsilons[-1]
-            if b_hi <= min_unsettled:
-                # empty bucket: report zero feedback and move on cheaply
-                controller.feedback(0, 0)
-                lo = b_hi
-                continue
         else:
             bucket_id = int(np.floor(min_unsettled / delta))
             b_lo = bucket_id * delta
@@ -284,8 +294,9 @@ def _rdbs_run(
         b_width = b_hi - b_lo
         try:
             if use_offsets and b_width > dgraph.split_delta * (1 + 1e-12):
-                dgraph.resplit(b_width)
-                chain.end()
+                # under BASYN the re-split is a segment of the resident
+                # kernel; the synchronous arms launch it from the host
+                dgraph.resplit(b_width, chain if basyn_active else None)
             split = (
                 max(b_width, dgraph.split_delta) if use_offsets else b_width
             )

@@ -20,11 +20,14 @@ A cell is reset one phase before anything folds into it again, so a
 decision made every segment cycles through three cells (:data:`RING`);
 RDBS, whose buckets span two barriers, needs only two.
 
-Three engines run on a chain: RDBS under BASYN (one bucket per two
-barriers), Near-Far (one relax or split segment per barrier) and MLMQ
-(one barrier per level: the window advance that opens a level shares
-the synchronization window of its drain).  Which minimum fold wins
-depends on how many lanes fold into one cell and how many still lower it:
+Four engines run on a chain: RDBS under BASYN (one bucket per two
+barriers, plus one per PRO offset re-split, which is a segment of the
+chain), Near-Far (one relax or split segment per barrier), MLMQ (one
+barrier per level: the window advance that opens a level shares the
+synchronization window of its drain) and ADDS (one barrier per near-set
+drain: the far-pile split that opens a drain shares its synchronization
+window).  Which minimum fold wins depends on how many lanes fold into
+one cell and how many still lower it:
 
 * :func:`publish_grid_min` — a scan over every vertex (RDBS's next-bucket
   scan): thousands of lanes, so a warp butterfly and one atomic per block;
@@ -36,7 +39,15 @@ depends on how many lanes fold into one cell and how many still lower it:
   few still lower it, so conflicts dominate.  MLMQ's next-level cell,
   folded by every round of a level's drain, is that case on kron and
   Amazon; on road-TX, with few parked lanes per round, :func:`fold_min`
-  would be about 1% faster (docs/mlmq.md has the measurements).
+  would be about 1% faster (docs/mlmq.md has the measurements).  ADDS's
+  far-minimum cell, folded by the far hits of every micro-round of a
+  drain, is that case on all three quick graphs: with :func:`fold_min`
+  there an ADDS solve is 1.8% (road-TX), 1.1% (kron) and 1.8% (Amazon)
+  slower.
+
+Counts take one fold: :func:`publish_count`, one warp-aggregated atomic
+per warp holding hits (Near-Far's near hits, ADDS's promoted far-pile
+vertices).
 
 The relax layer applies the same read-then-atomic test to ``dist``
 (:func:`repro.sssp.relax.relax_batch`), but there the lanes spread over
@@ -48,8 +59,7 @@ to these folds, and :func:`fold_min` and :func:`fold_min_filtered` are
 unaffected by it.
 
 The chain ends — the next segment is a host launch — wherever the host
-must synchronize: a fault-runtime probe or checkpoint, a rollback, or an
-engine-specific host step such as RDBS's PRO offset re-split
+must synchronize: a fault-runtime probe or checkpoint, or a rollback
 (:meth:`PersistentChain.end`).  The cells carry the cost of a decision,
 not its authority: the host decides from its own exact state, so
 distances and the launch structure never depend on the cell values.
@@ -76,6 +86,7 @@ __all__ = [
     "controller_step",
     "fold_min",
     "fold_min_filtered",
+    "per_warp",
     "publish_count",
     "publish_grid_min",
     "warp_leaders",
@@ -201,6 +212,17 @@ def fold_min_filtered(
         elif below.any():
             k.atomic_min(cells, idx[below], values[below],
                          subset_assignment(a, below))
+
+
+def per_warp(threads: np.ndarray, warp_size: int) -> np.ndarray:
+    """Hit count of every warp holding at least one of ``threads``.
+
+    The ``warp_counts`` a :func:`publish_count` takes, from the thread ids
+    of the lanes holding hits.
+    """
+    if threads.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.unique(threads // warp_size, return_counts=True)[1]
 
 
 def publish_count(

@@ -36,6 +36,7 @@ from ..gpusim.memory import DeviceArray
 from ..gpusim.timemodel import relax_filter_gate
 from ..metrics.workstats import WorkStats
 from ..util.scan import segmented_arange, sorted_unique_ints
+from .persistent import PersistentChain
 
 __all__ = [
     "DeviceGraph",
@@ -91,12 +92,15 @@ class DeviceGraph:
         #: kernel accounting of resplit() is unchanged by a memo hit.
         self._offset_memo: dict[float, np.ndarray] = {}
 
-    def resplit(self, new_delta: float) -> None:
+    def resplit(self, new_delta: float,
+                chain: PersistentChain | None = None) -> None:
         """Recompute heavy offsets for ``new_delta`` (one device pass).
 
         Each vertex binary-searches its weight-sorted segment for the new
         split point and stores the offset — charged as an ALU + store pass
-        over all vertices in a small kernel.
+        over all vertices in a small kernel.  Given the ``chain`` of a
+        persistent kernel, the pass is that kernel's next segment instead,
+        ended by a device barrier: the phase after it reads the offsets.
         """
         if self.heavy is None:
             raise ValueError("graph has no heavy offsets to re-split")
@@ -108,11 +112,16 @@ class DeviceGraph:
         if offsets is None:
             offsets = compute_heavy_offsets(self.graph, new_delta)
             self._offset_memo[float(new_delta)] = offsets
-        with self.device.launch("resplit_offsets") as k:
+        fused = chain is not None
+        # a chain that is not resident starts its kernel with a host launch
+        with (chain if fused else PersistentChain(self.device)).segment(
+                "resplit_offsets") as k:
             a = grid_stride(n, 32 * 256)
             k.gather(self.row, np.arange(n, dtype=np.int64), a)
             k.alu(a, ops=6)  # per-vertex binary search over its segment
             k.scatter(self.heavy, np.arange(n, dtype=np.int64), offsets, a)
+            if fused:
+                k.device_barrier()
         self.split_delta = float(new_delta)
 
     # ------------------------------------------------------------------

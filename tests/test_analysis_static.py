@@ -21,6 +21,10 @@ SRC = REPO / "src" / "repro"
 WORKLIST_KERNELS = {"phase1_async", "adds_async", "mlmq_init", "mlmq_drain",
                     "mlmq_advance"}
 
+#: (kernel, array) of the one-lane decision-cell resets a worklist kernel
+#: also runs (``repro.sssp.persistent.controller_step``)
+DECISION_CELL_RESETS = {("mlmq_drain", "level_min"), ("adds_async", "promoted")}
+
 #: every launch label the engine corpus must produce a signature for
 EXPECTED_KERNELS = {
     "phase1_async", "phase1_sync", "phase23_fused",   # rdbs
@@ -476,8 +480,9 @@ class TestManifest:
     def test_worklist_stores_are_proven_disjoint(self):
         # every worklist store goes through repro.sssp.worklist: a dense
         # cursor append the analyzer proves without an in-source escape.
-        # The one other store is the persistent controller's one-lane
-        # reset of MLMQ's next-level cell (repro.sssp.persistent)
+        # The other stores are the persistent controller's one-lane
+        # resets of decision cells (repro.sssp.persistent): MLMQ's
+        # next-level cell and ADDS's promoted count
         committed = load_manifest(REPO / "ANALYSIS_manifest.json")
         kernels = {
             sig["label"]: sig for sig in committed["kernels"].values()
@@ -488,7 +493,7 @@ class TestManifest:
             assert sig["scatters"], label
             assert "call" not in sig["ops"], label
             for s in sig["scatters"]:
-                if (label, s["array"]) == ("mlmq_drain", "level_min"):
+                if (label, s["array"]) in DECISION_CELL_RESETS:
                     continue
                 assert s["array"] == "slots", (label, s)
                 assert (s["class"], s["justified"]) == ("disjoint", False), (

@@ -13,6 +13,7 @@ from repro.graphs import (
     reverse_graph,
     scale_weights,
 )
+from repro.bench import benchmark_spec, get_graph, pick_sources
 from repro.gpusim import GPUDevice, KernelCounters, Timeline, V100, attribute_bottleneck
 from repro.gpusim.kernels import grid_stride
 from repro.sssp import (
@@ -185,3 +186,14 @@ class TestTimeline:
         assert isinstance(tl, Timeline)
         assert tl.total_s > 0
         assert "phase1" in " ".join(name for name, _ in tl.by_kernel().items())
+
+    @pytest.mark.parametrize("method", ["rdbs", "near-far", "mlmq", "adds"])
+    @pytest.mark.parametrize("dataset", ["road-TX", "k-n21-16", "Amazon"])
+    def test_timeline_sums_to_time_ms(self, dataset, method):
+        """Every simulated nanosecond of a bucketed engine's quick cell is
+        on its timeline: no host-visible barrier adds time off the
+        records."""
+        g = get_graph(dataset)
+        source = pick_sources(dataset, 1)[0]
+        r = sssp(g, source, method=method, spec=benchmark_spec())
+        assert r.extra["timeline"].total_s * 1e3 == r.time_ms

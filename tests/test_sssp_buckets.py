@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sssp import BucketInterval, DeltaController, bucket_of
 
@@ -90,3 +92,89 @@ class TestDeltaController:
 
     def test_interval_width_property(self):
         assert BucketInterval(0, 2.0, 5.5).width == pytest.approx(3.5)
+
+
+def _walk_one_by_one(c: DeltaController, bound: float) -> BucketInterval:
+    """The reference walk: produce intervals one at a time, closing each
+    one that ends at or below ``bound`` with zero feedback; returns the
+    first that does not."""
+    while True:
+        iv = c.next_interval()
+        if iv.hi > bound:
+            return iv
+        c.feedback(0, 0)
+
+
+def _state(c: DeltaController):
+    return c.widths, c.epsilons, c.history, c.next_lo
+
+
+#: a nonempty bucket: how far past the walk's start its first vertex
+#: sits (in units of Δ_0), and its (C, T) feedback — zeros included
+_BUCKET = st.tuples(
+    st.floats(0.0, 60.0),
+    st.integers(0, 50) | st.just(0),
+    st.integers(0, 5000) | st.just(0),
+)
+
+
+class TestBulkEmptyWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        delta0=st.floats(1e-3, 10.0),
+        clamps=st.sampled_from(
+            [(None, None), (0.5, 1.5), (2.0, 4.0), (0.05, 0.2), (1.0, 1.0)]),
+        buckets=st.lists(_BUCKET, min_size=1, max_size=12),
+        limit=st.none() | st.integers(1, 5),
+    )
+    def test_bulk_walk_equals_one_by_one(self, delta0, clamps, buckets,
+                                         limit):
+        """``skip_empty`` (in bulk, or in pieces of at most ``limit``)
+        leaves the controller exactly where the one-by-one walk does:
+        same widths, epsilons, history and interval bounds.  Some clamp
+        pairs exclude Δ_0 itself, so the first adjusted width clamps."""
+        lo, hi = clamps
+        kw = {} if lo is None else {"min_delta": lo * delta0,
+                                    "max_delta": hi * delta0}
+        ref, bulk = DeltaController(delta0, **kw), DeltaController(delta0, **kw)
+        for offset, conv, threads in buckets:
+            bound = ref.next_lo + offset * delta0
+            start = len(ref.widths)
+            want = _walk_one_by_one(ref, bound)
+            closed = 0
+            while True:
+                step = bulk.skip_empty(bound, limit)
+                assert limit is None or step <= limit
+                closed += step
+                if not step:
+                    break
+            got = bulk.next_interval()
+            assert closed == want.index - start
+            assert (got.index, got.lo, got.hi) == (want.index, want.lo,
+                                                   want.hi)
+            ref.feedback(conv, threads)
+            bulk.feedback(conv, threads)
+            assert _state(bulk) == _state(ref)
+
+    def test_long_run_bounds_are_sequential_sums(self):
+        """About sixteen thousand empty intervals at a width that is not
+        a binary fraction: the bulk bounds carry the one-by-one walk's
+        rounding exactly."""
+        ref, bulk = DeltaController(1e-3), DeltaController(1e-3)
+        for c in (ref, bulk):
+            for conv, threads in ((40, 900), (7, 300)):
+                c.next_interval()
+                c.feedback(conv, threads)
+        bound = 37.3
+        want = _walk_one_by_one(ref, bound)
+        assert bulk.skip_empty(bound) == want.index - 2
+        got = bulk.next_interval()
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+        assert _state(bulk) == _state(ref)
+
+    def test_nothing_to_skip(self):
+        c = DeltaController(2.0)
+        assert c.skip_empty(1.5) == 0
+        assert c.widths == [] and c.next_lo == 0.0
+        assert c.skip_empty(4.0) == 2
+        assert c.history == [(0, 0), (0, 0)] and c.next_lo == 4.0

@@ -19,7 +19,8 @@ get wrong —
 
 plus the extreme-Δ cases on ``kron:8,8``: Δ = 1e-3 (hundreds of thousands
 of empty intervals between buckets) and Δ = 1e9 (one bucket holds the
-whole graph) for every Δ engine; and RDBS, MLMQ and BL on a one-SM spec
+whole graph) for every Δ engine; RDBS's bulk walk over empty intervals
+against one interval per loop iteration; and RDBS, MLMQ and BL on a one-SM spec
 whose low relax-filter gate sends their wide batches through the test
 before ``atomicMin`` (same distances and work as the plain atomic).
 Every distance must equal the SciPy
@@ -37,7 +38,13 @@ import pytest
 from repro.graphs import from_edges, kronecker, largest_component_vertices
 from repro.gpusim import V100
 from repro.reorder import reorder_by_degree
-from repro.sssp import GPU_METHODS, relax, sssp, validate_distances
+from repro.sssp import (
+    GPU_METHODS,
+    DeltaController,
+    relax,
+    sssp,
+    validate_distances,
+)
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -158,6 +165,40 @@ def test_extreme_delta_on_kron(delta):
     r = sssp(KRON, KRON_SRC, method="rdbs", delta=delta, spec=SPEC)
     validate_distances(KRON, KRON_SRC, r.dist)
     assert not r.extra["delta_rescaled"]
+
+
+#: the controller's bulk walk over empty intervals
+_BULK_SKIP = DeltaController.skip_empty
+
+
+@pytest.mark.parametrize("recovery", [None, True])
+@pytest.mark.parametrize("method", ["rdbs", "basyn"])
+def test_bulk_empty_walk_matches_one_per_iteration(method, recovery,
+                                                   monkeypatch):
+    """At Δ = 0.25 on integer weights most intervals are empty.  Walking
+    them in bulk gives the run that closes one per loop iteration (an
+    O(n) rescan and an epoch each) — with a fault runtime attached too,
+    whose probes and checkpoints must land on the same epochs."""
+    bulk = sssp(KRON, KRON_SRC, method=method, delta=0.25, spec=SPEC,
+                recovery=recovery)
+    monkeypatch.setattr(
+        DeltaController, "skip_empty",
+        lambda self, bound, limit=None: _BULK_SKIP(self, bound, 1))
+    step = sssp(KRON, KRON_SRC, method=method, delta=0.25, spec=SPEC,
+                recovery=recovery)
+    assert_matches_dijkstra(KRON, KRON_SRC, bulk.dist)
+    np.testing.assert_array_equal(bulk.dist, step.dist)
+    assert bulk.time_ms == step.time_ms
+    assert bulk.counters.totals == step.counters.totals
+    assert [r.name for r in bulk.extra["timeline"].records] == [
+        r.name for r in step.extra["timeline"].records]
+    for key in ("buckets", "rounds", "final_delta"):
+        assert bulk.extra[key] == step.extra[key]
+    assert repr(bulk.extra["bucket_telemetry"]) == repr(
+        step.extra["bucket_telemetry"])
+    if recovery:
+        assert "recovery_probe" in bulk.extra["timeline"].by_kernel()
+        assert bulk.faults.actions == step.faults.actions
 
 
 @pytest.mark.parametrize("arm", BASYN_ARMS[1:])

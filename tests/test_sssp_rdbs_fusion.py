@@ -1,9 +1,10 @@
 """Bucket fusion: RDBS's BASYN bucket loop runs as one persistent kernel.
 
 Pins the launch structure of the fused loop — one host launch per chain,
-two device barriers per bucket — and where the chain must end: a PRO
-offset re-split, a fault-runtime probe, and a rollback each return to
-the host, so the next bucket starts with a host launch.
+two device barriers per bucket and one per PRO offset re-split, which is
+a segment of the chain — and where the chain must end: a fault-runtime
+probe and a rollback each return to the host, so the next bucket starts
+with a host launch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ KRON = kronecker(8, 8, weights="int", seed=0)
 KRON_SRC = int(largest_component_vertices(KRON)[0])
 
 #: the kernels a fused bucket is made of
-BUCKET_SEGMENTS = {"phase1_async", "phase23_fused"}
+BUCKET_SEGMENTS = {"resplit_offsets", "phase1_async", "phase23_fused"}
 
 
 class _LaunchLog:
@@ -63,23 +64,47 @@ def _assert_continuations_follow_bucket_segments(kernels) -> None:
             assert prev in BUCKET_SEGMENTS, (prev, name)
 
 
+def _assert_one_launch_solve(g, source) -> None:
+    """A clean PRO solve is one host launch: a re-split is a segment of
+    the chain ended by its own device barrier."""
+    r, log = _logged(sssp, g, source, method="rdbs", spec=SPEC)
+    validate_distances(g, source, r.dist)
+    kernels = log.kernels()
+    names = [n for n, _h in kernels]
+    c = r.counters.totals
+    assert c.kernel_launches == 1
+    assert sum(h for _n, h in kernels) == 1
+    assert kernels[0] == ("phase1_async", True)
+    assert (c.barriers
+            == 2 * r.extra["buckets"] + names.count("resplit_offsets"))
+    _assert_continuations_follow_bucket_segments(kernels)
+
+
 class TestLaunchStructure:
     @pytest.mark.parametrize("source", pick_sources("road-TX", 2))
     def test_road_quick_cell(self, source):
-        g = get_graph("road-TX")
+        _assert_one_launch_solve(get_graph("road-TX"), source)
+
+    @pytest.mark.parametrize("dataset", ["k-n21-16", "Amazon"])
+    def test_power_law_quick_cells(self, dataset):
+        g = get_graph(dataset)
+        for source in pick_sources(dataset, 2):
+            _assert_one_launch_solve(g, source)
+
+    def test_resplit_continues_the_chain(self):
+        """k-n21-16 widens its buckets past the PRO split, so the solve
+        re-splits; each re-split runs between two bucket segments."""
+        g = get_graph("k-n21-16")
+        source = pick_sources("k-n21-16", 1)[0]
         r, log = _logged(sssp, g, source, method="rdbs", spec=SPEC)
-        validate_distances(g, source, r.dist)
-        c = r.counters.totals
-        assert c.kernel_launches <= 6
-        assert c.barriers == 2 * r.extra["buckets"]
         kernels = log.kernels()
-        assert kernels[0] == ("phase1_async", True)
-        _assert_continuations_follow_bucket_segments(kernels)
-        # only a re-split ends the chain, and the bucket after it starts
-        # with a host launch
-        for (prev, _), (name, host) in zip(kernels, kernels[1:]):
-            if host:
-                assert "resplit_offsets" in (prev, name)
+        resplits = [i for i, (n, _h) in enumerate(kernels)
+                    if n == "resplit_offsets"]
+        assert resplits
+        for i in resplits:
+            assert kernels[i][1] is False
+            assert kernels[i - 1][0] == "phase23_fused"
+            assert kernels[i + 1] == ("phase1_async", False)
 
     def test_every_phase23_is_a_continuation(self):
         r, log = _logged(sssp, KRON, KRON_SRC, method="basyn", spec=SPEC)

@@ -8,6 +8,7 @@ from repro.graphs import kronecker, paper_fig4_graph
 from repro.gpusim import GPUDevice, V100, thread_per_item, thread_per_vertex_edges
 from repro.metrics import WorkStats
 from repro.reorder import apply_pro
+from repro.sssp.persistent import PersistentChain
 from repro.sssp.relax import DeviceGraph, FrontierFlags, relax_batch
 
 
@@ -67,6 +68,25 @@ class TestDeviceGraph:
         assert list(dg.light_counts(np.arange(5))) == [4, 2, 3, 1, 2]
         # the re-split pass is charged to the device
         assert dev.counters.totals.kernel_launches == 1
+
+    def test_resplit_in_a_resident_chain_is_a_segment(self, dev, pro_graph):
+        """Given a resident chain, the re-split continues its kernel and
+        ends in a device barrier; the same pass without one is a host
+        launch with no barrier."""
+        dg = DeviceGraph(dev, pro_graph)
+        chain = PersistentChain(dev)
+        with chain.segment("resident"):
+            pass
+        dg.resplit(6.0, chain)
+        c = dev.counters.totals
+        assert (c.kernel_launches, c.barriers) == (1, 1)
+        first = dev.timeline.records[-1]
+        dg.resplit(6.0)
+        assert (c.kernel_launches, c.barriers) == (2, 1)
+        second = dev.timeline.records[-1]
+        assert second.duration_s - first.duration_s == pytest.approx(
+            dev.spec.kernel_launch_s - dev.spec.barrier_s)
+        assert chain.resident
 
     def test_resplit_without_offsets_raises(self, dev):
         dg = DeviceGraph(dev, kronecker(5, 4, seed=2))
