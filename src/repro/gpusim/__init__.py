@@ -10,7 +10,6 @@ datasheet numbers.
 """
 
 from .cachemodel import CacheModel, reuse_gaps
-from .compaction import compact_multisplit
 from .counters import DeviceCounters, KernelCounters
 from .device import (
     GPUDevice,
@@ -84,6 +83,5 @@ __all__ = [
     "clamp_grid",
     "OccupancyResult",
     "OccupancyLimits",
-    "compact_multisplit",
     "ballot_rounds",
 ]

@@ -7,9 +7,9 @@ whole-run :class:`~repro.gpusim.counters.DeviceCounters` totals — then
 aggregates them the way a profiling session does:
 time per kernel *type*, top-k kernels, and a bottleneck attribution that
 splits each kernel's duration into its binding resource (issue-bound,
-memory-bound, critical-path-bound or overhead).  The attribution re-derives
-the roofline terms from the recorded counters, so it always agrees with the
-time model.
+memory-bound, critical-path-bound or overhead).  The attribution reads the
+roofline terms from :func:`~repro.gpusim.timemodel.kernel_bounds`, the
+formula the time model charges, so the two always agree.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .counters import KernelCounters
 from .spec import GPUSpec
-from .timemodel import SERIAL_CPI
+from .timemodel import kernel_bounds
 
 __all__ = ["KernelRecord", "Timeline", "attribute_bottleneck"]
 
@@ -48,21 +48,13 @@ def attribute_bottleneck(
     One of ``"issue"``, ``"memory"``, ``"critical-path"`` — or
     ``"overhead"`` when the body is empty (pure launch/sync cost).
     """
-    issue = counters.total_warp_instructions / spec.issue_slots_per_s
-    dram = max(
-        (counters.global_load_transactions - counters.l1_hits)
-        + counters.global_store_transactions
-        + counters.atomic_transactions,
-        0,
-    )
-    mem = dram * spec.sector_bytes / spec.mem_bandwidth_bytes_per_s
-    crit = critical_instructions * SERIAL_CPI / spec.clock_hz
-    best = max(issue, mem, crit)
+    b = kernel_bounds(spec, counters, critical_instructions)
+    best = max(b.issue_s, b.memory_s, b.critical_s)
     if best == 0:
         return "overhead"
-    if best == crit:
+    if best == b.critical_s:
         return "critical-path"
-    if best == mem:
+    if best == b.memory_s:
         return "memory"
     return "issue"
 

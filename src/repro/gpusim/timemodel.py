@@ -26,26 +26,42 @@ actual instruction/transaction/imbalance behaviour.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .counters import KernelCounters
 from .spec import GPUSpec
 
-__all__ = ["kernel_time", "relax_filter_gate", "SERIAL_CPI"]
+__all__ = [
+    "KernelBounds", "kernel_bounds", "kernel_time", "relax_filter_gate",
+    "SERIAL_CPI",
+]
 
 #: cycles per instruction for a dependent single-warp chain (issue latency
 #: of back-to-back dependent instructions on Volta-class SMs)
 SERIAL_CPI = 4.0
 
 
-def kernel_time(
+class KernelBounds(NamedTuple):
+    """The roofline terms of one kernel body, in seconds."""
+
+    issue_s: float
+    memory_s: float
+    critical_s: float
+    #: atomic serialization, added on top of the binding bound
+    atomic_s: float
+
+    @property
+    def body_s(self) -> float:
+        """The body's duration: the binding bound plus atomic serialization."""
+        return max(self.issue_s, self.memory_s, self.critical_s) + self.atomic_s
+
+
+def kernel_bounds(
     spec: GPUSpec,
     counters: KernelCounters,
     critical_instructions: int,
-) -> float:
-    """Simulated execution time (seconds) of one kernel's body.
-
-    Launch and synchronization latencies are charged separately by the
-    device (they depend on *how* the kernel was started, not on its body).
-    """
+) -> KernelBounds:
+    """Every term of the model for one kernel's body."""
     # --- issue bound -----------------------------------------------------
     # shared-memory transactions (multisplit staging) occupy LSU issue
     # slots like instructions do, but stay on-chip: they never join the
@@ -72,8 +88,20 @@ def kernel_time(
         * spec.atomic_serialization_cycles
         / (spec.num_sms * spec.clock_hz)
     )
+    return KernelBounds(issue_s, mem_s, crit_s, atom_s)
 
-    return max(issue_s, mem_s, crit_s) + atom_s
+
+def kernel_time(
+    spec: GPUSpec,
+    counters: KernelCounters,
+    critical_instructions: int,
+) -> float:
+    """Simulated execution time (seconds) of one kernel's body.
+
+    Launch and synchronization latencies are charged separately by the
+    device (they depend on *how* the kernel was started, not on its body).
+    """
+    return kernel_bounds(spec, counters, critical_instructions).body_s
 
 
 def relax_filter_gate(spec: GPUSpec) -> float:

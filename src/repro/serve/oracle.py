@@ -37,8 +37,9 @@ __all__ = ["WarmOracle", "warm_oracle", "certified_answer"]
 #: k landmark runs' *simulated build times* (v2: warp-ballot multisplit
 #: bucket placement changed the exact engines' kernel costs; v3: the relax
 #: layer's test before atomicMin did; v4: ADDS's persistent loop and
-#: RDBS's in-kernel offset re-split did)
-ORACLE_BUNDLE_VERSION = 4
+#: RDBS's in-kernel offset re-split did; v5: RDBS's one barrier per
+#: bucket did)
+ORACLE_BUNDLE_VERSION = 5
 
 
 @dataclass(frozen=True)

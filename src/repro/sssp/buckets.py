@@ -112,6 +112,14 @@ class DeltaController:
         width = self.widths[-1] + eps
         return min(max(width, self.min_delta), self.max_delta), eps
 
+    def upcoming_hi(self) -> float:
+        """Upper bound the next interval will have, without producing it.
+
+        Known once the last bucket's feedback is in: Eq. 2 needs nothing
+        else.
+        """
+        return self._next_lo + self._next_width()[0]
+
     def next_interval(self) -> BucketInterval:
         """Produce bucket ``i``'s interval, applying Eq. 2 for its width."""
         i = len(self.widths)

@@ -17,13 +17,21 @@ independent toggles:
   feedback (Eqs. 1–2).  Consecutive buckets are *fused* into that one
   persistent kernel (PriorityGraph-style bucket fusion): after the first
   host launch, every phase-1 and phase-2&3 segment is a device-side
-  continuation split by device barriers, and the next-bucket choice is
-  charged as device work.  A PRO offset re-split no longer ends the
-  kernel: it is one more segment, ended by its own device barrier before
-  the phase 1 that reads the new offsets.  The kernel ends, and the next
-  bucket starts with a host launch, only where the host must
-  synchronize: a fault-runtime probe/checkpoint, or a rollback.  Runs of
-  empty Eq. 1–2 intervals between buckets are walked in bulk
+  continuation, and a bucket pays one device barrier, its phase 1's.
+  Δ_{i+1} needs only bucket i's (C, T) feedback, so the Eq. 1–2
+  controller step runs right after phase 1's barrier, and phase 2&3 of
+  bucket i shares the synchronization window of phase 1 of bucket i+1:
+  heavy-edge lanes that lower a distance into ``[hi_i, hi_{i+1})`` and
+  the next-bucket scan push the next bucket's members to the phase-1
+  worklist themselves, which is exact by monotonicity.  Phase 2&3 keeps
+  its own barrier where the next window needs one: bucket i+1 is empty
+  (the jump reads the scan's next-bucket minimum), bucket i+1 needs a
+  PRO offset re-split (one more segment, ended by its own barrier,
+  rewriting the offsets phase 2&3 reads), or the next fault-runtime
+  epoch synchronizes.  The kernel ends, and the next bucket starts with
+  a host launch, only where the host must synchronize: a fault-runtime
+  probe/checkpoint, or a rollback.  Runs of empty Eq. 1–2 intervals
+  between buckets are walked in bulk
   (:meth:`~repro.sssp.buckets.DeltaController.skip_empty`).
 
 With all three off the engine degenerates to the classic synchronous
@@ -41,7 +49,6 @@ import numpy as np
 from ..faults.plan import InjectedKernelAbort
 from ..faults.runtime import Watchdog, WatchdogTimeout
 from ..graphs.csr import CSRGraph
-from ..gpusim.compaction import compact_multisplit
 from ..gpusim.device import GPUDevice, KernelContext
 from ..gpusim.dynamic import classify_multisplit, launch_adaptive
 from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
@@ -52,10 +59,17 @@ from ..reorder.pipeline import apply_pro
 from .buckets import DeltaController
 from .engine import GPUSolve
 from .errors import ConvergenceError
-from .persistent import PersistentChain, controller_step, publish_grid_min
+from .persistent import (
+    BLOCK,
+    RING,
+    PersistentChain,
+    block_leaders,
+    controller_step,
+    publish_grid_min,
+)
 from .relax import DeviceGraph, relax_batch
 from .result import SSSPResult
-from .worklist import SlotPool, pop_oldest
+from .worklist import SlotPool, compact_multisplit, pop_oldest
 
 __all__ = ["rdbs_sssp", "default_delta", "check_delta", "BUCKET_RESCALE"]
 
@@ -71,6 +85,9 @@ ASYNC_CHUNK = 2048
 
 #: thread count of the fused phase-2&3 kernel (static load balancing)
 PHASE23_THREADS = 32 * 256
+
+#: one leader lane per block of the persistent kernel's grid
+_GRID_LEADERS = block_leaders(PHASE23_THREADS // BLOCK)
 
 #: dependent instructions of one warp's Eq. 1–2 controller step (two
 #: differences and sums, two divisions, the ε product, the clamped width
@@ -201,26 +218,30 @@ def _rdbs_run(
     # PRO) with pro=False — it still gets branch-free light/heavy ranges
     use_offsets = dgraph.heavy is not None
     in_queue = np.zeros(n, dtype=bool)  # host mirror of the queue flags
-    # device buffer receiving the compacted next-bucket candidates; sized
-    # to the edge count because duplicate updates (several heavy edges
-    # improving one vertex in one pass) each append an entry.  Write-only
-    # scratch — left uninitialized (cudaMalloc semantics)
-    candidate_buf = device.empty(
-        max(graph.num_edges, 1), dtype=np.int64, name="candidates"
-    )
     #: live BASYN toggle — the watchdog degrades it to synchronous mid-run
     basyn_active = basyn
+    #: the synchronous arms' next-bucket candidate queue, allocated by
+    #: their first phase 2&3
+    candidate_buf = None
     #: bucket fusion: the BASYN bucket loop is one persistent kernel
     chain = PersistentChain(device)
-    #: double-buffered next-bucket minimum: phase 2&3 folds its scan into
-    #: ``next_min[cell]`` and resets the other cell for the next bucket
-    next_min = device.full(2, np.inf, name="next_min") if basyn else None
-    #: BASYN's workload-list slots, rewound by every bucket's phase 1;
-    #: one per edge, since every push follows an updated relaxation
+    #: next-bucket minimum ring: a phase-3 scan folds into
+    #: ``next_min[cell]``, and the controller step after the next decision
+    #: barrier reads it and resets the cell before it
+    next_min = device.full(RING, np.inf, name="next_min") if basyn else None
+    #: BASYN's workload-list slots: phase 2&3 pushes the next bucket's
+    #: members, its phase 1 appends re-activations, and phase 1's barrier
+    #: rewinds it; one per edge, since every push follows an update
     pool = (SlotPool(device, max(graph.num_edges, 1), "workload_slots")
             if basyn else None)
     cell = 0
+    #: the interval a barrier-free phase 2&3 opened the next window for
+    opened: tuple[float, float] | None = None
     controller = DeltaController(delta) if basyn_active else None
+
+    def needs_resplit(width: float) -> bool:
+        return use_offsets and width > dgraph.split_delta * (1 + 1e-12)
+
     lo = 0.0
     buckets_processed = 0
     total_rounds = 0
@@ -272,7 +293,7 @@ def _rdbs_run(
         if buckets_processed > max_buckets:
             raise ConvergenceError(
                 "bucket limit exceeded; check delta/weights",
-                method="rdbs",
+                method=method,
                 iterations=buckets_processed - 1,
                 frontier=int(members.size),
                 delta=delta,
@@ -292,8 +313,14 @@ def _rdbs_run(
         # their offsets on device (§4.1's adaptive offsets); unsorted arms
         # just raise the branch threshold.
         b_width = b_hi - b_lo
+        if opened is not None and opened != (b_lo, b_hi):
+            # a fault changed dist after phase 2&3 chose its successor:
+            # the host synchronizes rather than run a window it never
+            # opened
+            chain.end()
+        opened = None
         try:
-            if use_offsets and b_width > dgraph.split_delta * (1 + 1e-12):
+            if needs_resplit(b_width):
                 # under BASYN the re-split is a segment of the resident
                 # kernel; the synchronous arms launch it from the host
                 dgraph.resplit(b_width, chain if basyn_active else None)
@@ -309,8 +336,18 @@ def _rdbs_run(
                     device, dgraph, dist, members, b_lo, b_hi, split,
                     pro=use_offsets, adwl=adwl, stats=stats,
                     in_queue=in_queue, pool=pool, chunk_size=async_chunk,
-                    watchdog=watchdog, chain=chain,
+                    watchdog=watchdog, chain=chain, next_min=next_min,
+                    cell=cell,
                 )
+                cell = (cell + 1) % RING
+                # Δ_{i+1} needs only this bucket's (C, T), known at phase
+                # 1's barrier: phase 2&3 already knows the next interval
+                controller.feedback(
+                    int(outcome.settled.size), outcome.threads_used
+                )
+                next_hi = controller.upcoming_hi()
+                hold = needs_resplit(next_hi - b_hi) or (
+                    runtime is not None and runtime.quiet_epochs() == 0)
             else:
                 outcome = _phase1_sync(
                     device, dgraph, dist, members, b_lo, b_hi, split,
@@ -323,12 +360,31 @@ def _rdbs_run(
             # --------------------------------------------------------------
             # phases 2 & 3: heavy edges + next-bucket scan (one fused kernel)
             # --------------------------------------------------------------
-            _phase23_fused(
-                device, dgraph, dist, outcome.settled, split,
-                pro=use_offsets, stats=stats, candidate_buf=candidate_buf,
-                next_lo=b_hi, next_min=next_min if basyn_active else None,
-                cell=cell,
-            )
+            if basyn_active:
+                if _phase23_fused(
+                    device, dgraph, dist, outcome.settled, split,
+                    pro=use_offsets, stats=stats, next_lo=b_hi,
+                    next_hi=next_hi, hold=hold, pool=pool,
+                    next_min=next_min, cell=cell,
+                ):
+                    cell = (cell + 1) % RING
+                else:
+                    opened = (b_hi, next_hi)
+            else:
+                if candidate_buf is None:
+                    # sized to the edge count: duplicate updates (several
+                    # heavy edges improving one vertex in one pass) each
+                    # append an entry.  Write-only scratch, left
+                    # uninitialized (cudaMalloc semantics)
+                    candidate_buf = device.empty(
+                        max(graph.num_edges, 1), dtype=np.int64,
+                        name="candidates")
+                _phase23_fused(
+                    device, dgraph, dist, outcome.settled, split,
+                    pro=use_offsets, stats=stats, next_lo=b_hi,
+                    candidate_buf=candidate_buf,
+                )
+                device.barrier()  # synchronous mode between buckets
         except (WatchdogTimeout, InjectedKernelAbort) as exc:
             if runtime is None:
                 raise
@@ -344,16 +400,6 @@ def _rdbs_run(
                 runtime.note_degraded()
             aborted = True
         else:
-            if basyn_active:
-                # the bucket closed on phase 2&3's device barrier; the
-                # kernel stays resident for the next bucket
-                cell ^= 1
-            else:
-                device.barrier()  # synchronous mode between buckets
-            if controller is not None:
-                controller.feedback(
-                    int(outcome.settled.size), outcome.threads_used
-                )
             lo = b_hi
             aborted = False
 
@@ -489,6 +535,8 @@ def _phase1_async(
     chunk_size: int = ASYNC_CHUNK,
     watchdog: Watchdog | None = None,
     chain: PersistentChain,
+    next_min,
+    cell: int,
 ) -> _BucketOutcome:
     """BASYN phase 1: one persistent kernel draining the workload lists.
 
@@ -496,18 +544,22 @@ def _phase1_async(
     a round are visible to every later round (and, through the atomic
     serialization, partially within the round), with only the cheap
     async-round scheduling cost in between — no barriers, no relaunches.
-    A device barrier ends the drain before phase 2&3 runs in the same
-    kernel; the segment continues the persistent kernel ``chain`` when
-    the previous bucket left it resident instead of launching a new one.
-    Re-activations append densely to ``pool``; the previous drain ended
-    on a device barrier, so each drain rewinds it to slot 0.
+    The segment continues the persistent kernel ``chain`` when the
+    previous bucket left it resident instead of launching a new one.
+
+    The drain starts in the window the previous bucket's phase 2&3 opened,
+    after the members it pushed to ``pool``; re-activations append densely
+    behind them.  One device barrier ends the drain: it orders every
+    store, so ``pool`` rewinds there, and every block leader then runs the
+    Eq. 1–2 controller step on ``next_min[cell]`` (the cell that phase
+    2&3's scan folded into), which fixes the next bucket's interval before
+    phase 2&3 runs.
     """
     settled_mask = np.zeros(dist.size, dtype=bool)
     threads_used = 0
     drained: list[int] = []
     queue: list[np.ndarray] = [members]
     in_queue[members] = True
-    pool.rewind()
     # per-round drain telemetry is host-side only, so it is gated on an
     # attached on_annotate observer — without one, no payload is built
     note_rounds = bool(device.handlers("on_annotate"))
@@ -530,24 +582,9 @@ def _phase1_async(
             k.async_round()
 
             if targets.size:
-                cand = sorted_unique_ints(targets)
-                # the freshest distance per candidate is the minimum of the
-                # round's register-resident atomicMin results
-                # (RelaxOutcome.new_dist) — no re-gather needed; one 2-way
-                # ballot multisplit partitions push vs skip
-                pos = np.searchsorted(cand, targets)
-                dv = np.full(cand.size, np.inf)
-                np.minimum.at(dv, pos, values)
-                keys = (
-                    (dv >= b_lo) & (dv < b_hi) & ~in_queue[cand]
-                ).astype(np.int64)
-                a_ms = thread_per_item(cand.size)
-                order, offs = k.multisplit(keys, 2, a_ms)
-                push = cand[order[offs[1]:]]
+                push = _push_lowered(k, pool, targets, values, b_lo, b_hi,
+                                     queued=in_queue)
                 if push.size:
-                    # multisplit placement appends re-activations densely
-                    # (coalesced stores instead of vertex-scattered ones)
-                    pool.store(k, push)
                     in_queue[push] = True
                     queue.append(push)
                     reactivated = int(push.size)
@@ -558,6 +595,9 @@ def _phase1_async(
                     pending=int(sum(part.size for part in queue)),
                 )
         k.device_barrier()  # drained: phase 2&3 follows in the same kernel
+        pool.rewind()
+        controller_step(k, _GRID_LEADERS, next_min, cell,
+                        ops=CONTROLLER_OPS, reset=np.inf)
 
     return _BucketOutcome(
         settled=np.flatnonzero(settled_mask),
@@ -624,31 +664,46 @@ def _phase23_fused(
     *,
     pro: bool,
     stats: WorkStats,
+    next_lo: float,
     candidate_buf=None,
-    next_lo: float = np.inf,
+    next_hi: float = np.inf,
+    hold: bool = True,
+    pool: SlotPool | None = None,
     next_min=None,
     cell: int = 0,
-) -> None:
+) -> bool:
     """Relax heavy edges of the settled set, then scan for the next bucket.
 
     One fused kernel (kernel-fusion optimization of §4.2): the heavy-edge
     relaxation uses the statically balanced edge-parallel mapping, and the
-    next-bucket scan reads every vertex's distance once.  The scan's result
-    is consumed host-side by the bucket loop (the real implementation
-    compacts into a device queue; the stores are accounted here).
+    next-bucket scan reads every vertex's distance once.  ``next_lo`` is
+    the closing bucket's upper boundary.  Returns whether the segment
+    ended in a device barrier.
 
-    ``next_lo`` is the closing bucket's upper boundary: the scan
-    partitions vertices on "still unsettled beyond this bucket" with one
-    ballot round.
+    Synchronous arms (no ``pool``): a launch of its own.  Heavy targets
+    are compacted into ``candidate_buf``, the scan partitions "still
+    unsettled beyond this bucket" with one ballot round, and a device
+    barrier ends the kernel.
 
-    With ``next_min`` (bucket fusion under BASYN) the segment continues the
-    resident persistent kernel and makes the next-bucket choice on the
-    device: the scan folds its minimum into ``next_min[cell]`` before the
-    closing barrier, and the Eq. 1–2 controller step reads it after.
+    Under BASYN the segment continues the resident persistent kernel and
+    opens the next bucket ``[next_lo, next_hi)``, whose interval the
+    controller step after phase 1's barrier fixed: heavy-edge lanes that
+    lower a distance into it push the vertex to ``pool`` (the next phase
+    1's worklist), and the scan's ballot key is membership of the
+    interval, its survivors stored to the same pool.  The scan also folds
+    its minimum beyond ``next_lo`` into ``next_min[cell]``.  The next
+    phase 1 then shares this segment's synchronization window, unless
+    ``hold`` (the next bucket needs a re-split, or the next epoch
+    synchronizes) or the next bucket is empty — no lane pushed — because
+    the jump past it reads the folded minimum: then the segment ends in a
+    device barrier and the controller step.  The bucket loop returns to
+    the host if its own state picks another next bucket (only a fault in
+    device memory can make them differ).
     """
     n = dist.size
-    fused = next_min is not None
+    fused = pool is not None
     with device.segment("phase23_fused", resume=fused) as k:
+        pushed = np.zeros(0, dtype=np.int64)
         if settled.size:
             if pro:
                 batch = dgraph.batch(settled, "heavy")
@@ -662,28 +717,77 @@ def _phase23_fused(
                     k, dgraph, dist, settled, batch, a, stats,
                     weight_filter=weight_filter,
                 )
-                # compact the freshly updated heavy targets into the
-                # next-bucket candidate queue by warp-ballot ranking
-                if (
-                    weight_filter is None
-                    and candidate_buf is not None
-                    and out.targets.size
-                ):
+                if fused:
+                    # heavy edges land at or beyond ``next_lo``: a lowered
+                    # target below ``next_hi`` joins the next bucket
+                    if out.updated.any():
+                        pushed = _push_lowered(
+                            k, pool, out.targets[out.updated],
+                            out.new_dist[out.updated], next_lo, next_hi)
+                elif weight_filter is None and out.targets.size:
+                    # compact the freshly updated heavy targets into the
+                    # next-bucket candidate queue by warp-ballot ranking
                     compact_multisplit(
                         k, candidate_buf, out.updated, out.targets, a
                     )
         # phase 3: one dist read per vertex to build the next bucket
         a_scan = grid_stride(n, PHASE23_THREADS)
-        dvals = k.gather(dist, np.arange(n, dtype=np.int64), a_scan)
+        vertices = np.arange(n, dtype=np.int64)
+        dvals = k.gather(dist, vertices, a_scan)
         active = np.isfinite(dvals) & (dvals >= next_lo)
-        # partition "active beyond this bucket" with one ballot round
-        k.multisplit(active.astype(np.int64), 2, a_scan)
-        if fused:
-            a_blocks = publish_grid_min(k, dvals, active, a_scan, next_min,
-                                        cell)
-        k.device_barrier()  # fused phases separated by a device-wide sync
-        if fused:
-            # every block leader runs the same Eq. 1–2 step; the host
-            # mirrors the choice in the bucket loop
+        if not fused:
+            # partition "active beyond this bucket" with one ballot round
+            k.multisplit(active.astype(np.int64), 2, a_scan)
+            k.device_barrier()  # fused phases separated by a device-wide sync
+            return True
+        # the next bucket's members; an empty one leaves the worklist empty
+        opens = active & (dvals < next_hi)
+        barrier = hold or not (opens.any() or pushed.size)
+        # one ballot round partitions the members the heavy lanes did not
+        # push already; the survivors join the worklist
+        opens[pushed] = False
+        order, offs = k.multisplit(opens.astype(np.int64), 2, a_scan)
+        if offs[1] < n:
+            pool.store(k, vertices[order[offs[1]:]])
+        a_blocks = publish_grid_min(k, dvals, active, a_scan, next_min, cell)
+        if barrier:
+            k.device_barrier()
+            # every block leader reads the folded minimum; the host
+            # mirrors the jump in the bucket loop
             controller_step(k, a_blocks, next_min, cell, ops=CONTROLLER_OPS,
                             reset=np.inf)
+    return barrier
+
+
+def _push_lowered(
+    k: KernelContext,
+    pool: SlotPool,
+    targets: np.ndarray,
+    values: np.ndarray,
+    lo: float,
+    hi: float,
+    *,
+    queued: np.ndarray | None = None,
+) -> np.ndarray:
+    """Push the lowered ``targets`` whose freshest distance lies in ``[lo, hi)``.
+
+    The freshest distance per target is the minimum of the lanes'
+    register-resident atomicMin results (``values``, aligned with
+    ``targets``) — no re-gather needed.  One 2-way ballot multisplit
+    partitions push vs. skip, skipping the ``queued`` vertices, and the
+    placement appends the pushes densely to ``pool`` (coalesced stores
+    instead of vertex-scattered ones).  Returns the pushed vertices.
+    """
+    cand = sorted_unique_ints(targets)
+    pos = np.searchsorted(cand, targets)
+    dv = np.full(cand.size, np.inf)
+    np.minimum.at(dv, pos, values)
+    keys = (dv >= lo) & (dv < hi)
+    if queued is not None:
+        keys &= ~queued[cand]
+    order, offs = k.multisplit(keys.astype(np.int64), 2,
+                               thread_per_item(cand.size))
+    push = cand[order[offs[1]:]]
+    if push.size:
+        pool.store(k, push)
+    return push

@@ -17,17 +17,19 @@ device work handed across the barrier through small device cells:
   (:func:`controller_step`).
 
 A cell is reset one phase before anything folds into it again, so a
-decision made every segment cycles through three cells (:data:`RING`);
-RDBS, whose buckets span two barriers, needs only two.
+decision made once per barrier cycles through three cells (:data:`RING`).
 
-Four engines run on a chain: RDBS under BASYN (one bucket per two
-barriers, plus one per PRO offset re-split, which is a segment of the
-chain), Near-Far (one relax or split segment per barrier), MLMQ (one
-barrier per level: the window advance that opens a level shares the
-synchronization window of its drain) and ADDS (one barrier per near-set
-drain: the far-pile split that opens a drain shares its synchronization
-window).  Which minimum fold wins depends on how many lanes fold into
-one cell and how many still lower it:
+Four engines run on a chain: RDBS under BASYN (one barrier per bucket:
+phase 2&3 of a bucket opens the next bucket and shares the
+synchronization window of its phase 1, except where the next window
+needs a barrier of its own — an empty next bucket, a PRO offset re-split,
+which is a segment of the chain ended by its own barrier, or a
+synchronizing epoch), Near-Far (one relax or split segment per barrier),
+MLMQ (one barrier per level: the window advance that opens a level shares
+the synchronization window of its drain) and ADDS (one barrier per
+near-set drain: the far-pile split that opens a drain shares its
+synchronization window).  Which minimum fold wins depends on how many
+lanes fold into one cell and how many still lower it:
 
 * :func:`publish_grid_min` — a scan over every vertex (RDBS's next-bucket
   scan): thousands of lanes, so a warp butterfly and one atomic per block;

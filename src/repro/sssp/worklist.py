@@ -1,4 +1,4 @@
-"""The device worklist store shared by the asynchronous engines.
+"""The device worklist stores of the bucketed engines.
 
 BASYN's phase-1 workload lists (§4.3), ADDS's near and far piles and
 MLMQ's queue pool (arXiv 2602.10080) keep membership in host mirrors;
@@ -7,16 +7,22 @@ the simulator charges.  A push is one dense store behind a rolling
 cursor: coalesced, and provably disjoint because each thread's index is
 the cursor plus its own id.  The one overflow policy, a fresh pool at
 cursor 0 sized for at least the push, keeps every store that way.
+
+The synchronous Δ-stepping arms build their next-bucket candidate queue
+with the other frontier idiom, stream compaction
+(:func:`compact_multisplit`): a per-lane predicate, a warp-ballot rank
+and a dense store of the survivors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..gpusim.device import GPUDevice, KernelContext
-from ..gpusim.kernels import thread_per_item
+from ..gpusim.device import GPUDevice, KernelContext, subset_assignment
+from ..gpusim.kernels import WorkAssignment, thread_per_item
+from ..gpusim.memory import DeviceArray
 
-__all__ = ["SlotPool", "pop_oldest"]
+__all__ = ["SlotPool", "compact_multisplit", "pop_oldest"]
 
 
 class SlotPool:
@@ -53,6 +59,44 @@ class SlotPool:
         reused slot could be written twice in one window.
         """
         self.cursor = 0
+
+
+def compact_multisplit(
+    ctx: KernelContext,
+    out: DeviceArray,
+    keep: np.ndarray,
+    values: np.ndarray,
+    assignment: WorkAssignment,
+    *,
+    offset: int = 0,
+) -> np.ndarray:
+    """Write ``values[keep]`` densely into ``out`` starting at ``offset``.
+
+    Returns the survivors (host view), in their original order — the
+    2-way multisplit's stable within-bucket order.  Charges one ballot
+    round per slot (the lanes rank themselves through the ballot mask and
+    shared staging instead of a block-wide prefix sum) and the coalesced
+    stores of the survivors.  ``out`` must be large enough for ``offset +
+    survivors`` entries.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    if keep.size != assignment.num_items:
+        raise ValueError("predicate must match the assignment's items")
+    order, offsets = ctx.multisplit(
+        np.where(keep, 0, 1).astype(np.int64), 2, assignment
+    )
+    survivors = np.asarray(values)[order[: offsets[1]]]
+    if survivors.size:
+        if offset + survivors.size > out.size:
+            raise ValueError("output buffer too small for compaction")
+        sub = subset_assignment(assignment, keep)
+        ctx.scatter(
+            out,
+            offset + np.arange(survivors.size, dtype=np.int64),
+            survivors,
+            sub,
+        )
+    return survivors
 
 
 def pop_oldest(chunks: list[np.ndarray], count: int) -> np.ndarray:

@@ -23,7 +23,8 @@ WORKLIST_KERNELS = {"phase1_async", "adds_async", "mlmq_init", "mlmq_drain",
 
 #: (kernel, array) of the one-lane decision-cell resets a worklist kernel
 #: also runs (``repro.sssp.persistent.controller_step``)
-DECISION_CELL_RESETS = {("mlmq_drain", "level_min"), ("adds_async", "promoted")}
+DECISION_CELL_RESETS = {("mlmq_drain", "level_min"), ("adds_async", "promoted"),
+                        ("phase1_async", "next_min")}
 
 #: every launch label the engine corpus must produce a signature for
 EXPECTED_KERNELS = {
@@ -482,7 +483,8 @@ class TestManifest:
         # cursor append the analyzer proves without an in-source escape.
         # The other stores are the persistent controller's one-lane
         # resets of decision cells (repro.sssp.persistent): MLMQ's
-        # next-level cell and ADDS's promoted count
+        # next-level cell, ADDS's promoted count and RDBS's next-bucket
+        # minimum
         committed = load_manifest(REPO / "ANALYSIS_manifest.json")
         kernels = {
             sig["label"]: sig for sig in committed["kernels"].values()

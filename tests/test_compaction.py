@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.gpusim import GPUDevice, V100, compact_multisplit, thread_per_item
+from repro.gpusim import GPUDevice, V100, thread_per_item
 from repro.gpusim.kernels import grid_stride
+from repro.sssp.worklist import compact_multisplit
 
 
 @pytest.fixture

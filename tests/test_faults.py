@@ -32,6 +32,7 @@ from repro.sssp import (
     dijkstra,
     pq_delta_star_sssp,
     rdbs_sssp,
+    sssp,
     validate_distances,
 )
 
@@ -335,6 +336,20 @@ class TestBucketRescale:
     def test_hopeless_case_still_raises(self):
         with pytest.raises(ConvergenceError, match="bucket limit"):
             rdbs_sssp(path(50), 0, delta=0.01, max_buckets=2)
+
+    @pytest.mark.parametrize("method", ["sync-delta", "basyn", "rdbs"])
+    def test_hopeless_case_names_the_arm(self, method):
+        with pytest.raises(ConvergenceError, match="bucket limit") as ei:
+            sssp(path(50), 0, method=method, delta=0.01, max_buckets=2)
+        assert ei.value.method == method
+        assert str(ei.value).startswith(f"{method}: ")
+
+    @pytest.mark.parametrize("method", ["sync-delta", "basyn"])
+    def test_rescale_retry_fires_for_every_arm(self, method):
+        g = path(50)
+        r = sssp(g, 0, method=method, delta=0.2, max_buckets=35)
+        assert r.extra["delta_rescaled"] is True
+        validate_distances(g, 0, r.dist)
 
     def test_no_rescale_when_unneeded(self):
         g = path(20)

@@ -15,6 +15,7 @@ from repro.graphs import (
 )
 from repro.bench import benchmark_spec, get_graph, pick_sources
 from repro.gpusim import GPUDevice, KernelCounters, Timeline, V100, attribute_bottleneck
+from repro.gpusim.timemodel import kernel_bounds, kernel_time
 from repro.gpusim.kernels import grid_stride
 from repro.sssp import (
     default_rho,
@@ -171,6 +172,21 @@ class TestTimeline:
         issue = KernelCounters(inst_executed_other=10**9)
         assert attribute_bottleneck(V100, issue, 1) == "issue"
         assert attribute_bottleneck(V100, KernelCounters(), 0) == "overhead"
+
+    def test_shared_transactions_alone_make_a_kernel_issue_bound(self):
+        """Multisplit staging occupies issue slots: the attribution reads
+        the issue bound the time model charges, shared transactions
+        included, so this kernel is issue-bound, not memory-bound."""
+        c = KernelCounters(global_load_transactions=10**5,
+                           l1_accesses=10**5, shared_transactions=10**9)
+        b = kernel_bounds(V100, c, 1)
+        no_shared = kernel_bounds(
+            V100, KernelCounters(global_load_transactions=10**5,
+                                 l1_accesses=10**5), 1)
+        assert no_shared.memory_s > no_shared.issue_s
+        assert b.issue_s > b.memory_s > b.critical_s
+        assert attribute_bottleneck(V100, c, 1) == "issue"
+        assert b.body_s == kernel_time(V100, c, 1)
 
     def test_reset_clock_clears_timeline(self):
         dev = GPUDevice(V100)
