@@ -179,8 +179,7 @@ def subset_assignment(
         return _dc_replace(
             assignment, slots=slots, num_slots=0, max_steps=0, num_items=0
         )
-    stride = max(assignment.max_steps, 1)
-    max_step = int((slots % stride).max()) + 1
+    max_step = int((slots % assignment.step_stride).max()) + 1
     return _dc_replace(
         assignment,
         slots=slots,
@@ -434,7 +433,8 @@ class KernelContext:
         return taken_slots
 
     def multisplit(
-        self, keys: np.ndarray, num_buckets: int, a: WorkAssignment
+        self, keys: np.ndarray, num_buckets: int, a: WorkAssignment, *,
+        in_producer: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Warp-ballot multisplit of ``keys`` into ``num_buckets`` groups.
 
@@ -449,6 +449,11 @@ class KernelContext:
         histogram combine are shared-memory transactions that occupy
         issue slots but produce **no** global-memory traffic — which is
         exactly why it beats the sort/scan/branch placements it replaces.
+        A standalone pass adds one dependent step per slot for the rank
+        resolve; ``in_producer=True`` is the split run on the step that
+        produced its keys (:func:`repro.sssp.relax.relax_batch`), where
+        the keys are already in registers and the rank's one popc is
+        charged by its consumer, so only the ballot chain is dependent.
 
         Keys must lie in ``[0, num_buckets)``; out-of-range keys raise
         after observers are notified, so the sanitizer records the
@@ -465,7 +470,8 @@ class KernelContext:
         )
         c.multisplit_ops += 1
         c.multisplit_buckets += num_buckets
-        self.critical_instructions += a.max_steps * (rounds + 1)
+        self.critical_instructions += a.max_steps * (
+            rounds if in_producer else rounds + 1)
         self._note_assignment(a, a.num_slots * rounds)
         self.device._notify("on_multisplit", self, keys, num_buckets, a)
         # key-transform hook (fault injection): runs after all accounting

@@ -57,6 +57,9 @@ class WorkAssignment:
     max_steps: int
     #: total work items
     num_items: int
+    #: slot id = warp * step_stride + step, fixed by the factory; a subset
+    #: keeps it, so nested subsets decode steps against the same stride
+    step_stride: int
 
     @property
     def simt_efficiency(self) -> float:
@@ -88,6 +91,7 @@ def _finalize(
         num_slots=int(num_slots),
         max_steps=int(max_steps),
         num_items=int(slots.size),
+        step_stride=max(int(max_steps), 1),
     )
 
 

@@ -24,7 +24,13 @@ assignment with ``S`` warp slots, ``W`` active warps and ``B`` buckets:
   never reaches DRAM, so it feeds the issue-time bound and *not* the
   global-memory transaction totals;
 * ``ceil(log2 max(B, 2)) + 1`` critical-path instructions per dependent
-  step (the ballot chain plus the rank resolve).
+  step (the ballot chain plus the rank resolve) for a standalone pass,
+  and ``ceil(log2 max(B, 2))`` for a split run inside its producer
+  (``in_producer=True``): the relax step that resolved the atomic
+  already holds the key in a register, and the one popc that reads the
+  rank is charged by its consumer (the worklist store, or
+  ``publish_count``'s ALU op).  Every counter above is the same either
+  way; only the critical path differs.
 
 The semantic result is exact and deterministic: the stable grouping of
 :func:`repro.util.scan.multisplit_order`.

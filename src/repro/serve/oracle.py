@@ -38,8 +38,9 @@ __all__ = ["WarmOracle", "warm_oracle", "certified_answer"]
 #: bucket placement changed the exact engines' kernel costs; v3: the relax
 #: layer's test before atomicMin did; v4: ADDS's persistent loop and
 #: RDBS's in-kernel offset re-split did; v5: RDBS's one barrier per
-#: bucket did)
-ORACLE_BUNDLE_VERSION = 5
+#: bucket did; v6: ADDS's and Near-Far's near/far split inside the relax
+#: producer did)
+ORACLE_BUNDLE_VERSION = 6
 
 
 @dataclass(frozen=True)

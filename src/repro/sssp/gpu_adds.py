@@ -40,7 +40,6 @@ import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
 from ..graphs.csr import CSRGraph
-from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
 from ..util.scan import sorted_unique_ints
@@ -240,26 +239,18 @@ def _adds_async(
 
         batch = dgraph.batch(chunk, "all")
         a = thread_per_vertex_edges(batch.counts)
-        out = relax_batch(k, dgraph, dist, chunk, batch, a, stats)
+        # the producer places its updated targets near/far on the value
+        # the winning atomic wrote (register resident)
+        out = relax_batch(k, dgraph, dist, chunk, batch, a, stats,
+                          split=threshold)
         k.async_round()
-        if out.targets.size == 0:
+        if out.near.size + out.far.size == 0:
             continue
-        upd = out.targets[out.updated]
-        if upd.size == 0:
-            continue
-        # classify on the value the winning atomic wrote (register
-        # resident) rather than an un-counted host re-read of dist
-        new_vals = out.new_dist[out.updated]
-        is_near = new_vals < threshold
-        sub = subset_assignment(a, out.updated)
-        # one ballot round partitions near/far; the stable bucket order
-        # keeps the updated-target order
-        order, offs = k.multisplit((~is_near).astype(np.int64), 2, sub)
-        near_hits = upd[order[: offs[1]]]
-        far_hits = upd[order[offs[1]:]]
+        near_hits = out.targets[out.near]
+        far_hits = out.targets[out.far]
         # the far hits' minimum, one lane per far hit of the placement's
         # contiguous far half
-        far_vals = new_vals[order[offs[1]:]]
+        far_vals = out.new_dist[out.far]
         fold_min_filtered(k, far_vals, thread_per_item(int(far_vals.size)),
                           far_min, cell)
 

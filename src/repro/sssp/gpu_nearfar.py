@@ -25,7 +25,6 @@ import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
 from ..graphs.csr import CSRGraph
-from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
 from .engine import GPUSolve
@@ -148,37 +147,24 @@ def nearfar_sssp(
             with chain.segment("nearfar_relax") as k:
                 batch = dgraph.batch(near, "all")
                 a = thread_per_vertex_edges(batch.counts)
+                # the producer places its updated targets near/far on the
+                # value the winning atomic wrote (register resident)
                 out = relax_batch(k, dgraph, dist, near, batch, a,
-                                  solve.stats)
-                if out.targets.size:
-                    upd_targets = out.targets[out.updated]
-                    # classify on the value the winning atomic wrote — the
-                    # register-resident result, not an un-counted dist re-read
-                    new_vals = out.new_dist[out.updated]
-                    is_near = new_vals < threshold
-                    sub = subset_assignment(a, out.updated)
-                    # one ballot round partitions near/far; stable bucket
-                    # order keeps the updated-target order
-                    order, offs = k.multisplit(
-                        (~is_near).astype(np.int64), 2, sub)
-                    near_hits = upd_targets[order[: offs[1]]]
-                    far_hits = upd_targets[order[offs[1]:]]
-                    far_hit_vals = new_vals[order[offs[1]:]]
-                    # the next choice, folded by the warps holding hits:
-                    # near hits per warp (thread t relaxes near[t]) ...
-                    hit_pos = batch.src_pos[out.updated]
-                    publish_count(
-                        k, per_warp(hit_pos[is_near], device.spec.warp_size),
-                        near_count, cell)
-                    # ... and the far hits' minimum, one lane per far hit
-                    # of the placement's contiguous far half
-                    fold_min(k, far_hit_vals,
-                             thread_per_item(int(far_hit_vals.size)),
-                             far_min, far_cell)
-                else:
-                    near_hits = np.zeros(0, dtype=np.int64)
-                    far_hits = np.zeros(0, dtype=np.int64)
-                    far_hit_vals = np.zeros(0)
+                                  solve.stats, split=threshold)
+                near_hits = out.targets[out.near]
+                far_hits = out.targets[out.far]
+                far_hit_vals = out.new_dist[out.far]
+                # the next choice, folded by the warps holding hits: near
+                # hits per warp (thread t relaxes near[t]) ...
+                publish_count(
+                    k, per_warp(batch.src_pos[out.near],
+                                device.spec.warp_size),
+                    near_count, cell)
+                # ... and the far hits' minimum, one lane per far hit of
+                # the placement's contiguous far half
+                fold_min(k, far_hit_vals,
+                         thread_per_item(int(far_hit_vals.size)),
+                         far_min, far_cell)
                 k.device_barrier()
                 # every block leader reads the near count; on an empty
                 # near pile it also reads the far minimum and advances the

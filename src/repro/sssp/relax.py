@@ -22,7 +22,7 @@ mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
@@ -220,13 +220,20 @@ class RelaxOutcome:
     updated: np.ndarray
     #: per-edge tentative distance handed to the atomic
     new_dist: np.ndarray
+    #: with ``split``: the updated lanes below the threshold (near hits),
+    #: then the rest (far hits), each in lane order — the stable placement
+    #: of the producer's ballot, as lane indices into the arrays above
+    near: np.ndarray | None = None
+    far: np.ndarray | None = None
 
 
+_NO_LANES = np.zeros(0, dtype=np.int64)
 _EMPTY_OUTCOME = RelaxOutcome(
-    targets=np.zeros(0, dtype=np.int64),
+    targets=_NO_LANES,
     updated=np.zeros(0, dtype=bool),
     new_dist=np.zeros(0, dtype=np.float64),
 )
+_EMPTY_SPLIT = _dc_replace(_EMPTY_OUTCOME, near=_NO_LANES, far=_NO_LANES)
 
 
 def relax_batch(
@@ -239,6 +246,7 @@ def relax_batch(
     stats: WorkStats | None,
     *,
     weight_filter: tuple[float, bool] | None = None,
+    split: float | None = None,
 ) -> RelaxOutcome:
     """Relax one edge batch under ``assignment``; returns a :class:`RelaxOutcome`.
 
@@ -252,13 +260,19 @@ def relax_batch(
     (no PRO): the kernel touches every edge of the batch, executes a
     divergent branch on ``w < delta`` and only issues atomics for the
     selected class — the extra instructions PRO eliminates.
+
+    ``split=threshold`` places the updated targets near/far on the step
+    that resolved their atomic: the new distance is still in a register,
+    so the warp ballots ``new_dist >= threshold`` over its updated lanes
+    right there (``k.multisplit(..., in_producer=True)``) and the outcome
+    carries the stable placement in ``near`` / ``far``.
     """
     if batch.num_edges == 0:
         # the per-vertex dist load still happens for non-empty vertex lists
         if vertices.size:
             a_v = thread_per_item(vertices.size)
             ctx.gather(dist, vertices, a_v)
-        return _EMPTY_OUTCOME
+        return _EMPTY_OUTCOME if split is None else _EMPTY_SPLIT
 
     # load dist[u] once per active vertex (register-resident thereafter)
     a_v = thread_per_item(vertices.size)
@@ -280,7 +294,17 @@ def relax_batch(
     updated = _resolve_min(ctx, dist, v, nd, assignment)
     if stats is not None:
         stats.record(v, nd, updated)
-    return RelaxOutcome(targets=v, updated=updated, new_dist=nd)
+    if split is None:
+        return RelaxOutcome(targets=v, updated=updated, new_dist=nd)
+    near = far = np.flatnonzero(updated)
+    if near.size:
+        order, offs = ctx.multisplit(
+            (nd[near] >= split).astype(np.int64), 2,
+            subset_assignment(assignment, updated), in_producer=True)
+        placed = near[order]
+        near, far = placed[: offs[1]], placed[offs[1]:]
+    return RelaxOutcome(targets=v, updated=updated, new_dist=nd,
+                        near=near, far=far)
 
 
 def _resolve_min(
