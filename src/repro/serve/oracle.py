@@ -39,8 +39,9 @@ __all__ = ["WarmOracle", "warm_oracle", "certified_answer"]
 #: layer's test before atomicMin did; v4: ADDS's persistent loop and
 #: RDBS's in-kernel offset re-split did; v5: RDBS's one barrier per
 #: bucket did; v6: ADDS's and Near-Far's near/far split inside the relax
-#: producer did)
-ORACLE_BUNDLE_VERSION = 6
+#: producer did; v7: RDBS folding its next-bucket minimum only where a
+#: barrier reads it did)
+ORACLE_BUNDLE_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,16 @@ independent toggles:
   heavy-edge lanes that lower a distance into ``[hi_i, hi_{i+1})`` and
   the next-bucket scan push the next bucket's members to the phase-1
   worklist themselves, which is exact by monotonicity.  Phase 2&3 keeps
-  its own barrier where the next window needs one: bucket i+1 is empty
-  (the jump reads the scan's next-bucket minimum), bucket i+1 needs a
-  PRO offset re-split (one more segment, ended by its own barrier,
-  rewriting the offsets phase 2&3 reads), or the next fault-runtime
-  epoch synchronizes.  The kernel ends, and the next bucket starts with
-  a host launch, only where the host must synchronize: a fault-runtime
-  probe/checkpoint, or a rollback.  Runs of empty Eq. 1–2 intervals
-  between buckets are walked in bulk
-  (:meth:`~repro.sssp.buckets.DeltaController.skip_empty`).
+  its own barrier, and folds the scan's next-bucket minimum for it,
+  only where the next window needs one: bucket i+1 needs a PRO offset
+  re-split (one more segment, ended by its own barrier, rewriting the
+  offsets phase 2&3 reads) or the next fault-runtime epoch synchronizes
+  (one barrier), or bucket i+1 is empty (the jump reads the minimum,
+  and only a barrier tells the grid the bucket is empty: two).  The
+  kernel ends, and the next bucket starts with a host launch, only where
+  the host must synchronize: a fault-runtime probe/checkpoint, or a
+  rollback.  Runs of empty Eq. 1–2 intervals between buckets are walked
+  in bulk (:meth:`~repro.sssp.buckets.DeltaController.skip_empty`).
 
 With all three off the engine degenerates to the classic synchronous
 GPU Δ-stepping of §2.2 (which doubles as the ablation baseline).  The
@@ -225,8 +226,8 @@ def _rdbs_run(
     candidate_buf = None
     #: bucket fusion: the BASYN bucket loop is one persistent kernel
     chain = PersistentChain(device)
-    #: next-bucket minimum ring: a phase-3 scan folds into
-    #: ``next_min[cell]``, and the controller step after the next decision
+    #: next-bucket minimum ring: a phase-3 scan that ends in a barrier
+    #: folds into ``next_min[cell]``, and the controller step after that
     #: barrier reads it and resets the cell before it
     next_min = device.full(RING, np.inf, name="next_min") if basyn else None
     #: BASYN's workload-list slots: phase 2&3 pushes the next bucket's
@@ -551,9 +552,8 @@ def _phase1_async(
     after the members it pushed to ``pool``; re-activations append densely
     behind them.  One device barrier ends the drain: it orders every
     store, so ``pool`` rewinds there, and every block leader then runs the
-    Eq. 1–2 controller step on ``next_min[cell]`` (the cell that phase
-    2&3's scan folded into), which fixes the next bucket's interval before
-    phase 2&3 runs.
+    Eq. 1–2 controller step on the decision cell ``next_min[cell]``, which
+    fixes the next bucket's interval before phase 2&3 runs.
     """
     settled_mask = np.zeros(dist.size, dtype=bool)
     threads_used = 0
@@ -690,15 +690,18 @@ def _phase23_fused(
     controller step after phase 1's barrier fixed: heavy-edge lanes that
     lower a distance into it push the vertex to ``pool`` (the next phase
     1's worklist), and the scan's ballot key is membership of the
-    interval, its survivors stored to the same pool.  The scan also folds
-    its minimum beyond ``next_lo`` into ``next_min[cell]``.  The next
-    phase 1 then shares this segment's synchronization window, unless
-    ``hold`` (the next bucket needs a re-split, or the next epoch
-    synchronizes) or the next bucket is empty — no lane pushed — because
-    the jump past it reads the folded minimum: then the segment ends in a
-    device barrier and the controller step.  The bucket loop returns to
-    the host if its own state picks another next bucket (only a fault in
-    device memory can make them differ).
+    interval, its survivors stored to the same pool.  Each scan thread
+    keeps a running minimum of the distances beyond ``next_lo`` it read.
+    The next phase 1 then shares this segment's synchronization window,
+    and nothing reads that minimum, unless ``hold`` (the next bucket needs
+    a re-split, or the next epoch synchronizes) or the next bucket is
+    empty — no lane pushed — because the jump past it reads the minimum.
+    A held segment folds it into ``next_min[cell]`` before its one device
+    barrier; before an empty bucket the grid learns it is empty only at a
+    barrier, so the fold runs after one and a second follows.  The
+    controller step reads the cell after the last.  The bucket loop
+    returns to the host if its own state picks another next bucket (only
+    a fault in device memory can make them differ).
     """
     n = dist.size
     fused = pool is not None
@@ -740,23 +743,30 @@ def _phase23_fused(
             k.multisplit(active.astype(np.int64), 2, a_scan)
             k.device_barrier()  # fused phases separated by a device-wide sync
             return True
+        # each thread keeps a running minimum of its active values
+        k.alu(a_scan, ops=1)
         # the next bucket's members; an empty one leaves the worklist empty
         opens = active & (dvals < next_hi)
-        barrier = hold or not (opens.any() or pushed.size)
+        empty = not (opens.any() or pushed.size)
         # one ballot round partitions the members the heavy lanes did not
         # push already; the survivors join the worklist
         opens[pushed] = False
         order, offs = k.multisplit(opens.astype(np.int64), 2, a_scan)
         if offs[1] < n:
             pool.store(k, vertices[order[offs[1]:]])
-        a_blocks = publish_grid_min(k, dvals, active, a_scan, next_min, cell)
-        if barrier:
+        if not (hold or empty):
+            return False  # nothing reads the minimum: no fold
+        if not hold:
+            # only a barrier shows the grid that no lane opened the next
+            # bucket; the fold then runs from the kept registers
             k.device_barrier()
-            # every block leader reads the folded minimum; the host
-            # mirrors the jump in the bucket loop
-            controller_step(k, a_blocks, next_min, cell, ops=CONTROLLER_OPS,
-                            reset=np.inf)
-    return barrier
+        a_blocks = publish_grid_min(k, dvals, active, a_scan, next_min, cell)
+        k.device_barrier()
+        # every block leader reads the folded minimum; the host mirrors
+        # the jump in the bucket loop
+        controller_step(k, a_blocks, next_min, cell, ops=CONTROLLER_OPS,
+                        reset=np.inf)
+    return True
 
 
 def _push_lowered(

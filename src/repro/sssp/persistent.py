@@ -11,7 +11,8 @@ device work handed across the barrier through small device cells:
 
 * before the barrier, the threads holding work fold their contribution
   into the current cell (:func:`publish_grid_min`, :func:`fold_min`,
-  :func:`fold_min_filtered`, :func:`publish_count`);
+  :func:`fold_min_filtered`, :func:`publish_count`), or keep it in a
+  register and fold only before a barrier that reads the cell;
 * after it, every block leader reads the cell and runs the decision step,
   and one lane resets the cell the next decision will fold into
   (:func:`controller_step`).
@@ -32,7 +33,12 @@ synchronization window).  Which minimum fold wins depends on how many
 lanes fold into one cell and how many still lower it:
 
 * :func:`publish_grid_min` — a scan over every vertex (RDBS's next-bucket
-  scan): thousands of lanes, so a warp butterfly and one atomic per block;
+  scan): thousands of lanes, so a warp butterfly and one atomic per block.
+  The scan keeps each thread's running minimum in a register and folds
+  only in the segments whose barrier reads the cell: eagerly when the
+  scan knows beforehand that one will (a held bucket), and between two
+  barriers when only the first tells it (an empty next bucket).  Most
+  RDBS phase 2&3 segments end in no barrier and fold nothing;
 * :func:`fold_min` — one atomic per lane (Near-Far's far hits).  It wins
   when a fold has few lanes and most of them lower the cell: their
   serialized conflicts cost less than the dependent load a filter adds;
@@ -153,18 +159,20 @@ def publish_grid_min(
 ) -> WorkAssignment:
     """Fold a grid-stride scan's minimum active value into ``cells[cell]``.
 
-    Each scan thread keeps a running minimum of the active values it read;
-    a warp butterfly reduces it, each warp leader folds its warp's minimum
-    into a shared-memory cell of its block (one shared atomic: distances
-    are non-negative, so their bit patterns order like integers), and the
-    block leader loads that cell and folds it into ``cells[cell]`` with
-    one global ``atomic_min``.  Returns the block leaders, which read the
-    cell back after the barrier (:func:`controller_step`).
+    Each scan thread already keeps a running minimum of the active values
+    it read in a register (one ALU op per scan step, which the scan
+    charges).  The fold reduces those registers: a warp butterfly, each
+    warp leader folds its warp's minimum into a shared-memory cell of its
+    block (one shared atomic: distances are non-negative, so their bit
+    patterns order like integers), and the block leader loads that cell
+    and folds it into ``cells[cell]`` with one global ``atomic_min``.  The
+    registers outlive a device barrier, so the fold may run after one.
+    Returns the block leaders, which read the cell back after the next
+    barrier (:func:`controller_step`).
     """
     n = dvals.size
     threads = min(n, a_scan.num_threads)
     a_blocks = block_leaders(-(-threads // BLOCK))
-    k.alu(a_scan, ops=1)  # running minimum inside the scan loop
     k.alu(thread_per_item(threads), ops=_BUTTERFLY_OPS)
     k.alu(a_blocks, ops=1)  # the block leader loads the shared cell
     # grid-stride item i ran on thread i % T, i.e. in block (i % T) // 256:

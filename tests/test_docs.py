@@ -1,7 +1,8 @@
 """Tests for tools/check_docs.py and the documentation invariants it
 guards: resolvable cross-links, an index that names every docs page,
-quoted CLI commands that the real argparse tree still accepts, and
-environment knobs the code still reads."""
+quoted CLI commands that the real argparse tree still accepts,
+environment knobs the code still reads, and measured numbers the
+benches still print."""
 
 from __future__ import annotations
 
@@ -19,8 +20,10 @@ from check_docs import (  # noqa: E402
     check_extra_keys,
     check_index,
     check_links,
+    check_measured,
     doc_paths,
     extract_commands,
+    measured_cells,
     source_string_literals,
     validate_command,
 )
@@ -152,3 +155,43 @@ class TestExtraKeyCheck:
         problems = check_extra_keys(doc, literals)
         assert len(problems) == 1
         assert "not_a_key" in problems[0]
+
+
+class TestMeasuredCheck:
+    PAGE = (
+        "## Fig. X — a figure\n\n"
+        "| check | paper | measured |\n"
+        "|---|---|---|\n"
+        "| ratio | 0.41× | {cell} |\n\n"
+        "Measured values are `benchmarks/results/figx.txt`.\n"
+    )
+
+    def _check(self, tmp_path, cell):
+        (tmp_path / "figx.txt").write_text("k-n21-16  0.7412  117324\n")
+        doc = tmp_path / "EXPERIMENTS.md"
+        doc.write_text(self.PAGE.format(cell=cell))
+        return check_measured(doc, tmp_path)
+
+    def test_printed_numbers_pass_at_the_cells_precision(self, tmp_path):
+        assert self._check(tmp_path, "0.74× (0.7); 117324 tx") == []
+
+    def test_stale_number_detected(self, tmp_path):
+        problems = self._check(tmp_path, "0.73× geomean")
+        assert len(problems) == 1
+        assert "0.73" in problems[0]
+
+    def test_digits_inside_names_are_not_numbers(self, tmp_path):
+        assert self._check(tmp_path, "k-n21-16: 0.74×") == []
+
+    def test_section_must_name_its_results_file(self, tmp_path):
+        doc = tmp_path / "EXPERIMENTS.md"
+        doc.write_text("## T\n\n| check | measured |\n|---|---|\n"
+                       "| a | 1.0 |\n")
+        problems = check_measured(doc, tmp_path)
+        assert len(problems) == 1
+        assert "names no" in problems[0]
+
+    def test_experiments_tables_are_found(self):
+        cells = measured_cells((REPO / "EXPERIMENTS.md").read_text())
+        assert len(cells) >= 20
+        assert all(results for _lineno, _cell, results in cells)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker: keep the docs true as the code moves.
 
-Five checks, run over ``README.md``, ``EXPERIMENTS.md``, ``ROADMAP.md``
+Six checks, run over ``README.md``, ``EXPERIMENTS.md``, ``ROADMAP.md``
 and every page under ``docs/``:
 
 1. **Cross-links** — every relative markdown link ``[...](path)`` must
@@ -23,6 +23,12 @@ and every page under ``docs/``:
 5. **Result keys** — every ``extra["key"]`` a page names must likewise
    appear as a string literal under ``src/repro/``, so the docs never
    point at a result key the engines no longer write (same exemption).
+6. **Measured numbers** — every number in a "measured" cell of a table
+   (the paper-vs-measured tables of ``EXPERIMENTS.md``) must be printed
+   in the results file its ``##`` section names
+   (``benchmarks/results/<name>.txt``), after rounding the printed
+   value to the cell's precision, so a table cannot keep a figure the
+   benches no longer produce.
 
 Exit status 0 when every check passes; 1 otherwise, with one line per
 problem.  Run it locally with ``python tools/check_docs.py``; CI runs it
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import decimal
 import io
 import re
 import shlex
@@ -53,6 +60,11 @@ ENV_KNOB_RE = re.compile(r"\bREPRO_[A-Z_]+\b")
 EXTRA_KEY_RE = re.compile(r"""\bextra\[["']([^"']+)["']\]""")
 ENV_ASSIGN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 PLACEHOLDER_CHARS = "<>[]…"
+RESULTS_DIR = REPO / "benchmarks" / "results"
+RESULTS_RE = re.compile(r"benchmarks/results/([\w.-]+\.txt)")
+#: a number standing on its own: not part of a name such as ``k-n21-16``
+CELL_NUMBER_RE = re.compile(r"(?<![\w.])(?<!\w-)\d+(?:\.\d+)?")
+PRINTED_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 
 
 def _rel(path: Path) -> str:
@@ -229,6 +241,71 @@ def check_extra_keys(path: Path, literals: set[str]) -> list[str]:
     return problems
 
 
+# ----------------------------------------------------------------------
+# check 6: measured numbers the benches still print
+# ----------------------------------------------------------------------
+
+def measured_cells(text: str) -> list[tuple[int, str, str | None]]:
+    """``(lineno, cell, results file)`` for every cell of a table column
+    headed "measured"; the file is the first ``benchmarks/results/``
+    file the cell's ``##`` section names, or None."""
+    sections: list[list] = [[None, []]]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("## "):
+            sections.append([None, []])
+        named = RESULTS_RE.search(line)
+        if named and sections[-1][0] is None:
+            sections[-1][0] = named.group(1)
+        sections[-1][1].append((lineno, line))
+    cells = []
+    for results, lines in sections:
+        column = None
+        for lineno, line in lines:
+            if not line.startswith("|"):
+                column = None
+                continue
+            row = [c.strip() for c in line.strip().strip("|").split("|")]
+            if column is None:
+                column = row.index("measured") if "measured" in row else -1
+            elif column >= 0 and not set(row[column]) <= set("-: "):
+                cells.append((lineno, row[column], results))
+    return cells
+
+
+def is_printed(number: str, printed: list[str]) -> bool:
+    """Whether a printed value rounds (half up) to ``number``'s digits."""
+    exp = decimal.Decimal(number).as_tuple().exponent
+    target = decimal.Decimal(number)
+    return any(
+        decimal.Decimal(p).quantize(decimal.Decimal(1).scaleb(exp),
+                                    rounding=decimal.ROUND_HALF_UP) == target
+        for p in printed
+    )
+
+
+def check_measured(path: Path, results_dir: Path = RESULTS_DIR) -> list[str]:
+    problems = []
+    for lineno, cell, results in measured_cells(path.read_text()):
+        if results is None:
+            problems.append(
+                f"{_rel(path)}:{lineno}: measured cell in a section that "
+                f"names no benchmarks/results/ file"
+            )
+            continue
+        source = results_dir / results
+        if not source.exists():
+            problems.append(f"{_rel(path)}:{lineno}: no {_rel(source)}")
+            continue
+        printed = PRINTED_NUMBER_RE.findall(source.read_text())
+        for number in CELL_NUMBER_RE.findall(cell):
+            if not is_printed(number, printed):
+                problems.append(
+                    f"{_rel(path)}:{lineno}: measured {number} is not "
+                    f"printed in {_rel(source)}"
+                )
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     paths = doc_paths()
@@ -239,6 +316,7 @@ def main() -> int:
         problems.extend(check_commands(path))
         problems.extend(check_env_knobs(path, literals))
         problems.extend(check_extra_keys(path, literals))
+        problems.extend(check_measured(path))
         n_commands += len(extract_commands(path))
     problems.extend(check_index())
     for problem in problems:
