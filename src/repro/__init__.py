@@ -19,7 +19,7 @@ Quick start::
     print(result.time_ms, result.work.update_ratio)
 """
 
-from . import graphalgs, graphs, gpusim, metrics, reorder, sssp, util
+from . import graphs, gpusim, metrics, reorder, sssp, util
 from .graphs import CSRGraph
 from .gpusim import T4, V100, GPUDevice, GPUSpec
 from .reorder import apply_pro
@@ -33,7 +33,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "graphs",
-    "graphalgs",
     "gpusim",
     "metrics",
     "reorder",

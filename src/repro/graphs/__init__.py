@@ -33,13 +33,6 @@ from .partition import (
     random_partition,
 )
 from .surrogates import DATASETS, SurrogateSpec, dataset_names, load
-from .transform import (
-    clamp_weights,
-    induced_subgraph,
-    largest_component_subgraph,
-    reverse_graph,
-    scale_weights,
-)
 from .weights import (
     exponential_weights,
     reweight,
@@ -82,11 +75,6 @@ __all__ = [
     "uniform_unit_weights",
     "exponential_weights",
     "reweight",
-    "induced_subgraph",
-    "largest_component_subgraph",
-    "reverse_graph",
-    "scale_weights",
-    "clamp_weights",
     "block_partition",
     "edge_balanced_partition",
     "random_partition",

@@ -40,8 +40,9 @@ __all__ = ["WarmOracle", "warm_oracle", "certified_answer"]
 #: RDBS's in-kernel offset re-split did; v5: RDBS's one barrier per
 #: bucket did; v6: ADDS's and Near-Far's near/far split inside the relax
 #: producer did; v7: RDBS folding its next-bucket minimum only where a
-#: barrier reads it did)
-ORACLE_BUNDLE_VERSION = 7
+#: barrier reads it did; v8: RDBS phase 1's controller step dropping its
+#: decision-cell load did)
+ORACLE_BUNDLE_VERSION = 8
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphs.csr import CSRGraph
+from ..gpusim.counters import KernelCounters
 from ..sssp.api import sssp
 from ..sssp.validate import DistanceMismatch, scipy_distances, validate_distances
 from .cache import DistanceFieldLRU
@@ -122,8 +123,9 @@ class ServeReport:
     #: multi-GPU engine tallies summed over exact runs (multi_gpu > 1)
     mg_supersteps: int = 0
     mg_exchanged_messages: int = 0
-    #: summed device counters of the exact fallback runs
-    device_counters: dict[str, float] = field(default_factory=dict)
+    #: device counters of the exact fallback runs, merged (None until a
+    #: run reports counters)
+    device_counters: KernelCounters | None = None
     cache_stats: dict[str, int] = field(default_factory=dict)
     #: True when the oracle bundle came from the persistent artifact cache
     oracle_artifact_hit: bool = False
@@ -213,7 +215,9 @@ class ServeReport:
             counters["serve.degraded"] = float(self.degraded)
             counters["serve.shed"] = float(self.shed)
             counters["serve.slo_violations"] = float(self.slo_violations)
-        counters.update(self.device_counters)
+        if self.device_counters is not None:
+            for name, value in self.device_counters.as_dict().items():
+                counters[name] = float(value)
         return counters
 
     def summary(self) -> str:
@@ -390,10 +394,9 @@ class _Session:
             result = sssp(self.graph, source, method=cfg.method, **kwargs)
         self.run_index += 1
         if result.counters is not None:
-            for name, value in result.counters.totals.as_dict().items():
-                r.device_counters[name] = (
-                    r.device_counters.get(name, 0.0) + float(value)
-                )
+            if r.device_counters is None:
+                r.device_counters = KernelCounters()
+            r.device_counters.merge(result.counters.totals)
         return result.dist, result.time_ms
 
     # -- graceful degradation ------------------------------------------

@@ -8,7 +8,6 @@ from .paths import (
     shortest_path_tree,
     validate_path,
 )
-from .rho_stepping import default_rho, rho_stepping_sssp
 from .buckets import BucketInterval, DeltaController, bucket_of
 from .cpu_pq_delta import CPUSpec, XEON_8269CY, pq_delta_star_sssp
 from .delta_cpu import delta_stepping_cpu
@@ -51,8 +50,6 @@ __all__ = [
     "scipy_distances",
     "DistanceMismatch",
     "ConvergenceError",
-    "rho_stepping_sssp",
-    "default_rho",
     "shortest_path_tree",
     "ShortestPathTree",
     "build_parents",

@@ -20,7 +20,6 @@ from .gpu_mlmq import mlmq_sssp
 from .gpu_nearfar import nearfar_sssp
 from .gpu_rdbs import rdbs_sssp
 from .reference import bellman_ford, dijkstra
-from .rho_stepping import rho_stepping_sssp
 from .result import SSSPResult
 
 __all__ = ["sssp", "METHODS", "GPU_METHODS", "METHOD_OPTIONS", "method_names"]
@@ -33,7 +32,6 @@ _CPU_METHODS: dict[str, Callable[..., SSSPResult]] = {
     # competitors
     "delta-cpu": delta_stepping_cpu,
     "pq-delta*": pq_delta_star_sssp,
-    "rho-stepping": rho_stepping_sssp,
 }
 
 #: simulated-GPU engines (run on :class:`~repro.gpusim.GPUDevice` and

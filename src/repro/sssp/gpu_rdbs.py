@@ -337,10 +337,8 @@ def _rdbs_run(
                     device, dgraph, dist, members, b_lo, b_hi, split,
                     pro=use_offsets, adwl=adwl, stats=stats,
                     in_queue=in_queue, pool=pool, chunk_size=async_chunk,
-                    watchdog=watchdog, chain=chain, next_min=next_min,
-                    cell=cell,
+                    watchdog=watchdog, chain=chain,
                 )
-                cell = (cell + 1) % RING
                 # Δ_{i+1} needs only this bucket's (C, T), known at phase
                 # 1's barrier: phase 2&3 already knows the next interval
                 controller.feedback(
@@ -536,8 +534,6 @@ def _phase1_async(
     chunk_size: int = ASYNC_CHUNK,
     watchdog: Watchdog | None = None,
     chain: PersistentChain,
-    next_min,
-    cell: int,
 ) -> _BucketOutcome:
     """BASYN phase 1: one persistent kernel draining the workload lists.
 
@@ -552,8 +548,9 @@ def _phase1_async(
     after the members it pushed to ``pool``; re-activations append densely
     behind them.  One device barrier ends the drain: it orders every
     store, so ``pool`` rewinds there, and every block leader then runs the
-    Eq. 1–2 controller step on the decision cell ``next_min[cell]``, which
-    fixes the next bucket's interval before phase 2&3 runs.
+    Eq. 1–2 controller step, which fixes the next bucket's interval before
+    phase 2&3 runs.  The step needs only this bucket's (C, T) feedback,
+    which no device cell holds, so it reads no memory.
     """
     settled_mask = np.zeros(dist.size, dtype=bool)
     threads_used = 0
@@ -596,8 +593,7 @@ def _phase1_async(
                 )
         k.device_barrier()  # drained: phase 2&3 follows in the same kernel
         pool.rewind()
-        controller_step(k, _GRID_LEADERS, next_min, cell,
-                        ops=CONTROLLER_OPS, reset=np.inf)
+        k.alu(_GRID_LEADERS, ops=CONTROLLER_OPS)  # Eq. 1–2
 
     return _BucketOutcome(
         settled=np.flatnonzero(settled_mask),

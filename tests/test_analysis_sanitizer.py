@@ -20,7 +20,7 @@ from repro.graphs import path, preferential_attachment
 from repro.graphs.properties import largest_component_vertices
 from repro.gpusim.device import GPUDevice
 from repro.gpusim.kernels import thread_per_item
-from repro.sssp import sssp, validate_distances
+from repro.sssp import GPU_METHODS, sssp, validate_distances
 
 
 def component_source(graph) -> int:
@@ -31,12 +31,8 @@ def component_source(graph) -> int:
 # clean production engines: zero error-level hazards
 # ----------------------------------------------------------------------
 
-GPU_METHODS = ["rdbs", "bl", "near-far", "adds", "harish-narayanan",
-               "sync-delta", "basyn"]
-
-
 class TestCleanEngines:
-    @pytest.mark.parametrize("method", GPU_METHODS)
+    @pytest.mark.parametrize("method", sorted(GPU_METHODS))
     def test_engine_has_no_hazards(self, small_kron, kron_source, method):
         res, report = sanitized_sssp(small_kron, kron_source, method=method)
         assert report.errors == [], report.summary()
@@ -58,14 +54,6 @@ class TestCleanEngines:
         report = sanitizer.report()
         assert report.kernels_checked > 0
         assert report.errors == []
-
-    def test_bfs_and_pagerank_clean(self, sanitizer, small_kron, kron_source):
-        from repro.graphalgs.bfs import bfs_gpu
-        from repro.graphalgs.pagerank import pagerank_gpu
-
-        bfs_gpu(small_kron, kron_source)
-        pagerank_gpu(small_kron, max_iterations=5)
-        assert sanitizer.report().errors == []
 
     def test_multi_gpu_clean(self, sanitizer, small_kron, kron_source):
         from repro.gpusim.multi import multi_gpu_sssp

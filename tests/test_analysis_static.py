@@ -23,8 +23,7 @@ WORKLIST_KERNELS = {"phase1_async", "adds_async", "mlmq_init", "mlmq_drain",
 
 #: (kernel, array) of the one-lane decision-cell resets a worklist kernel
 #: also runs (``repro.sssp.persistent.controller_step``)
-DECISION_CELL_RESETS = {("mlmq_drain", "level_min"), ("adds_async", "promoted"),
-                        ("phase1_async", "next_min")}
+DECISION_CELL_RESETS = {("mlmq_drain", "level_min"), ("adds_async", "promoted")}
 
 #: every launch label the engine corpus must produce a signature for
 EXPECTED_KERNELS = {
@@ -34,7 +33,6 @@ EXPECTED_KERNELS = {
     "hn_relax",                                        # harish
     "nearfar_split", "nearfar_relax",                  # near-far
     "resplit_offsets",                                 # shared relax layer
-    "bfs_expand", "cc_propagate", "pagerank_push",     # graphalgs
     "recovery_probe", "recovery_verify", "recovery_relax",  # faults
     "mg_relax_g{}",                                    # multi-GPU
 }
@@ -483,23 +481,25 @@ class TestManifest:
         # cursor append the analyzer proves without an in-source escape.
         # The other stores are the persistent controller's one-lane
         # resets of decision cells (repro.sssp.persistent): MLMQ's
-        # next-level cell, ADDS's promoted count and RDBS's next-bucket
-        # minimum
+        # next-level cell and ADDS's promoted count
         committed = load_manifest(REPO / "ANALYSIS_manifest.json")
         kernels = {
             sig["label"]: sig for sig in committed["kernels"].values()
             if sig["label"] in WORKLIST_KERNELS
         }
         assert set(kernels) == WORKLIST_KERNELS
+        resets = set()
         for label, sig in kernels.items():
             assert sig["scatters"], label
             assert "call" not in sig["ops"], label
             for s in sig["scatters"]:
                 if (label, s["array"]) in DECISION_CELL_RESETS:
+                    resets.add((label, s["array"]))
                     continue
                 assert s["array"] == "slots", (label, s)
                 assert (s["class"], s["justified"]) == ("disjoint", False), (
                     label, s)
+        assert resets == DECISION_CELL_RESETS
 
     def test_signatures_carry_no_line_numbers(self):
         committed = load_manifest(REPO / "ANALYSIS_manifest.json")

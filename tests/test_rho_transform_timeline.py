@@ -1,129 +1,16 @@
-"""Tests for ρ-stepping, graph transforms and the kernel timeline."""
+"""Tests for the kernel timeline."""
 
 import numpy as np
 import pytest
 
-from repro.graphs import (
-    clamp_weights,
-    from_edges,
-    induced_subgraph,
-    kronecker,
-    largest_component_subgraph,
-    path,
-    reverse_graph,
-    scale_weights,
-)
+from repro.graphs import kronecker
 from repro.bench import benchmark_spec, get_graph, pick_sources
 from repro.gpusim import GPUDevice, KernelCounters, Timeline, V100, attribute_bottleneck
 from repro.gpusim.timemodel import kernel_bounds, kernel_time
 from repro.gpusim.kernels import grid_stride
-from repro.sssp import (
-    default_rho,
-    dijkstra,
-    rho_stepping_sssp,
-    sssp,
-    validate_distances,
-)
+from repro.sssp import sssp
 
 SPEC = V100.scaled_for_workload(1 / 64)
-
-
-class TestRhoStepping:
-    @pytest.mark.parametrize("rho", [1, 8, 10_000])
-    def test_correct_for_any_rho(self, rho):
-        g = kronecker(8, 6, weights="int", seed=40)
-        r = rho_stepping_sssp(g, 0, rho=rho)
-        validate_distances(g, 0, r.dist)
-
-    def test_rho_one_is_dijkstra_like(self):
-        """ρ=1 settles one vertex per batch: perfectly work-efficient on
-        graphs with unique distances."""
-        g = kronecker(7, 6, weights="int", seed=41)
-        exact = rho_stepping_sssp(g, 0, rho=1)
-        loose = rho_stepping_sssp(g, 0, rho=10_000)
-        assert exact.work.update_ratio <= loose.work.update_ratio
-
-    def test_batches_shrink_with_rho(self):
-        g = kronecker(8, 8, weights="int", seed=42)
-        few = rho_stepping_sssp(g, 0, rho=10_000).extra["batches"]
-        many = rho_stepping_sssp(g, 0, rho=4).extra["batches"]
-        assert many > few
-
-    def test_default_rho_reasonable(self):
-        g = kronecker(10, 8, weights="int", seed=43)
-        rho = default_rho(g)
-        assert 32 <= rho < g.num_vertices * 10
-
-    def test_invalid_args(self):
-        g = path(4)
-        with pytest.raises(ValueError):
-            rho_stepping_sssp(g, 0, rho=0)
-        with pytest.raises(ValueError):
-            rho_stepping_sssp(g, 10)
-
-    def test_available_through_api(self):
-        g = path(8)
-        r = sssp(g, 0, method="rho-stepping")
-        assert r.method == "rho-stepping"
-
-
-class TestTransforms:
-    def test_induced_subgraph(self):
-        g = path(6)
-        sub, new_to_old = induced_subgraph(g, np.array([1, 2, 3]))
-        assert sub.num_vertices == 3
-        assert list(new_to_old) == [1, 2, 3]
-        # the path 1-2-3 survives with both arc directions
-        assert sub.num_edges == 4
-
-    def test_induced_subgraph_drops_cross_edges(self):
-        g = path(6)
-        sub, _ = induced_subgraph(g, np.array([0, 1, 4, 5]))
-        assert sub.num_edges == 4  # 0-1 and 4-5 only
-
-    def test_induced_out_of_range(self):
-        with pytest.raises(ValueError):
-            induced_subgraph(path(3), np.array([5]))
-
-    def test_largest_component_subgraph(self):
-        g = from_edges(
-            np.array([0, 1, 5]), np.array([1, 2, 6]), np.ones(3),
-            num_vertices=8, symmetrize=True,
-        )
-        sub, new_to_old = largest_component_subgraph(g)
-        assert sub.num_vertices == 3
-        assert set(new_to_old) == {0, 1, 2}
-
-    def test_reverse_graph(self):
-        g = from_edges(np.array([0]), np.array([1]), np.array([3.0]),
-                       num_vertices=2)
-        rg = reverse_graph(g)
-        assert list(rg.iter_edges()) == [(1, 0, 3.0)]
-
-    def test_reverse_preserves_undirected_distances(self):
-        g = kronecker(7, 6, weights="int", seed=44)
-        d1 = dijkstra(g, 0).dist
-        d2 = dijkstra(reverse_graph(g), 0).dist
-        assert np.allclose(d1, d2, equal_nan=True) or np.array_equal(
-            np.isfinite(d1), np.isfinite(d2)
-        )
-
-    def test_scale_weights_scales_distances(self):
-        g = kronecker(7, 6, weights="int", seed=45)
-        d1 = dijkstra(g, 0).dist
-        d2 = dijkstra(scale_weights(g, 2.5), 0).dist
-        finite = np.isfinite(d1)
-        assert np.allclose(d2[finite], 2.5 * d1[finite])
-        with pytest.raises(ValueError):
-            scale_weights(g, 0.0)
-
-    def test_clamp_weights(self):
-        g = kronecker(6, 4, weights="int", seed=46)
-        c = clamp_weights(g, 100.0, 200.0)
-        assert c.weights.min() >= 100.0
-        assert c.weights.max() <= 200.0
-        with pytest.raises(ValueError):
-            clamp_weights(g, 5.0, 1.0)
 
 
 class TestTimeline:

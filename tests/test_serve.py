@@ -218,6 +218,19 @@ class TestScheduler:
         b = serve_traffic(small_kron, SMALL)
         assert a.counter_dict() == b.counter_dict()
 
+    def test_device_ratios_over_merged_runs(self, small_kron):
+        """The derived ratios of a multi-run session are ratios of the
+        summed counts, not sums of per-run ratios."""
+        report = serve_traffic(small_kron, SMALL)
+        assert report.exact_runs > 1
+        c = report.counter_dict()
+        assert 0.0 <= c["simt_efficiency"] <= 1.0
+        assert c["simt_efficiency"] == c["active_lanes"] / c["lane_slots"]
+        # nvprof's global_hit_rate is a percentage
+        assert 0.0 <= c["global_hit_rate"] <= 100.0
+        assert c["global_hit_rate"] == (
+            100.0 * c["l1_hits"] / c["l1_accesses"])
+
     def test_cache_exploits_hot_sources(self, small_kron):
         report = serve_traffic(small_kron, SMALL)
         # Zipf-skewed pool traffic must mostly hit the LRU, and the
