@@ -29,7 +29,9 @@ from repro.bench import (
 )
 from repro.metrics import geometric_mean
 
-ARMS = ["basyn+pro", "basyn+adwl", "basyn+pro+adwl"]
+#: column label -> registered method; the full arm is RDBS itself
+ARMS = {"basyn+pro": "basyn+pro", "basyn+adwl": "basyn+adwl",
+        "basyn+pro+adwl": "rdbs"}
 PAPER = {
     "road-TX": (1.36, 1.47, 1.38),
     "Amazon": (4.59, 6.47, 10.51),
@@ -42,7 +44,7 @@ PAPER = {
 
 @lru_cache(maxsize=1)
 def fig8_matrix():
-    return run_matrix(FIG8_DATASETS, ["bl"] + ARMS, num_sources=3)
+    return run_matrix(FIG8_DATASETS, ["bl", *ARMS.values()], num_sources=3)
 
 
 def test_fig8_optimization_speedups(benchmark):
@@ -50,7 +52,7 @@ def test_fig8_optimization_speedups(benchmark):
     rows = []
     for d in FIG8_DATASETS:
         base = matrix[(d, "bl")].time_ms
-        speedups = [base / matrix[(d, a)].time_ms for a in ARMS]
+        speedups = [base / matrix[(d, m)].time_ms for m in ARMS.values()]
         rows.append(
             [d]
             + [round(s, 2) for s in speedups]
@@ -64,7 +66,8 @@ def test_fig8_optimization_speedups(benchmark):
         title="Fig. 8 — speedup over BL (synchronous push baseline)",
     )
     avg = [
-        round(geo_speedup(matrix, FIG8_DATASETS, "bl", a), 2) for a in ARMS
+        round(geo_speedup(matrix, FIG8_DATASETS, "bl", m), 2)
+        for m in ARMS.values()
     ]
     text += f"\n\ngeomean speedups (ours): {dict(zip(ARMS, avg))}"
     text += "\npaper arithmetic means:  {'basyn+pro': 5.15, 'basyn+adwl': 16.37, 'basyn+pro+adwl': 19.60}"
@@ -74,11 +77,11 @@ def test_fig8_optimization_speedups(benchmark):
     powerlaw = [d for d in FIG8_DATASETS if d != "road-TX"]
     for d in powerlaw:
         base = matrix[(d, "bl")].time_ms
-        for a in ARMS:
-            assert base / matrix[(d, a)].time_ms > 1.0, (d, a)
+        for m in ARMS.values():
+            assert base / matrix[(d, m)].time_ms > 1.0, (d, m)
     # the full configuration is the best arm on average over power-law sets
     full = geometric_mean(
-        matrix[(d, "bl")].time_ms / matrix[(d, "basyn+pro+adwl")].time_ms
+        matrix[(d, "bl")].time_ms / matrix[(d, "rdbs")].time_ms
         for d in powerlaw
     )
     pro_only = geometric_mean(
@@ -88,7 +91,7 @@ def test_fig8_optimization_speedups(benchmark):
     assert full > 2.0
     assert full >= 0.9 * pro_only
     # road-TX: marginal gains at best (the paper's caveat)
-    road = matrix[("road-TX", "bl")].time_ms / matrix[
-        ("road-TX", "basyn+pro+adwl")
-    ].time_ms
+    road = (
+        matrix[("road-TX", "bl")].time_ms / matrix[("road-TX", "rdbs")].time_ms
+    )
     assert road < 5.0

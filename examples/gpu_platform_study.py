@@ -1,15 +1,13 @@
-"""GPU platform study: V100 vs T4 vs A100, plus a multi-GPU prototype.
+"""GPU platform study: V100 vs T4 vs A100.
 
 Reproduces the paper's §5.4.2 platform-scaling experiment (Fig. 12) on
-the simulator and extends it with an A100 what-if and the multi-GPU
-future-work prototype (§7), including the interconnect sensitivity that
-makes multi-GPU SSSP hard.
+the simulator and extends it with an A100 what-if.
 
 Run with:  python examples/gpu_platform_study.py
 """
 
 import repro
-from repro.gpusim import A100, NVLINK2_GBPS, PCIE3_GBPS, T4, V100, multi_gpu_sssp
+from repro.gpusim import A100, T4, V100
 from repro.graphs import kronecker, largest_component_vertices
 from repro.sssp import validate_distances
 
@@ -36,24 +34,4 @@ print(
     "\nmemory bandwidth into consideration ... V100 should be two to three"
     "\ntimes better than T4' — the ratio above comes from the same"
     "\ndatasheet numbers."
-)
-
-# --- multi-GPU prototype (§7 future work) -----------------------------------
-print(f"\nmulti-GPU 1-D partition (V100 class):")
-print(f"{'gpus':>5} {'link':<8} {'total ms':>9} {'compute':>8} {'exchange':>9} {'frac':>6}")
-for link_name, bw in (("PCIe3", PCIE3_GBPS), ("NVLink2", NVLINK2_GBPS)):
-    for ng in (1, 2, 4):
-        r = multi_gpu_sssp(
-            graph, source, num_gpus=ng, interconnect_gbps=bw,
-            spec=V100.scaled_for_workload(1 / 64),
-        )
-        validate_distances(graph, source, r.dist)
-        print(
-            f"{ng:>5} {link_name:<8} {r.time_ms:>9.4f} "
-            f"{r.compute_time_ms:>8.4f} {r.exchange_time_ms:>9.4f} "
-            f"{r.exchange_fraction:>6.1%}"
-        )
-print(
-    "\nFrontier exchange dominates as GPU count grows — the scaling wall"
-    "\nthat makes the paper defer multi-GPU SSSP to future work."
 )

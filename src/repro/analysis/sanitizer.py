@@ -331,7 +331,7 @@ class Sanitizer:
             st.init_mask[np.asarray(idx, dtype=np.int64)] = True
         if st.is_dist:
             # host staging writes may legally reset distances (e.g. the
-            # multi-GPU mirror broadcast); rebase the monotonicity baseline
+            # recovery runtime's repairs); rebase the monotonicity baseline
             watched, _ = self._dist_watch[id(arr)]
             self._dist_watch[id(arr)] = (watched, watched.data.copy())
 

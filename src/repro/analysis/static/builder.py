@@ -62,25 +62,12 @@ def _norm_path(p: Path) -> str:
 
 
 def _launch_label(call: ast.Call) -> str:
-    """Kernel label from the first ``device.launch`` argument.
-
-    F-string labels are normalized with ``{}`` placeholders
-    (``f"mg_relax_g{g}"`` → ``mg_relax_g{}``) so per-instance labels
-    collapse to one manifest entry.
-    """
+    """Kernel label from the first ``device.launch`` argument."""
     if not call.args:
         return "<unlabeled>"
     a = call.args[0]
     if isinstance(a, ast.Constant) and isinstance(a.value, str):
         return a.value
-    if isinstance(a, ast.JoinedStr):
-        parts = []
-        for v in a.values:
-            if isinstance(v, ast.Constant):
-                parts.append(str(v.value))
-            else:
-                parts.append("{}")
-        return "".join(parts)
     return df.expr_text(a)
 
 

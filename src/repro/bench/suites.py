@@ -46,10 +46,7 @@ SUITES: dict[str, SuiteSpec] = {
     "paper": SuiteSpec(
         name="paper",
         datasets=tuple(FIG8_DATASETS),
-        methods=(
-            "bl", "adds", "rdbs",
-            "basyn+pro", "basyn+adwl", "basyn+pro+adwl",
-        ),
+        methods=("bl", "adds", "rdbs", "basyn+pro", "basyn+adwl"),
         num_sources=3,
     ),
 }

@@ -177,8 +177,8 @@ def record_from_result(
 ) -> BenchRecord:
     """Build a record from one raw result object (duck-typed).
 
-    Works for :class:`~repro.sssp.result.SSSPResult` and the multi-GPU
-    result type: anything exposing ``time_ms`` plus optionally
+    Works for :class:`~repro.sssp.result.SSSPResult` and anything
+    else exposing ``time_ms`` plus optionally
     ``gteps``, ``work.update_ratio`` and ``counters.totals``.
     """
     work = getattr(result, "work", None)

@@ -826,7 +826,6 @@ def _serve_session(args):
         cold_fraction=args.cold_fraction,
         landmarks=args.landmarks,
         shards=args.shards,
-        multi_gpu=args.multi_gpu,
         rate_qpms=args.rate,
         method=args.method,
         plan=args.plan,
@@ -1084,8 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ALT landmark count for the oracle (default 4)")
     sp.add_argument("--shards", type=int, default=2,
                     help="simulated GPU lanes for exact batches (default 2)")
-    sp.add_argument("--multi-gpu", type=int, default=1,
-                    help=">1 runs exact fallbacks on the multi-GPU engine")
     sp.add_argument("--rate", type=float, default=25.0,
                     help="mean arrivals per simulated ms (default 25)")
     sp.add_argument("--method", default="rdbs", choices=method_names(),

@@ -2,8 +2,8 @@
 
 Attaches through the same global-observer hook the sanitizer uses, so it
 reaches devices that algorithms construct internally.  Besides the passive
-``on_*`` events it implements the *transform* hooks the device offers
-(``transform_read`` / ``transform_atomic`` / ``transform_exchange``) —
+``on_*`` events it implements two of the *transform* hooks the device
+offers (``transform_read`` / ``transform_atomic``) —
 called only when observers are attached, **after** all accounting, so a
 run without an injector is byte-identical in every counter.
 
@@ -222,36 +222,3 @@ class FaultInjector:
             )
             self._announce(ctx.device, event)
         return values
-
-    def transform_exchange(self, device, step: int, vs, nds):
-        """Drop or duplicate one multi-GPU exchange message."""
-        for i, spec in self._specs("exchange-drop"):
-            if vs.size == 0:
-                continue
-            if not self._due(i, spec):
-                continue
-            lane = int(self._rng.integers(vs.size))
-            event = self.report.record(
-                "exchange-drop", f"exchange_step{step}", "dist",
-                int(vs[lane]), device.time_s * 1e3,
-                f"dropped message d={float(nds[lane]):g}",
-            )
-            self._announce(device, event)
-            keep = np.ones(vs.size, dtype=bool)
-            keep[lane] = False
-            vs, nds = vs[keep], nds[keep]
-        for i, spec in self._specs("exchange-dup"):
-            if vs.size == 0:
-                continue
-            if not self._due(i, spec):
-                continue
-            lane = int(self._rng.integers(vs.size))
-            event = self.report.record(
-                "exchange-dup", f"exchange_step{step}", "dist",
-                int(vs[lane]), device.time_s * 1e3,
-                f"duplicated message d={float(nds[lane]):g}",
-            )
-            self._announce(device, event)
-            vs = np.concatenate([vs, vs[lane : lane + 1]])
-            nds = np.concatenate([nds, nds[lane : lane + 1]])
-        return vs, nds

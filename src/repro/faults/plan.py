@@ -24,9 +24,6 @@ Fault taxonomy (see ``docs/faults.md``):
     corruption is never lost in rounding.
 ``kernel-abort``
     a kernel launch raises :class:`InjectedKernelAbort` before running.
-``exchange-drop`` / ``exchange-dup``
-    a winning update message in the multi-GPU exchange is dropped /
-    delivered twice.
 """
 
 from __future__ import annotations
@@ -48,8 +45,6 @@ FAULT_KINDS = (
     "stale-read",
     "bitflip",
     "kernel-abort",
-    "exchange-drop",
-    "exchange-dup",
 )
 
 
@@ -129,14 +124,6 @@ _PLANS: dict[str, FaultPlan] = {
     "kernel-aborts": FaultPlan(
         "kernel-aborts",
         specs=(FaultSpec("kernel-abort", count=2, start=3, period=5),),
-    ),
-    "exchange-drop": FaultPlan(
-        "exchange-drop",
-        specs=(FaultSpec("exchange-drop", count=4, start=1, period=2),),
-    ),
-    "exchange-dup": FaultPlan(
-        "exchange-dup",
-        specs=(FaultSpec("exchange-dup", count=4, start=1, period=2),),
     ),
     "chaos": FaultPlan(
         "chaos",

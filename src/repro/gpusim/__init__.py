@@ -35,8 +35,6 @@ from .kernels import (
 )
 from .memory import BumpAllocator, DeviceArray, coalesce
 from .multisplit import ballot_rounds
-from .occupancy import OccupancyLimits, OccupancyResult, clamp_grid, occupancy
-from .multi import MultiGPUResult, multi_gpu_sssp, NVLINK2_GBPS, PCIE3_GBPS
 from .spec import A100, T4, V100, GPUSpec
 from .timeline import KernelRecord, Timeline, attribute_bottleneck
 from .timemodel import SERIAL_CPI, kernel_time, relax_filter_gate
@@ -72,16 +70,8 @@ __all__ = [
     "kernel_time",
     "relax_filter_gate",
     "SERIAL_CPI",
-    "MultiGPUResult",
-    "multi_gpu_sssp",
-    "NVLINK2_GBPS",
-    "PCIE3_GBPS",
     "Timeline",
     "KernelRecord",
     "attribute_bottleneck",
-    "occupancy",
-    "clamp_grid",
-    "OccupancyResult",
-    "OccupancyLimits",
     "ballot_rounds",
 ]

@@ -61,7 +61,7 @@ __all__ = [
     "unregister_global_observer",
 ]
 
-#: every event name the device (and the multi-GPU runtime) dispatches;
+#: every event name the device dispatches;
 #: the attach-time dispatch table is built over exactly this set
 OBSERVER_EVENTS = (
     "on_access",
@@ -75,7 +75,6 @@ OBSERVER_EVENTS = (
     "on_multisplit",
     "transform_read",
     "transform_atomic",
-    "transform_exchange",
     "transform_multisplit",
 )
 

@@ -101,10 +101,7 @@ class GPUSpec:
         return self.num_sms * self.max_warps_per_sm
 
     def scaled(self, factor: float, name: str | None = None) -> "GPUSpec":
-        """A hypothetical platform with compute+bandwidth scaled by ``factor``.
-
-        Used by the multi-GPU extension and the what-if examples.
-        """
+        """A hypothetical platform with compute+bandwidth scaled by ``factor``."""
         return replace(
             self,
             name=name or f"{self.name}x{factor:g}",

@@ -24,14 +24,6 @@ from .properties import (
     graph_stats,
     largest_component_vertices,
 )
-from .partition import (
-    block_partition,
-    degree_balanced_partition,
-    edge_balanced_partition,
-    partition_edge_counts,
-    partition_imbalance,
-    random_partition,
-)
 from .surrogates import DATASETS, SurrogateSpec, dataset_names, load
 from .weights import (
     exponential_weights,
@@ -75,10 +67,4 @@ __all__ = [
     "uniform_unit_weights",
     "exponential_weights",
     "reweight",
-    "block_partition",
-    "edge_balanced_partition",
-    "random_partition",
-    "degree_balanced_partition",
-    "partition_edge_counts",
-    "partition_imbalance",
 ]

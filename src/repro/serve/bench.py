@@ -14,10 +14,9 @@ baseline gates byte-identically in CI.
 
 Three suites:
 
-* ``serve-smoke`` — four small sessions covering every scheduler path
+* ``serve-smoke`` — three small sessions covering every scheduler path
   (mixed p2p/single-source, road-network p2p, a fault-plan session on the
-  self-healing runtime, a multi-GPU-sharded session).  Runs on every pull
-  request.
+  self-healing runtime).  Runs on every pull request.
 * ``serve-chaos`` — six sessions under serving-tier chaos plans
   (:mod:`repro.serve.chaos`): shard blackout with hedged retry and a
   breaker recovery, a slow shard, cache corruption caught by checksums,
@@ -83,15 +82,6 @@ _SMOKE_CELLS = (
         config=ServeConfig(
             num_queries=60, seed=303, p2p_fraction=0.5, tolerance=0.2,
             source_pool=6, landmarks=2, shards=1, plan="lost-updates",
-        ),
-    ),
-    # exact fallbacks on the 2-GPU bulk-synchronous engine
-    ServeCellSpec(
-        name="amazon-multigpu",
-        dataset="Amazon",
-        config=ServeConfig(
-            num_queries=40, seed=404, p2p_fraction=0.5, tolerance=0.2,
-            source_pool=4, landmarks=2, shards=2, multi_gpu=2,
         ),
     ),
 )

@@ -18,11 +18,9 @@ cheapest layer that can serve it correctly:
 Shards model independent simulated-GPU lanes: each exact batch occupies
 one lane for its summed run time, so queueing delay, load imbalance and
 tail latency all emerge from the same deterministic clock the simulator
-itself uses.  With ``multi_gpu > 1`` every exact run additionally executes
-on the bulk-synchronous multi-GPU engine (:mod:`repro.gpusim.multi`); with
-``plan`` set, every exact run executes under that fault plan with the
-self-healing runtime on (:mod:`repro.faults`), and the report counts any
-escaped fault.
+itself uses.  With ``plan`` set, every exact run executes under that
+fault plan with the self-healing runtime on (:mod:`repro.faults`), and
+the report counts any escaped fault.
 
 With ``chaos`` set (a :mod:`repro.serve.chaos` plan name) the *serving
 tier itself* is attacked on the same simulated clock — shard blackouts
@@ -120,9 +118,6 @@ class ServeReport:
     degraded: int = 0
     shed: int = 0
     slo_violations: int = 0
-    #: multi-GPU engine tallies summed over exact runs (multi_gpu > 1)
-    mg_supersteps: int = 0
-    mg_exchanged_messages: int = 0
     #: device counters of the exact fallback runs, merged (None until a
     #: run reports counters)
     device_counters: KernelCounters | None = None
@@ -192,11 +187,6 @@ class ServeReport:
         }
         for i, busy in enumerate(self.shard_busy_ms):
             counters[f"serve.shard{i}_busy_ms"] = float(busy)
-        if self.config.multi_gpu > 1:
-            counters["serve.mg_supersteps"] = float(self.mg_supersteps)
-            counters["serve.mg_exchanged_messages"] = float(
-                self.mg_exchanged_messages
-            )
         if self.config.chaos is not None or self.config.deadline_ms > 0:
             counters["serve.hedges"] = float(self.hedges)
             counters["serve.shard_failures"] = float(self.shard_failures)
@@ -227,7 +217,6 @@ class ServeReport:
             f"session : {self.queries} queries "
             f"({self.p2p_queries} p2p / {self.single_source_queries} "
             f"single-source), seed {c.seed}, {c.shards} shard(s)"
-            + (f", multi_gpu={c.multi_gpu}" if c.multi_gpu > 1 else "")
             + (f", plan={c.plan}" if c.plan else ""),
             f"policy  : tolerance {c.tolerance:g}, {c.landmarks} landmark(s) "
             f"(warmup {self.warmup_ms:.3f} ms"
@@ -367,17 +356,6 @@ class _Session:
         """One exact run; returns ``(dist, simulated_ms)``."""
         cfg = self.config
         r = self.report
-        if cfg.multi_gpu > 1:
-            from ..gpusim.multi import multi_gpu_sssp
-
-            kwargs = {"spec": self.spec} if self.spec is not None else {}
-            mg = multi_gpu_sssp(
-                self.graph, source, num_gpus=cfg.multi_gpu, **kwargs
-            )
-            r.mg_supersteps += mg.supersteps
-            r.mg_exchanged_messages += mg.exchanged_messages
-            self.run_index += 1
-            return mg.dist, mg.time_ms
         kwargs = {"spec": self.spec} if self.spec is not None else {}
         if cfg.plan:
             from ..faults import faulty_sssp

@@ -64,8 +64,6 @@ class ServeConfig:
     landmarks: int = 4
     #: simulated GPU lanes exact batches are sharded over
     shards: int = 2
-    #: >1 runs exact fallbacks on the multi-GPU engine with this many GPUs
-    multi_gpu: int = 1
     #: batching window: an exact batch admits queries for this long (ms)
     batch_window_ms: float = 0.05
     #: flush a batch early once it spans this many distinct sources

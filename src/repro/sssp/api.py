@@ -49,7 +49,6 @@ _GPU_METHODS: dict[str, Callable[..., SSSPResult]] = {
     "basyn": partial(rdbs_sssp, pro=False, adwl=False, basyn=True),
     "basyn+pro": partial(rdbs_sssp, pro=True, adwl=False, basyn=True),
     "basyn+adwl": partial(rdbs_sssp, pro=False, adwl=True, basyn=True),
-    "basyn+pro+adwl": partial(rdbs_sssp, pro=True, adwl=True, basyn=True),
     "sync-delta": partial(rdbs_sssp, pro=False, adwl=False, basyn=False),
     # the multi-level-multi-queue successor (ROADMAP item 1)
     "mlmq": mlmq_sssp,

@@ -55,12 +55,6 @@ class TestCleanEngines:
         assert report.kernels_checked > 0
         assert report.errors == []
 
-    def test_multi_gpu_clean(self, sanitizer, small_kron, kron_source):
-        from repro.gpusim.multi import multi_gpu_sssp
-
-        multi_gpu_sssp(small_kron, kron_source, num_gpus=2)
-        assert sanitizer.report().errors == []
-
 
 # ----------------------------------------------------------------------
 # seeded-bug fixtures: every detector fires

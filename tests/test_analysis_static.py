@@ -34,7 +34,6 @@ EXPECTED_KERNELS = {
     "nearfar_split", "nearfar_relax",                  # near-far
     "resplit_offsets",                                 # shared relax layer
     "recovery_probe", "recovery_verify", "recovery_relax",  # faults
-    "mg_relax_g{}",                                    # multi-GPU
 }
 
 

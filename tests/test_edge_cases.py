@@ -19,7 +19,7 @@ FAST_METHODS = ["rdbs", "bl", "adds", "near-far", "delta-cpu", "pq-delta*"]
 
 def _kwargs(method):
     gpu = {"rdbs", "bl", "adds", "near-far", "harish-narayanan",
-           "basyn", "basyn+pro", "basyn+adwl", "basyn+pro+adwl", "sync-delta"}
+           "basyn", "basyn+pro", "basyn+adwl", "sync-delta"}
     return {"spec": SPEC} if method in gpu else {}
 
 

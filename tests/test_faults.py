@@ -25,7 +25,6 @@ from repro.graphs import (
 )
 from repro.graphs.generators import rmat_edges
 from repro.gpusim import V100
-from repro.gpusim.multi import multi_gpu_sssp
 from repro.sssp import (
     ConvergenceError,
     DistanceMismatch,
@@ -52,6 +51,8 @@ def _rmat_graph():
 RMAT = _rmat_graph()
 RMAT_SRC = int(largest_component_vertices(RMAT)[0])
 
+#: every named plan; each runs on a single device, so each enters the
+#: recovery matrix below
 ALL_PLANS = ["lost-updates", "stale-reads", "bitflips", "kernel-aborts", "chaos"]
 
 
@@ -60,9 +61,7 @@ ALL_PLANS = ["lost-updates", "stale-reads", "bitflips", "kernel-aborts", "chaos"
 # ----------------------------------------------------------------------
 class TestPlans:
     def test_registry_names(self):
-        names = plan_names()
-        for p in ALL_PLANS + ["exchange-drop", "exchange-dup"]:
-            assert p in names
+        assert plan_names() == ALL_PLANS
 
     def test_get_plan_reseed(self):
         p = get_plan("bitflips", seed=42)
@@ -70,12 +69,15 @@ class TestPlans:
         assert get_plan("bitflips").seed != 42 or get_plan("bitflips") is not p
 
     def test_unknown_plan_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault plan"):
-            get_plan("not-a-plan")
+        for name in ("not-a-plan", "exchange-drop", "exchange-dup"):
+            with pytest.raises(ValueError, match="unknown fault plan"):
+                get_plan(name)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FaultSpec(kind="not-a-kind")
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSpec(kind="exchange-drop")
         with pytest.raises(ValueError):
             FaultSpec(kind="bitflip", count=-1)
         with pytest.raises(ValueError):
@@ -123,8 +125,7 @@ class TestDeterminism:
 class TestRecovery:
     @pytest.mark.parametrize("plan", ALL_PLANS)
     @pytest.mark.parametrize(
-        "method", ["rdbs", "basyn+pro+adwl", "adds", "bl", "near-far",
-                   "harish-narayanan"]
+        "method", ["rdbs", "adds", "bl", "near-far", "harish-narayanan"]
     )
     def test_recovered_distances_exact(self, method, plan):
         assert method in GPU_METHODS
@@ -246,51 +247,6 @@ class TestZeroCostOff:
     def test_recovery_off_runs_have_no_report_side_channel(self):
         r = rdbs_sssp(KRON, KRON_SRC, spec=SPEC)
         assert r.faults is None
-
-
-# ----------------------------------------------------------------------
-# multi-GPU exchange faults
-# ----------------------------------------------------------------------
-class TestExchangeFaults:
-    def _exact(self, dist, ref):
-        return np.array_equal(np.isfinite(dist), np.isfinite(ref)) and (
-            np.allclose(
-                dist[np.isfinite(ref)], ref[np.isfinite(ref)],
-                rtol=1e-9, atol=1e-9,
-            )
-        )
-
-    def test_drop_recovers(self):
-        ref = dijkstra(KRON, KRON_SRC).dist
-        inj = FaultInjector("exchange-drop")
-        with inj.attached():
-            r = multi_gpu_sssp(
-                KRON, KRON_SRC, num_gpus=2, spec=SPEC, recovery=True
-            )
-        assert inj.report.injected > 0
-        assert r.repair_rounds >= 1
-        assert self._exact(r.dist, ref)
-
-    def test_drop_without_recovery_diverges(self):
-        ref = dijkstra(KRON, KRON_SRC).dist
-        inj = FaultInjector("exchange-drop")
-        with inj.attached():
-            r = multi_gpu_sssp(
-                KRON, KRON_SRC, num_gpus=2, spec=SPEC, recovery=False
-            )
-        assert inj.report.injected > 0
-        assert not self._exact(r.dist, ref)
-
-    def test_duplicate_is_harmless(self):
-        ref = dijkstra(KRON, KRON_SRC).dist
-        inj = FaultInjector("exchange-dup")
-        with inj.attached():
-            r = multi_gpu_sssp(
-                KRON, KRON_SRC, num_gpus=2, spec=SPEC, recovery=True
-            )
-        assert inj.report.injected > 0
-        assert r.repair_rounds == 0
-        assert self._exact(r.dist, ref)
 
 
 # ----------------------------------------------------------------------

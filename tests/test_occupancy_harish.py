@@ -1,16 +1,9 @@
-"""Tests for the occupancy calculator, the Harish–Narayanan baseline and
-the async chunk-size knob."""
+"""Tests for the Harish–Narayanan baseline and the async chunk-size knob."""
 
 import pytest
 
 from repro.graphs import kronecker, path, star
-from repro.gpusim import (
-    OccupancyLimits,
-    T4,
-    V100,
-    clamp_grid,
-    occupancy,
-)
+from repro.gpusim import V100
 from repro.sssp import (
     ConvergenceError,
     harish_narayanan_sssp,
@@ -20,66 +13,6 @@ from repro.sssp import (
 )
 
 SPEC = V100.scaled_for_workload(1 / 64)
-
-
-class TestOccupancy:
-    def test_full_occupancy_small_blocks(self):
-        o = occupancy(V100, 256)
-        assert o.is_full
-        assert o.warps_per_sm == V100.max_warps_per_sm
-        assert o.blocks_per_sm == 8
-
-    def test_warp_slot_limited(self):
-        o = occupancy(V100, 1024)
-        assert o.limiter in ("warp-slots", "registers")
-        assert o.warps_per_sm <= V100.max_warps_per_sm
-
-    def test_register_pressure_reduces_occupancy(self):
-        light = occupancy(V100, 256, registers_per_thread=32)
-        heavy = occupancy(V100, 256, registers_per_thread=255)
-        assert heavy.warps_per_sm < light.warps_per_sm
-        assert heavy.limiter == "registers"
-
-    def test_shared_memory_limit(self):
-        o = occupancy(V100, 128, shared_mem_per_block=48 * 1024)
-        assert o.blocks_per_sm == 2
-        assert o.limiter == "shared-memory"
-
-    def test_t4_has_fewer_warp_slots(self):
-        assert occupancy(T4, 256).warps_per_sm <= occupancy(V100, 256).warps_per_sm
-
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            occupancy(V100, 0)
-        with pytest.raises(ValueError):
-            occupancy(V100, 2048)
-
-    def test_custom_limits(self):
-        tight = OccupancyLimits(max_blocks_per_sm=2)
-        o = occupancy(V100, 32, limits=tight)
-        assert o.blocks_per_sm == 2
-        assert o.limiter == "block-slots"
-
-    def test_occupancy_fraction_bounds(self):
-        for tpb in (32, 64, 128, 256, 512, 1024):
-            o = occupancy(V100, tpb)
-            assert 0.0 < o.occupancy <= 1.0
-
-
-class TestClampGrid:
-    def test_small_work_fits(self):
-        assert clamp_grid(V100, 100, 256) == 1
-
-    def test_large_work_clamped(self):
-        blocks = clamp_grid(V100, 10**9, 256, max_waves=8)
-        assert blocks == 8 * V100.num_sms * 8  # 8 blocks/SM * 80 SMs * 8 waves
-
-    def test_zero_work(self):
-        assert clamp_grid(V100, 0, 256) == 0
-
-    def test_exact_boundary(self):
-        assert clamp_grid(V100, 256, 256) == 1
-        assert clamp_grid(V100, 257, 256) == 2
 
 
 class TestHarishNarayanan:

@@ -1,8 +1,8 @@
 """Property-based cross-validation: every implementation, random graphs.
 
 The strongest correctness statement the suite makes: for arbitrary random
-weighted graphs, every one of the library's nine SSSP implementations
-produces exactly the distances of the independent SciPy oracle.
+weighted graphs, every SSSP implementation below produces exactly the
+distances of the independent SciPy oracle.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import from_edges
-from repro.gpusim import V100, multi_gpu_sssp
+from repro.gpusim import V100
 from repro.sssp import sssp, validate_distances
 
 SPEC = V100.scaled_for_workload(1 / 64)
@@ -67,14 +67,6 @@ def test_rdbs_delta_invariance(params, delta):
     validate_distances(
         g, s, sssp(g, s, method="rdbs", spec=SPEC, delta=delta).dist
     )
-
-
-@given(params=graph_params, ngpus=st.integers(1, 4))
-@settings(max_examples=15, deadline=None)
-def test_multi_gpu_matches_oracle(params, ngpus):
-    g, s = build(params)
-    r = multi_gpu_sssp(g, s, num_gpus=ngpus, spec=SPEC)
-    validate_distances(g, s, r.dist)
 
 
 @given(params=graph_params)

@@ -94,6 +94,9 @@ class TestWorkload:
             generate_queries(small_kron, ServeConfig(p2p_fraction=1.5))
         with pytest.raises(ValueError):
             generate_queries(small_kron, ServeConfig(rate_qpms=0.0))
+        # no multi-GPU engine: the option is unknown
+        with pytest.raises(TypeError, match="multi_gpu"):
+            ServeConfig(multi_gpu=2)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +249,6 @@ class TestScheduler:
         assert report.faults_escaped == 0
         assert report.wrong == 0
 
-    def test_multi_gpu_path(self, small_kron):
-        cfg = ServeConfig(num_queries=30, seed=12, source_pool=3,
-                          landmarks=2, multi_gpu=2)
-        report = serve_traffic(small_kron, cfg)
-        assert report.ok
-        assert report.mg_supersteps > 0
-        assert "serve.mg_supersteps" in report.counter_dict()
-
     def test_single_source_queries_never_oracle(self, small_kron):
         cfg = ServeConfig(num_queries=50, seed=13, p2p_fraction=0.0,
                           source_pool=4, landmarks=2)
@@ -401,6 +396,9 @@ class TestServeCLI:
 
         with pytest.raises(SystemExit):
             main(["serve"])
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "kron:8,8", "--multi-gpu", "2"])
+        assert exc.value.code == 2
 
     def test_suite_mode(self, capsys, monkeypatch):
         from repro.cli import main

@@ -49,7 +49,7 @@ from repro.sssp import (
 SPEC = V100.scaled_for_workload(1 / 64)
 
 #: every registered RDBS arm with BASYN on (the arms bucket fusion runs in)
-BASYN_ARMS = ("rdbs", "basyn", "basyn+pro", "basyn+adwl", "basyn+pro+adwl")
+BASYN_ARMS = ("rdbs", "basyn", "basyn+pro", "basyn+adwl")
 
 #: the GPU engines besides RDBS's BASYN arms and Near-Far, each held
 #: against the binary-heap Dijkstra

@@ -30,7 +30,7 @@ from repro.bench import (
     run_method,
     run_suite,
 )
-from repro.faults import faulty_sssp
+from repro.faults import faulty_sssp, plan_names
 from repro.graphs import kronecker, largest_component_vertices
 from repro.gpusim import V100
 from repro.sssp import (
@@ -159,15 +159,8 @@ class TestSanitizer:
 # fault recovery: queue hierarchy rebuild self-heals every plan
 # ---------------------------------------------------------------------------
 
-#: every single-device plan (the exchange-* plans only inject on the
-#: multi-GPU halo-exchange path — see tests/test_faults.py)
-SINGLE_DEVICE_PLANS = [
-    "lost-updates", "stale-reads", "bitflips", "kernel-aborts", "chaos",
-]
-
-
 class TestFaultRecovery:
-    @pytest.mark.parametrize("plan", SINGLE_DEVICE_PLANS)
+    @pytest.mark.parametrize("plan", plan_names())
     def test_all_plans_recover(self, plan):
         r, rep = faulty_sssp(
             KRON, KRON_SRC, method="mlmq", plan=plan, seed=0, spec=SPEC
