@@ -31,6 +31,10 @@ import math
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..sssp.result import SSSPResult
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -168,36 +172,32 @@ def record_from_run(run) -> BenchRecord:
 
 
 def record_from_result(
-    result,
+    result: SSSPResult,
     *,
     dataset: str,
     method: str | None = None,
     gpu: str = "",
     host_seconds: float = 0.0,
 ) -> BenchRecord:
-    """Build a record from one raw result object (duck-typed).
+    """Build a record from one :class:`~repro.sssp.result.SSSPResult`.
 
-    Works for :class:`~repro.sssp.result.SSSPResult` and anything
-    else exposing ``time_ms`` plus optionally
-    ``gteps``, ``work.update_ratio`` and ``counters.totals``.
+    CPU methods carry no device counters, so their records hold none.
     """
-    work = getattr(result, "work", None)
-    dev = getattr(result, "counters", None)
-    counters = (
-        dev.totals.as_dict() if dev is not None and hasattr(dev, "totals")
-        else {}
-    )
+    work = result.work
     return BenchRecord(
         dataset=dataset,
-        method=method or getattr(result, "method", "unknown"),
+        method=method or result.method,
         gpu=gpu,
         num_sources=1,
-        time_ms=float(getattr(result, "time_ms", 0.0)),
-        gteps=float(getattr(result, "gteps", 0.0)),
+        time_ms=float(result.time_ms),
+        gteps=float(result.gteps),
         update_ratio=(
             float(work.update_ratio) if work is not None else float("nan")
         ),
-        counters=counters,
+        counters=(
+            {} if result.counters is None
+            else result.counters.totals.as_dict()
+        ),
         host_seconds=float(host_seconds),
     )
 

@@ -100,16 +100,6 @@ class GPUSpec:
         """Device-wide resident-warp ceiling (parallelism limit)."""
         return self.num_sms * self.max_warps_per_sm
 
-    def scaled(self, factor: float, name: str | None = None) -> "GPUSpec":
-        """A hypothetical platform with compute+bandwidth scaled by ``factor``."""
-        return replace(
-            self,
-            name=name or f"{self.name}x{factor:g}",
-            num_sms=max(1, int(round(self.num_sms * factor))),
-            cuda_cores=max(1, int(round(self.cuda_cores * factor))),
-            mem_bandwidth_gbps=self.mem_bandwidth_gbps * factor,
-        )
-
     def scaled_for_workload(self, workload_scale: float) -> "GPUSpec":
         """Spec for running a workload scaled down by ``workload_scale``.
 

@@ -7,7 +7,8 @@ makes the same point for ordered graph algorithms).  :class:`GPUSolve` is
 that surrounding frame, written once: the source check, device setup (graph
 upload, then ``dist``, so every engine's own buffers follow at the same
 device addresses the cache model keys on), the seeded work tally and fault
-runtime, the reaction to a tripped loop bound, the per-bucket row store
+runtime, the solve's persistent kernel chain and the rule that ends it,
+the reaction to a tripped loop bound, the per-bucket row store
 (``extra["bucket_telemetry"]``) and the :class:`SSSPResult`.  The loops,
 their kernels and every ``device.launch``/``segment`` call stay in the
 engine modules.
@@ -21,7 +22,7 @@ passes it as ``work_graph``; the frame maps the source into the copy
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from ..gpusim.device import GPUDevice
 from ..gpusim.spec import GPUSpec
 from ..metrics.workstats import WorkStats
 from .errors import ConvergenceError
+from .persistent import PersistentChain
 from .relax import DeviceGraph
 from .result import SSSPResult
 
@@ -55,7 +57,8 @@ class GPUSolve:
 
     Attributes the engine's loop works with: ``device``, ``dgraph`` (the
     uploaded ``work_graph``), ``dist``, ``src`` (the source in the work
-    graph's ids), ``stats`` and ``runtime`` (``None`` without recovery).
+    graph's ids), ``stats``, ``runtime`` (``None`` without recovery) and
+    ``chain``, the persistent kernel the engine's segments run on.
     """
 
     def __init__(
@@ -90,6 +93,8 @@ class GPUSolve:
         self.runtime = make_runtime(
             recovery, self.device, self.dgraph, self.dist, self.src, method
         )
+        #: the solve's persistent kernel; every host synchronization ends it
+        self.chain = PersistentChain(self.device)
         #: one row per processed bucket, in processing order
         self.bucket_telemetry: list[dict] = []
         self.work = None
@@ -105,16 +110,28 @@ class GPUSolve:
             raise exc
         self.runtime.recover(exc)
 
+    def epoch(self, work: Callable[[], int], mark=None) -> None:
+        """The runtime's epoch at a loop boundary, if a runtime is attached.
+
+        Only then is ``work()`` called, to size the pending work.  A
+        synchronizing epoch (a probe or a checkpoint) ends the chain.
+        """
+        if self.runtime is not None and self.runtime.epoch(work(), mark=mark):
+            self.chain.end()
+
     def on_abort(self, exc: BaseException) -> np.ndarray:
         """A kernel aborted: raise ``exc`` without a runtime.
 
         With one, the runtime rolls ``dist`` back to its last checkpoint
         and returns the finite vertices the engine reseeds its worklist
-        from (:meth:`RecoveryRuntime.on_abort`).
+        from (:meth:`RecoveryRuntime.on_abort`).  The rollback is a host
+        synchronization, so it ends the chain.
         """
         if self.runtime is None:
             raise exc
-        return self.runtime.on_abort(exc)
+        fin = self.runtime.on_abort(exc)
+        self.chain.end()
+        return fin
 
     def close_bucket(self, row: dict) -> None:
         """Publish one processed bucket's row (``bucket_close``) and keep it."""

@@ -30,8 +30,10 @@ the split's block leaders read it to advance the threshold
 that drives the Δ feedback is a warp-aggregated
 :func:`~repro.sssp.persistent.publish_count`, read by the block leaders
 after the barrier of the drain that follows.  The host still decides
-from its exact mirrors.  The chain ends where the host synchronizes: a
-fault-runtime probe or checkpoint, or a rollback.
+from its exact mirrors; the far pile is its one
+:class:`~repro.sssp.worklist.FarPile`.  The chain is the solve's own
+(:class:`~repro.sssp.engine.GPUSolve`): it ends where the host
+synchronizes, at a fault-runtime probe or checkpoint, or a rollback.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .gpu_rdbs import check_delta
 from .persistent import (
     BLOCK,
     RING,
-    PersistentChain,
     block_leaders,
     controller_step,
     fold_min_filtered,
@@ -58,13 +59,16 @@ from .persistent import (
 )
 from .relax import relax_batch
 from .result import SSSPResult
-from .worklist import SlotPool
+from .worklist import FarPile, SlotPool
 
 __all__ = ["adds_sssp"]
 
 _SCAN_THREADS = 32 * 256
 #: near-set vertices processed per asynchronous micro-round
 _CHUNK = 2048
+
+#: micro-rounds before the loop gives up (a guard no sane input trips)
+MAX_STEPS = 10_000_000
 
 #: dependent instructions of the threshold advance a block leader runs in
 #: a split: both candidate thresholds and their maximum
@@ -82,14 +86,13 @@ def adds_sssp(
     *,
     delta: float | None = None,
     spec: GPUSpec = V100,
-    max_steps: int = 10_000_000,
     recovery=None,
 ) -> SSSPResult:
     """Run the ADDS-like asynchronous baseline on a simulated GPU."""
     delta = check_delta(delta, graph)
     solve = GPUSolve(graph, source, "adds", spec=spec, recovery=recovery)
-    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
-    runtime = solve.runtime
+    device, dgraph, dist, chain = (
+        solve.device, solve.dgraph, solve.dist, solve.chain)
     n = graph.num_vertices
 
     threshold = delta
@@ -97,7 +100,7 @@ def adds_sssp(
     near: list[np.ndarray] = [np.array([solve.src], dtype=np.int64)]
     in_near = np.zeros(n, dtype=bool)
     in_near[solve.src] = True
-    far_mask = np.zeros(n, dtype=bool)
+    far = FarPile(n)
     # device-resident near worklist and far pile (repro.sssp.worklist)
     near_pool = SlotPool(device, max(graph.num_edges, 1), "near_slots")
     far_pool = SlotPool(device, max(graph.num_edges, 1), "far_slots")
@@ -106,7 +109,6 @@ def adds_sssp(
     # resident-warp parallelism (ADDS's utilization-driven adjustment)
     target = spec.resident_warps
 
-    chain = PersistentChain(device)
     #: far-hit lanes fold their new distances into ``far_min[cell]``
     #: during a drain, and the next split's block leaders read it to
     #: advance the threshold.  The cell prices the advance; the host takes
@@ -118,16 +120,11 @@ def adds_sssp(
     promoted = device.zeros(RING, dtype=np.int64, name="adds_promoted")
     cell = 0
 
-    while near or far_mask.any():
-        if runtime is not None and runtime.epoch(
-                sum(int(c.size) for c in near)):
-            chain.end()
+    while near or far:
+        solve.epoch(lambda: sum(int(c.size) for c in near))
         if not near:
-            candidates = np.flatnonzero(far_mask)
-            if candidates.size == 0:
-                break
-            min_far = float(dist.data[candidates].min())
-            threshold = max(threshold + cur_delta, min_far + cur_delta)
+            candidates = np.flatnonzero(far.val < np.inf)
+            threshold = max(threshold + cur_delta, far.min() + cur_delta)
             try:
                 with chain.segment("adds_split") as k:
                     a = grid_stride(candidates.size, _SCAN_THREADS)
@@ -154,10 +151,10 @@ def adds_sssp(
                         # next one
                         k.device_barrier()
             except InjectedKernelAbort as exc:
-                near = _adds_reseed(solve, exc, chain, in_near, far_mask)
+                near = _adds_reseed(solve, exc, in_near, far)
                 continue
             cell = (cell + 1) % RING
-            far_mask[promote] = False
+            far.leave(promote)
             in_near[promote] = True
             if device.handlers("on_annotate"):
                 device.annotate(
@@ -181,9 +178,9 @@ def adds_sssp(
         try:
             with chain.segment("adds_async") as k:
                 _adds_async(
-                    k, dgraph, dist, near, in_near, far_mask,
+                    k, dgraph, dist, near, in_near, far,
                     near_pool, far_pool, solve.stats, threshold,
-                    max_steps, cur_delta, counters, far_min, cell,
+                    cur_delta, counters, far_min, cell,
                 )
                 k.device_barrier()
                 # every block leader applies the Δ feedback of the split
@@ -195,7 +192,7 @@ def adds_sssp(
             solve.give_up(exc)
             break
         except InjectedKernelAbort as exc:
-            near = _adds_reseed(solve, exc, chain, in_near, far_mask)
+            near = _adds_reseed(solve, exc, in_near, far)
             continue
 
     return solve.result({
@@ -204,8 +201,8 @@ def adds_sssp(
 
 
 def _adds_async(
-    k, dgraph, dist, near, in_near, far_mask,
-    near_pool, far_pool, stats, threshold, max_steps, cur_delta, counters,
+    k, dgraph, dist, near, in_near, far: FarPile,
+    near_pool, far_pool, stats, threshold, cur_delta, counters,
     far_min, cell,
 ):
     """Drain the near worklist: one segment of the persistent kernel.
@@ -218,7 +215,7 @@ def _adds_async(
     note_rounds = bool(k.device.handlers("on_annotate"))
     while near:
         counters["steps"] += 1
-        if counters["steps"] > max_steps:
+        if counters["steps"] > MAX_STEPS:
             raise ConvergenceError(
                 "ADDS step limit exceeded",
                 method="adds", iterations=counters["steps"] - 1,
@@ -258,29 +255,25 @@ def _adds_async(
         fresh = fresh[~in_near[fresh]]
         if fresh.size:
             in_near[fresh] = True
-            far_mask[fresh] = False
+            far.leave(fresh)
             near.append(fresh)
             near_pool.store(k, fresh)
-        far_new = sorted_unique_ints(far_hits)
-        far_new = far_new[~in_near[far_new]]
-        if far_new.size:
-            far_mask[far_new] = True
-            far_pool.store(k, far_new)
+        parked = ~in_near[far_hits]
+        if parked.any():
+            far.park(far_hits[parked], far_vals[parked])
+            far_pool.store(k, sorted_unique_ints(far_hits[parked]))
 
 
-def _adds_reseed(solve, exc, chain, in_near, far_mask):
-    """Roll back after an aborted kernel and rebuild the near worklist.
+def _adds_reseed(solve, exc, in_near, far: FarPile) -> list[np.ndarray]:
+    """Roll back after an aborted kernel; returns the rebuilt near list.
 
-    The rollback is a host synchronization, so it ends the persistent
-    kernel: the next segment is a host launch.
-
-    Every finite vertex of the restored checkpoint re-enters the near set;
-    re-relaxing settled vertices costs extra work but cannot change a
-    correct distance.
+    Every finite vertex of the restored checkpoint re-enters the near set
+    and the far pile empties; re-relaxing settled vertices costs extra
+    work but cannot change a correct distance.
     """
     fin = solve.on_abort(exc)
-    chain.end()
     in_near[:] = False
     in_near[fin] = True
-    far_mask[:] = False
+    none = np.zeros(0, dtype=np.int64)
+    far.refill(none, none)
     return [fin] if fin.size else []

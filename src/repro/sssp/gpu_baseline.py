@@ -45,7 +45,6 @@ def bl_sssp(
     """
     solve = GPUSolve(graph, source, "bl", spec=spec, recovery=recovery)
     device, dgraph, dist = solve.device, solve.dgraph, solve.dist
-    runtime = solve.runtime
     flags = FrontierFlags(device, graph.num_vertices)
     limit = graph.num_vertices + 2 if max_iterations is None else max_iterations
 
@@ -66,8 +65,7 @@ def bl_sssp(
                 frontier=int(frontier.size),
             ))
             break
-        if runtime is not None:
-            runtime.epoch(int(frontier.size))
+        solve.epoch(lambda: int(frontier.size))
         flags.new_round()
         try:
             with device.launch("bl_relax") as k:

@@ -52,7 +52,6 @@ def harish_narayanan_sssp(
         graph, source, "harish-narayanan", spec=spec, recovery=recovery
     )
     device, dgraph, dist = solve.device, solve.dgraph, solve.dist
-    runtime = solve.runtime
     n = graph.num_vertices
     mask = device.zeros(n, dtype=np.int8, name="mask")
     device.host_store(mask, solve.src, np.int8(1))
@@ -72,8 +71,7 @@ def harish_narayanan_sssp(
         active = np.flatnonzero(mask.data)
         if active.size == 0:
             break
-        if runtime is not None:
-            runtime.epoch(int(active.size))
+        solve.epoch(lambda: int(active.size))
         try:
             with device.launch("hn_relax") as k:
                 # every vertex gets a thread and reads its mask (the

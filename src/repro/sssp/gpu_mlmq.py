@@ -24,11 +24,11 @@ This engine realises that design on the simulated device:
   queue id), one counted descriptor CAS per handoff (``mlmq_steals`` /
   ``mlmq_stolen_slots``);
 * **windowing** — only :data:`WINDOW_LEVELS` levels are materialised at a
-  time; farther improvements park in an overflow pile (value-mirrored,
-  like Near-Far's far pile) and are promoted by a counted
-  reclassification segment (``mlmq_advance``) when the window reaches
-  them;
-* **one persistent kernel** — the level loop runs on a
+  time; farther improvements park in an overflow pile (the
+  :class:`~repro.sssp.worklist.FarPile` Near-Far's and ADDS's far piles
+  use) and are promoted by a counted reclassification segment
+  (``mlmq_advance``) when the window reaches them;
+* **one persistent kernel** — the level loop runs on the solve's
   :class:`~repro.sssp.persistent.PersistentChain`: after the
   ``mlmq_init`` host launch, every advance and drain is a continuation
   segment, and each level's drain ends in one device barrier.  The
@@ -70,7 +70,7 @@ from .persistent import (
 )
 from .relax import relax_batch
 from .result import SSSPResult
-from .worklist import SlotPool, pop_oldest
+from .worklist import FarPile, SlotPool, pop_oldest
 
 __all__ = ["mlmq_sssp", "NUM_QUEUES", "WINDOW_LEVELS", "GROUP_CHUNK"]
 
@@ -80,6 +80,9 @@ WINDOW_LEVELS = 4
 
 #: concurrent queues per level — one SM-mapped queue group each
 NUM_QUEUES = 4
+
+#: micro-rounds before the loop gives up (a guard no sane input trips)
+MAX_ROUNDS = 10_000_000
 
 #: worklist slots one queue group pops per asynchronous micro-round;
 #: small chunks keep popped distances fresh (fewer wasted relaxations)
@@ -128,9 +131,8 @@ class _QueuePool:
         self.sizes: dict[int, np.ndarray] = {}
         #: level of each vertex's live queued copy, -1 when none
         self.queue_level = np.full(n, -1, dtype=np.int64)
-        #: beyond-window improvements: membership + value mirror
-        self.overflow_mask = np.zeros(n, dtype=bool)
-        self.overflow_val = np.full(n, np.inf)
+        #: beyond-window improvements
+        self.overflow = FarPile(n)
 
     def push_chunks(self, k, vertices: np.ndarray, buckets: np.ndarray,
                     base: int) -> int:
@@ -174,7 +176,7 @@ class _QueuePool:
 
     def total_pending(self) -> int:
         queued = sum(int(s.sum()) for s in self.sizes.values())
-        return queued + int(self.overflow_mask.sum())
+        return queued + len(self.overflow)
 
 
 def mlmq_sssp(
@@ -183,7 +185,6 @@ def mlmq_sssp(
     *,
     delta: float | None = None,
     spec: GPUSpec = V100,
-    max_rounds: int = 10_000_000,
     recovery=None,
 ) -> SSSPResult:
     """Run the Multi-Level-Multi-Queue engine on a simulated GPU.
@@ -197,14 +198,14 @@ def mlmq_sssp(
     """
     delta = check_delta(delta, graph)
     solve = GPUSolve(graph, source, "mlmq", spec=spec, recovery=recovery)
-    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
+    device, dgraph, dist, chain = (
+        solve.device, solve.dgraph, solve.dist, solve.chain)
     runtime = solve.runtime
 
     state = _QueuePool(
         SlotPool(device, max(graph.num_edges, 1024), "mlmq_pool"),
         graph.num_vertices,
     )
-    chain = PersistentChain(device)
     #: the next-level decision's device cells: lanes that park
     #: improvements in the overflow pile fold their distances into
     #: ``level_min[cell]`` during a level's drain, and the block leaders
@@ -228,8 +229,7 @@ def mlmq_sssp(
     while True:
         qlevels = state.nonempty_levels()
         lvl: int | None = min(qlevels) if qlevels else None
-        omin = (state.overflow_val[state.overflow_mask].min()
-                if state.overflow_mask.any() else np.inf)
+        omin = state.overflow.min()
         if omin < np.inf:
             olvl = int(np.floor(omin / delta))
             lvl = olvl if lvl is None else min(lvl, olvl)
@@ -237,9 +237,7 @@ def mlmq_sssp(
             break
         lo = lvl * delta
         hi = (lvl + 1) * delta
-        if runtime is not None and runtime.epoch(state.total_pending(),
-                                                 mark=lo):
-            chain.end()
+        solve.epoch(state.total_pending, mark=lo)
 
         try:
             # promote overflow entries the window now covers
@@ -262,7 +260,7 @@ def mlmq_sssp(
             drain = _drain_level(
                 chain, dgraph, dist, state, lvl, delta=delta,
                 stats=solve.stats, watchdog=watchdog, tally=tally,
-                max_rounds=max_rounds, note=note, level_min=level_min,
+                note=note, level_min=level_min,
                 cell=cell, descriptors=descriptors,
             )
             cell = (cell + 1) % RING
@@ -276,7 +274,7 @@ def mlmq_sssp(
                    "occupancy": occupancy}
             solve.close_bucket(row)
         except (WatchdogTimeout, InjectedKernelAbort) as exc:
-            _mlmq_reseed(solve, exc, chain, state, dist)
+            _mlmq_reseed(solve, exc, state)
             continue
         except ConvergenceError as exc:
             solve.give_up(exc)
@@ -303,7 +301,7 @@ def mlmq_sssp(
 
 def _drain_level(
     chain: PersistentChain, dgraph, dist, state: _QueuePool, lvl: int, *,
-    delta: float, stats: WorkStats, watchdog, tally: dict, max_rounds: int,
+    delta: float, stats: WorkStats, watchdog, tally: dict,
     note: bool, level_min, cell: int, descriptors,
 ) -> dict:
     """Drain one level's queues: one segment of the persistent kernel.
@@ -332,7 +330,7 @@ def _drain_level(
         while state.level_size(lvl) > 0:
             rounds += 1
             tally["rounds"] += 1
-            if tally["rounds"] > max_rounds:
+            if tally["rounds"] > MAX_ROUNDS:
                 raise ConvergenceError(
                     "MLMQ round limit exceeded; check delta/weights",
                     method="mlmq", iterations=tally["rounds"] - 1,
@@ -457,7 +455,7 @@ def _classify_and_push(
     cur = state.queue_level[vs]
     sel = (cur == -1) | (lvl + rel[win] < cur)
     vs = vs[sel]
-    state.overflow_mask[vs] = False
+    state.overflow.leave(vs)
 
     seg = order[offs[_OVERFLOW_BUCKET]:]
     if seg.size:
@@ -465,9 +463,7 @@ def _classify_and_push(
         vals = dv[seg]
         free = state.queue_level[over] == -1
         over, vals = over[free], vals[free]
-        state.overflow_mask[over] = True
-        # ``over`` is duplicate-free: a plain element-wise minimum
-        state.overflow_val[over] = np.minimum(state.overflow_val[over], vals)
+        state.overflow.park(over, vals)
         # the parked lanes of the placement's contiguous overflow tail
         fold_min_filtered(k, vals, thread_per_item(int(vals.size)),
                           level_min, cell)
@@ -480,16 +476,14 @@ def _advance_window(
 ) -> int:
     """Promote overflow entries into the queue window (counted segment).
 
-    The overflow pile keeps a value mirror (``overflow_val``, maintained
-    like Near-Far's far pile), so the candidate set is known host-side;
-    the segment gathers the authoritative distances, reclassifies them by
-    one multisplit, and appends the promotions to the worklist store.  It
-    opens level ``lvl``, whose drain follows in the same synchronization
-    window.
+    The overflow pile holds each parked vertex's value, so the candidate
+    set is known host-side; the segment gathers the authoritative
+    distances, reclassifies them by one multisplit, and appends the
+    promotions to the worklist store.  It opens level ``lvl``, whose
+    drain follows in the same synchronization window.
     """
     bound = (lvl + WINDOW_LEVELS) * delta
-    cand = np.flatnonzero(state.overflow_mask
-                          & (state.overflow_val < bound))
+    cand = np.flatnonzero(state.overflow.val < bound)
     if cand.size == 0:
         return 0
     with chain.segment("mlmq_advance") as k:
@@ -508,22 +502,18 @@ def _advance_window(
         rel = np.clip(lvl_of - lvl, 0, WINDOW_LEVELS - 1)
         keys = rel * NUM_QUEUES + _queue_of(cand)
         order, _offs = k.multisplit(keys, WINDOW_LEVELS * NUM_QUEUES, a)
-        state.overflow_mask[cand] = False
+        state.overflow.leave(cand)
         state.push_chunks(k, cand[order], keys[order], lvl)
     device = chain.device
     if device.handlers("on_annotate"):
         device.annotate("mlmq_advance", level=lvl,
                         promoted=int(cand.size),
-                        overflow_remaining=int(state.overflow_mask.sum()))
+                        overflow_remaining=len(state.overflow))
     return int(cand.size)
 
 
-def _mlmq_reseed(solve, exc, chain: PersistentChain, state: _QueuePool,
-                 dist) -> None:
+def _mlmq_reseed(solve, exc, state: _QueuePool) -> None:
     """Roll back after an aborted kernel and rebuild the queue hierarchy.
-
-    The rollback is a host synchronization, so it ends the persistent
-    kernel: the next segment is a host launch.
 
     Every finite vertex of the restored checkpoint re-enters through the
     overflow pile; the next window advance reclassifies them with the
@@ -531,12 +521,7 @@ def _mlmq_reseed(solve, exc, chain: PersistentChain, state: _QueuePool,
     but cannot change a correct distance.
     """
     fin = solve.on_abort(exc)
-    chain.end()
     state.queues.clear()
     state.sizes.clear()
     state.queue_level[:] = -1
-    state.overflow_mask[:] = False
-    state.overflow_val[:] = np.inf
-    if fin.size:
-        state.overflow_mask[fin] = True
-        state.overflow_val[fin] = dist.data[fin]
+    state.overflow.refill(fin, solve.dist.data[fin])

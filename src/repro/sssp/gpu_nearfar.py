@@ -15,8 +15,10 @@ choices the host used to make between launches are charged device work
 sized to the warps that hold hits — the near-pile-empty test (a
 warp-aggregated count) and the threshold advance (the far-hit lanes fold
 their values into a far-minimum cell that the block leaders read when the
-near pile runs dry).  The chain ends only where the host synchronizes: a
-fault-runtime probe or checkpoint, or a rollback.
+near pile runs dry).  The far pile is the host's one
+:class:`~repro.sssp.worklist.FarPile`, and the chain is the solve's own
+(:class:`~repro.sssp.engine.GPUSolve`): it ends only where the host
+synchronizes, at a fault-runtime probe or checkpoint, or a rollback.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .gpu_rdbs import check_delta
 from .persistent import (
     BLOCK,
     RING,
-    PersistentChain,
     block_leaders,
     controller_step,
     fold_min,
@@ -42,10 +43,14 @@ from .persistent import (
 )
 from .relax import relax_batch
 from .result import SSSPResult
+from .worklist import FarPile
 
 __all__ = ["nearfar_sssp"]
 
 _SCAN_THREADS = 32 * 256
+
+#: relax iterations before the loop gives up (a guard no sane input trips)
+MAX_ITERATIONS = 10_000_000
 
 #: dependent instructions of the threshold advance a block leader runs on
 #: an empty near pile: both candidate thresholds and their maximum, then
@@ -59,30 +64,23 @@ def nearfar_sssp(
     *,
     delta: float | None = None,
     spec: GPUSpec = V100,
-    max_iterations: int = 10_000_000,
     recovery=None,
 ) -> SSSPResult:
     """Run synchronous Near-Far on a simulated GPU."""
     delta = check_delta(delta, graph)
     solve = GPUSolve(graph, source, "near-far", spec=spec, recovery=recovery)
-    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
-    runtime = solve.runtime
-    n = graph.num_vertices
+    device, dgraph, dist, chain = (
+        solve.device, solve.dgraph, solve.dist, solve.chain)
 
     threshold = delta
     near = np.array([solve.src], dtype=np.int64)
-    far_mask = np.zeros(n, dtype=bool)
-    # windowed far pile: the host mirrors each far vertex's latest inserted
-    # distance — exactly the register-resident value the winning atomic
-    # wrote, so ``far_val[v] == dist[v]`` for every far member — and
-    # buckets it on the absolute Δ-grid.  Threshold advances then promote
-    # every full window below the grid cell holding the threshold
-    # wholesale; only the straddling boundary window needs the counted
-    # gather-and-ballot split.
-    far_val = np.full(n, np.inf)
+    # windowed far pile, bucketed on the absolute Δ-grid: threshold
+    # advances promote every full window below the grid cell holding the
+    # threshold wholesale; only the straddling boundary window needs the
+    # counted gather-and-ballot split
+    far = FarPile(graph.num_vertices)
     iterations = 0
 
-    chain = PersistentChain(device)
     #: near-pile-empty test: each relax segment's near-hit warps add their
     #: tally to ``near_count[cell]``, read back after its barrier
     near_count = device.zeros(RING, dtype=np.int64, name="near_count")
@@ -94,25 +92,20 @@ def nearfar_sssp(
     far_min = device.full(RING, np.inf, name="far_min")
     far_cell = 0
 
-    while near.size or far_mask.any():
+    while near.size or far:
         if near.size == 0:
             # advance the threshold (decided on the device at the end of
             # the relax segment that emptied the near pile) and split the
             # far pile
-            candidates = np.flatnonzero(far_mask)
-            finite = candidates[np.isfinite(dist.data[candidates])]
-            if finite.size == 0:
-                break
-            min_far = float(dist.data[finite].min())
-            threshold = max(threshold + delta, min_far + delta)
-            vals = far_val[candidates]
+            threshold = max(threshold + delta, far.min() + delta)
             # grid cell holding the threshold, clamped so float rounding
             # can never misplace the promote boundary
             grid_lo = min(float(np.floor(threshold / delta) * delta),
                           threshold)
             grid_hi = max(grid_lo + delta, threshold)
-            full = candidates[vals < grid_lo]
-            boundary = candidates[(vals >= grid_lo) & (vals < grid_hi)]
+            full = np.flatnonzero(far.val < grid_lo)
+            boundary = np.flatnonzero((far.val >= grid_lo)
+                                      & (far.val < grid_hi))
             promote_b = np.zeros(0, dtype=np.int64)
             if boundary.size:
                 try:
@@ -124,25 +117,22 @@ def nearfar_sssp(
                         promote_b = boundary[order[: offs[1]]]
                         k.device_barrier()
                 except InjectedKernelAbort as exc:
-                    near, far_mask = _nearfar_reseed(
-                        solve, exc, chain, far_mask, far_val, dist)
+                    near = _nearfar_reseed(solve, exc, far)
                     continue
             promote = np.union1d(full, promote_b)
-            far_val[promote] = np.inf
-            far_mask[promote] = False
+            far.leave(promote)
             near = promote
             continue
 
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > MAX_ITERATIONS:
             solve.give_up(ConvergenceError(
                 "near-far iteration limit exceeded",
                 method="near-far", iterations=iterations - 1,
                 frontier=int(near.size), delta=delta,
             ))
             break
-        if runtime is not None and runtime.epoch(int(near.size)):
-            chain.end()
+        solve.epoch(lambda: int(near.size))
         try:
             with chain.segment("nearfar_relax") as k:
                 batch = dgraph.batch(near, "all")
@@ -178,40 +168,26 @@ def nearfar_sssp(
                                     ops=THRESHOLD_OPS, reset=np.inf)
                     far_cell = (far_cell + 1) % RING
         except InjectedKernelAbort as exc:
-            near, far_mask = _nearfar_reseed(
-                solve, exc, chain, far_mask, far_val, dist)
+            near = _nearfar_reseed(solve, exc, far)
             continue
 
         near_next = np.unique(near_hits)
-        far_new = np.unique(far_hits)
-        far_mask[far_new] = True
+        far.park(far_hits, far_hit_vals)
         # a vertex pulled below the threshold leaves the far pile
-        far_mask[near_next] = False
-        # duplicate targets take the per-target minimum — the value the
-        # cell holds after the round's atomics
-        np.minimum.at(far_val, far_hits, far_hit_vals)
-        far_val[near_next] = np.inf
+        far.leave(near_next)
         near = near_next
 
     return solve.result({"iterations": iterations, "delta": delta})
 
 
-def _nearfar_reseed(solve, exc, chain, far_mask, far_val, dist):
-    """Roll back after an aborted kernel and rebuild the worklist.
+def _nearfar_reseed(solve, exc, far: FarPile) -> np.ndarray:
+    """Roll back after an aborted kernel; returns the empty near pile.
 
-    The rollback is a host synchronization, so it ends the persistent
-    kernel: the next segment is a host launch.
-
-    Every finite vertex of the restored checkpoint goes to the far pile;
-    the next threshold advance re-promotes whatever still needs work.
-    Re-relaxing already-settled vertices costs extra work but cannot
-    change a correct distance.  The far pile's value mirror is rebuilt
-    from the restored checkpoint's distances.
+    Every finite vertex of the restored checkpoint goes to the far pile at
+    its restored distance; the next threshold advance re-promotes whatever
+    still needs work.  Re-relaxing already-settled vertices costs extra
+    work but cannot change a correct distance.
     """
     fin = solve.on_abort(exc)
-    chain.end()
-    far_mask[:] = False
-    far_mask[fin] = True
-    far_val[:] = np.inf
-    far_val[fin] = dist.data[fin]
-    return np.zeros(0, dtype=np.int64), far_mask
+    far.refill(fin, solve.dist.data[fin])
+    return np.zeros(0, dtype=np.int64)

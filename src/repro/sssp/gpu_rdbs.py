@@ -224,8 +224,6 @@ def _rdbs_run(
     #: the synchronous arms' next-bucket candidate queue, allocated by
     #: their first phase 2&3
     candidate_buf = None
-    #: bucket fusion: the BASYN bucket loop is one persistent kernel
-    chain = PersistentChain(device)
     #: next-bucket minimum ring: a phase-3 scan that ends in a barrier
     #: folds into ``next_min[cell]``, and the controller step after that
     #: barrier reads it and resets the cell before it
@@ -255,8 +253,7 @@ def _rdbs_run(
         unsettled = np.isfinite(dist.data) & (dist.data >= lo)
         if not unsettled.any():
             break
-        if runtime is not None and runtime.epoch(int(unsettled.sum()), mark=lo):
-            chain.end()
+        solve.epoch(lambda: int(unsettled.sum()), mark=lo)
         min_unsettled = float(dist.data[unsettled].min())
 
         # next bucket interval: dynamic (Eq. 1–2) or fixed width
@@ -318,13 +315,13 @@ def _rdbs_run(
             # a fault changed dist after phase 2&3 chose its successor:
             # the host synchronizes rather than run a window it never
             # opened
-            chain.end()
+            solve.chain.end()
         opened = None
         try:
             if needs_resplit(b_width):
                 # under BASYN the re-split is a segment of the resident
                 # kernel; the synchronous arms launch it from the host
-                dgraph.resplit(b_width, chain if basyn_active else None)
+                dgraph.resplit(b_width, solve.chain if basyn_active else None)
             split = (
                 max(b_width, dgraph.split_delta) if use_offsets else b_width
             )
@@ -337,7 +334,7 @@ def _rdbs_run(
                     device, dgraph, dist, members, b_lo, b_hi, split,
                     pro=use_offsets, adwl=adwl, stats=stats,
                     in_queue=in_queue, pool=pool, chunk_size=async_chunk,
-                    watchdog=watchdog, chain=chain,
+                    watchdog=watchdog, chain=solve.chain,
                 )
                 # Δ_{i+1} needs only this bucket's (C, T), known at phase
                 # 1's barrier: phase 2&3 already knows the next interval
@@ -390,7 +387,7 @@ def _rdbs_run(
             # graceful degradation: roll back to the last good checkpoint
             # (bounded retry) and finish the search without BASYN
             mark = runtime.recover(exc, lo)
-            chain.end()
+            solve.chain.end()
             lo = 0.0 if mark is None else float(mark)
             in_queue[:] = False
             if basyn_active:

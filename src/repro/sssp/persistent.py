@@ -66,11 +66,11 @@ one cell, so its choice is fixed per call site; the gate does not apply
 to these folds, and :func:`fold_min` and :func:`fold_min_filtered` are
 unaffected by it.
 
-The chain ends — the next segment is a host launch — wherever the host
-must synchronize: a fault-runtime probe or checkpoint, or a rollback
-(:meth:`PersistentChain.end`).  The cells carry the cost of a decision,
-not its authority: the host decides from its own exact state, so
-distances and the launch structure never depend on the cell values.
+A solve's :class:`~repro.sssp.engine.GPUSolve` owns its chain and ends
+it — the next segment is a host launch — wherever the host synchronizes:
+a fault-runtime probe or checkpoint, or a rollback.  The cells carry the
+cost of a decision, not its authority: the host decides from its own
+exact state, so distances and launches never depend on cell values.
 """
 
 from __future__ import annotations

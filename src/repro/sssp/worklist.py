@@ -1,4 +1,4 @@
-"""The device worklist stores of the bucketed engines.
+"""The worklist stores of the bucketed engines.
 
 BASYN's phase-1 workload lists (§4.3), ADDS's near and far piles and
 MLMQ's queue pool (arXiv 2602.10080) keep membership in host mirrors;
@@ -7,6 +7,10 @@ the simulator charges.  A push is one dense store behind a rolling
 cursor: coalesced, and provably disjoint because each thread's index is
 the cursor plus its own id.  The one overflow policy, a fresh pool at
 cursor 0 sized for at least the push, keeps every store that way.
+
+Near-Far's and ADDS's far piles and MLMQ's overflow pile are one host
+store, :class:`FarPile`: its one array gives membership, the minimum
+and the windows a split promotes, without reading ``dist``.
 
 The synchronous Δ-stepping arms build their next-bucket candidate queue
 with the other frontier idiom, stream compaction
@@ -22,7 +26,7 @@ from ..gpusim.device import GPUDevice, KernelContext, subset_assignment
 from ..gpusim.kernels import WorkAssignment, thread_per_item
 from ..gpusim.memory import DeviceArray
 
-__all__ = ["SlotPool", "compact_multisplit", "pop_oldest"]
+__all__ = ["FarPile", "SlotPool", "compact_multisplit", "pop_oldest"]
 
 
 class SlotPool:
@@ -59,6 +63,41 @@ class SlotPool:
         reused slot could be written twice in one window.
         """
         self.cursor = 0
+
+
+class FarPile:
+    """The host's one store of the vertices parked beyond a threshold.
+
+    ``val[v]`` is the value the winning atomic wrote when ``v`` was parked
+    (per-target minimum), ``inf`` when ``v`` is not parked: on a clean run
+    it equals ``dist`` on every parked vertex.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.val = np.full(n, np.inf)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.val < np.inf))
+
+    def __bool__(self) -> bool:
+        return bool(self.val.min() < np.inf)
+
+    def min(self) -> float:
+        """The smallest parked value; ``inf`` when nothing is parked."""
+        return float(self.val.min())
+
+    def park(self, vertices: np.ndarray, values: np.ndarray) -> None:
+        """Park ``vertices``, keeping the per-target minimum of ``values``."""
+        np.minimum.at(self.val, vertices, values)
+
+    def leave(self, vertices: np.ndarray) -> None:
+        """Take ``vertices`` out of the pile."""
+        self.val[vertices] = np.inf
+
+    def refill(self, vertices: np.ndarray, values: np.ndarray) -> None:
+        """Replace the whole pile with ``vertices`` at ``values``."""
+        self.val[:] = np.inf
+        self.val[vertices] = values
 
 
 def compact_multisplit(

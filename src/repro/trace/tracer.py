@@ -183,22 +183,6 @@ class Tracer:
         dur = seconds * 1e3
         self.emit("host", name, max(now - dur, 0.0), dur, device=-1)
 
-    def ingest_faults(self, report) -> None:
-        """Append a :class:`~repro.faults.report.FaultReport`'s events.
-
-        Used for reports produced outside an attached run (the injector
-        also announces faults live via ``device.annotate``; ingestion
-        deduplicates nothing, so call it only for un-traced runs).
-        """
-        for ev in report.events:
-            self.emit(
-                "fault", ev.kind, float(ev.time_ms), device=0,
-                args={"kernel": ev.kernel, "array": ev.array,
-                      "index": int(ev.index), "detail": ev.detail},
-            )
-        for action in report.actions:
-            self.emit("recovery", action, self._host_ms(), device=-1)
-
     # ------------------------------------------------------------------
     # device observer events
     # ------------------------------------------------------------------

@@ -135,11 +135,6 @@ class TestSpecs:
         assert V100.resident_warps == 80 * 64
         assert V100.clock_hz == pytest.approx(1.53e9)
 
-    def test_scaled(self):
-        half = V100.scaled(0.5)
-        assert half.num_sms == 40
-        assert half.mem_bandwidth_gbps == 450.0
-
     def test_scaled_for_workload(self):
         s = V100.scaled_for_workload(1 / 64)
         assert s.l1_kb_per_sm == 2

@@ -85,6 +85,13 @@ class TestApi:
             sssp(path(4), 0, method="bl", spec=SPEC, delta=0.5)
         with pytest.raises(ValueError, match="'sync-delta' does not take pro"):
             sssp(path(4), 0, method="sync-delta", pro=True)
+        # the engines' loop guards are module constants, not options
+        for method, bound in [("adds", "max_steps"),
+                              ("near-far", "max_iterations"),
+                              ("mlmq", "max_rounds")]:
+            with pytest.raises(ValueError,
+                               match=f"'{method}' does not take {bound}"):
+                sssp(path(4), 0, method=method, spec=SPEC, **{bound: 5})
 
     def test_default_method_is_rdbs(self):
         g = path(6)

@@ -1,4 +1,4 @@
-"""The one device worklist store (:mod:`repro.sssp.worklist`)."""
+"""The worklist stores (:mod:`repro.sssp.worklist`)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.gpusim.device import (
     unregister_global_observer,
 )
 from repro.sssp import rdbs_sssp
-from repro.sssp.worklist import SlotPool, pop_oldest
+from repro.sssp.worklist import FarPile, SlotPool, pop_oldest
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -74,6 +74,40 @@ class TestPopOldest:
         chunks = [np.array([1, 2]), np.array([3])]
         assert list(pop_oldest(chunks, 10)) == [1, 2, 3]
         assert chunks == []
+
+
+class TestFarPile:
+    def test_park_keeps_the_per_target_minimum(self):
+        far = FarPile(6)
+        far.park(np.array([2, 4, 2, 2]), np.array([5.0, 7.0, 3.0, 4.0]))
+        far.park(np.array([4]), np.array([9.0]))
+        assert far and len(far) == 2
+        assert far.val[2] == 3.0 and far.val[4] == 7.0
+        assert far.min() == 3.0
+
+    def test_leave_resets_the_entry(self):
+        far = FarPile(4)
+        far.park(np.array([1, 3]), np.array([2.0, 6.0]))
+        far.leave(np.array([1]))
+        assert far.val[1] == np.inf
+        assert len(far) == 1 and far.min() == 6.0
+
+    def test_empty_pile_is_falsy_with_infinite_minimum(self):
+        far = FarPile(3)
+        assert not far and len(far) == 0
+        assert far.min() == np.inf
+        far.park(np.array([0]), np.array([1.0]))
+        far.leave(np.array([0]))
+        assert not far and far.min() == np.inf
+
+    def test_refill_replaces_the_whole_pile(self):
+        far = FarPile(5)
+        far.park(np.array([0, 1]), np.array([1.0, 2.0]))
+        far.refill(np.array([3, 4]), np.array([8.0, 9.0]))
+        assert np.flatnonzero(far.val < np.inf).tolist() == [3, 4]
+        assert far.min() == 8.0
+        far.refill(np.zeros(0, dtype=np.int64), np.zeros(0))
+        assert not far
 
 
 class _Allocations:
