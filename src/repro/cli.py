@@ -1082,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--landmarks", type=int, default=4,
                     help="ALT landmark count for the oracle (default 4)")
     sp.add_argument("--shards", type=int, default=2,
-                    help="simulated GPU lanes for exact batches (default 2)")
+                    help="simulated GPU lanes for exact runs (default 2)")
     sp.add_argument("--rate", type=float, default=25.0,
                     help="mean arrivals per simulated ms (default 25)")
     sp.add_argument("--method", default="rdbs", choices=method_names(),

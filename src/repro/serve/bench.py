@@ -6,7 +6,7 @@ Same contract as :mod:`repro.bench.suites`, different unit of work: a
 (dataset × method) batch of SSSP runs.  Each cell serializes into the
 standard versioned :class:`~repro.bench.trajectory.BenchRecord` — the
 makespan is the cell's ``time_ms`` and every serving metric (hit/fallback
-tallies, p50/p99 latency, sustained QPS, per-shard busy time, fault
+tallies, p50/p99 latency, sustained QPS, per-shard busy_until clocks, fault
 tallies, aggregated device counters) lands in the exact-gated ``counters``
 map.  ``host_seconds`` is pinned to ``0.0``: a serve trajectory is a pure
 function of the suite spec, so the committed ``BENCH_serve.json``
@@ -87,7 +87,7 @@ _SMOKE_CELLS = (
 )
 
 _CHAOS_CELLS = (
-    # shard 0 blacked out on [0.2, 1.6) ms: in-flight batches fail at the
+    # shard 0 blacked out on [0.2, 1.6) ms: in-flight runs fail at the
     # overlap, hedge onto healthy shards, the breaker opens and — once the
     # blackout passes — recovers through a successful half-open probe
     ServeCellSpec(

@@ -6,7 +6,7 @@ serving scheduler.  A :class:`ChaosPlan` scripts infrastructure faults on
 the **same simulated millisecond clock** the scheduler already uses:
 
 * :class:`ShardBlackout` — a shard crashes for a window and restarts;
-  any batch dispatched into the window fails at the overlap point;
+  any exact run dispatched into the window fails at the overlap point;
 * :class:`ShardSlowdown` — a shard serves at ``factor×`` service time
   inside a window (a thermally throttled / noisy-neighbor lane);
 * :class:`CacheCorruption` — at a scripted instant one resident LRU
@@ -23,8 +23,9 @@ And the resilience mechanisms that must survive them:
   open`` after ``failure_threshold`` consecutive failures, ``open →
   half-open`` when a dispatch probes it after ``breaker_reset_ms`` of
   simulated time, ``half-open → closed`` on a successful probe;
-* **hedged retry** — a batch whose shard fails mid-service is re-issued
-  onto the next least-loaded healthy shard from the failure instant;
+* **hedged retry** — a run whose shard fails mid-service is re-issued
+  alone onto the next least-loaded healthy shard from the failure
+  instant; the other runs of its batch are untouched;
 * the **graceful-degradation ladder** lives in the scheduler: exact →
   relaxed-tolerance certified oracle → explicit deadline shed.  Chaos
   may slow or shed an answer; it must never make one wrong.
@@ -55,7 +56,7 @@ __all__ = [
     "emit_chaos",
 ]
 
-#: hard cap on dispatch re-tries for one batch (termination guard; a
+#: hard cap on dispatch re-tries for one run (termination guard; a
 #: finite plan needs far fewer — each attempt advances simulated time)
 _MAX_DISPATCH_ATTEMPTS = 10_000
 
@@ -205,7 +206,7 @@ class ShardBreaker:
         self.opened_at = float("-inf")
 
     def can_dispatch(self, t: float) -> bool:
-        """May a batch be placed on this shard at simulated time ``t``?"""
+        """May a run be placed on this shard at simulated time ``t``?"""
         if self.state == "open":
             return t >= self.opened_at + self.reset_ms
         return True
@@ -217,7 +218,7 @@ class ShardBreaker:
         return t
 
     def on_dispatch(self, t: float, engine: "ChaosEngine") -> None:
-        """A batch was placed; an elapsed open breaker becomes a probe."""
+        """A run was placed; an elapsed open breaker becomes a probe."""
         if self.state == "open":
             self.state = "half-open"
             engine.report.breaker_half_opens += 1
@@ -251,7 +252,9 @@ class ChaosEngine:
 
     The scheduler owns the clock and the shard ``busy_until`` ledger; the
     engine owns fault windows, breakers and the chaos counters on the
-    session's :class:`~repro.serve.scheduler.ServeReport`.
+    session's :class:`~repro.serve.scheduler.ServeReport`.  A clean
+    session runs under the empty plan, where :meth:`dispatch` is plain
+    least-loaded placement.
     """
 
     plan: ChaosPlan
@@ -335,13 +338,13 @@ class ChaosEngine:
     def dispatch(
         self, busy_until: list[float], now: float, work_ms: float
     ) -> tuple[int, float]:
-        """Place one batch; returns ``(shard, completion_ms)``.
+        """Place one exact run; returns ``(shard, completion_ms)``.
 
         Tries the least-loaded shard whose breaker admits dispatch at the
         current instant.  A blackout mid-service fails the attempt at the
         overlap point (the shard's clock still advances to the failure —
         the work was burned), records the failure with the breaker, and
-        *hedges*: the batch is re-issued from the failure instant onto the
+        *hedges*: the run is re-issued from the failure instant onto the
         next candidate.  When no breaker admits dispatch, simulated time
         advances to the earliest breaker reset (which then runs as a
         half-open probe).
@@ -382,6 +385,6 @@ class ChaosEngine:
             excluded.add(shard)
             t = fail_at
         raise RuntimeError(
-            f"chaos plan {self.plan.name!r}: batch could not be placed after "
+            f"chaos plan {self.plan.name!r}: run could not be placed after "
             f"{_MAX_DISPATCH_ATTEMPTS} attempts (unbounded blackout?)"
         )

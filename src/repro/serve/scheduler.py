@@ -5,19 +5,20 @@ graph: queries arrive on the simulated clock, and each is answered by the
 cheapest layer that can serve it correctly:
 
 1. **coalescing** — the source's distance field is already being computed
-   by an in-flight batch: the query waits for that batch, no new work;
+   by an in-flight run: the query waits for that run, no new work;
 2. **distance-field cache** — an exact field for the source is resident
    in the byte-capped LRU: answer immediately (exact);
 3. **landmark oracle** — point-to-point queries whose ALT bracket proves
    the declared tolerance (:func:`repro.serve.oracle.certified_answer`)
    are answered approximately with zero graph traversal;
 4. **exact fallback** — everything else queues into a batching window;
-   the batch's distinct sources run back-to-back as one multi-source
-   job (the paper's §5.1.3 batch protocol) on the least-loaded shard.
+   each distinct source of a flushed batch runs as its own solve (the
+   paper's §5.1.3 batch protocol) on the shard that frees first, and
+   each query is answered when its own source's run ends.
 
-Shards model independent simulated-GPU lanes: each exact batch occupies
-one lane for its summed run time, so queueing delay, load imbalance and
-tail latency all emerge from the same deterministic clock the simulator
+Shards model independent simulated-GPU lanes: each exact run occupies
+one lane for its run time, so queueing delay, load imbalance and tail
+latency all emerge from the same deterministic clock the simulator
 itself uses.  With ``plan`` set, every exact run executes under that
 fault plan with the self-healing runtime on (:mod:`repro.faults`), and
 the report counts any escaped fault.
@@ -29,8 +30,8 @@ through hedged retry, per-shard circuit breakers and checksum
 quarantine; with ``deadline_ms > 0`` every request walks a
 graceful-degradation ladder (exact → relaxed-tolerance certified oracle
 → explicit shed) instead of missing its deadline silently.  Both knobs
-default off, and the off path is byte-identical to a scheduler without
-the chaos layer at all.
+default off: a clean session runs under the empty chaos plan, where no
+run fails and dispatch is plain least-loaded placement.
 
 Everything observable — latencies, hit/fallback counters, aggregated
 device counters, LRU statistics — is a pure function of
@@ -50,6 +51,7 @@ from ..gpusim.counters import KernelCounters
 from ..sssp.api import sssp
 from ..sssp.validate import DistanceMismatch, scipy_distances, validate_distances
 from .cache import DistanceFieldLRU
+from .chaos import ChaosEngine, ChaosPlan, emit_chaos, get_chaos_plan
 from .oracle import certified_answer, warm_oracle
 from .workload import Query, ServeConfig, generate_queries
 
@@ -98,7 +100,8 @@ class ServeReport:
     #: completion time of the last answer (simulated ms)
     makespan_ms: float = 0.0
     latencies_ms: list[float] = field(default_factory=list)
-    #: per-shard busy milliseconds (exact batches only)
+    #: each shard's ``busy_until`` clock at session end: the simulated ms
+    #: its last exact run ended (idle gaps included, so not busy time)
     shard_busy_ms: list[float] = field(default_factory=list)
     #: answers that failed validation against the SciPy oracle
     wrong: int = 0
@@ -274,18 +277,15 @@ class _Session:
         self.spec = spec
         self.validate = validate
         self.report = ServeReport(graph_name=graph.name, config=config)
-        self.chaos = None
+        plan = ChaosPlan("none")
         if config.chaos is not None:
-            from .chaos import ChaosEngine, get_chaos_plan
-
-            self.chaos = ChaosEngine(
-                get_chaos_plan(config.chaos), config.shards, self.report
-            )
-        # checksums only under chaos: the chaos-off cache (counters
-        # included) must stay byte-identical to the pre-chaos scheduler
+            plan = get_chaos_plan(config.chaos)
+        self.chaos = ChaosEngine(plan, config.shards, self.report)
+        # checksums only under a chaos plan: a clean session's cache
+        # counters carry no checksum work
         self.lru = DistanceFieldLRU(
             config.cache_bytes,
-            checksums=self.chaos is not None,
+            checksums=config.chaos is not None,
             on_corruption=self._on_cache_corruption,
         )
         self.deadline_active = config.deadline_ms > 0
@@ -294,7 +294,7 @@ class _Session:
         self.busy_until = [0.0] * config.shards
         self.pending: list[Query] = []
         self.pending_deadline = float("inf")
-        #: source -> completion time of the batch computing its field
+        #: source -> completion time of the run computing its field
         self.inflight: dict[int, float] = {}
         #: sources whose full field already passed host validation
         self.validated: set[int] = set()
@@ -319,8 +319,6 @@ class _Session:
 
     def _on_cache_corruption(self, source: int) -> None:
         """Checksum mismatch callback: trace the quarantine instant."""
-        from .chaos import emit_chaos
-
         emit_chaos("corruption_detected", self._now, source=int(source))
 
     # -- answering -----------------------------------------------------
@@ -389,9 +387,7 @@ class _Session:
         """
         cfg = self.config
         r = self.report
-        if q.is_p2p and (
-            self.chaos is None or not self.chaos.oracle_decertified(decided_at)
-        ):
+        if q.is_p2p and not self.chaos.oracle_decertified(decided_at):
             answer = certified_answer(
                 self.oracle, q.source, q.target, cfg.relaxed_tolerance
             )
@@ -400,8 +396,6 @@ class _Session:
                 r.degraded += 1
                 self._complete(q, "degraded", latency, answer)
                 return
-        from .chaos import emit_chaos
-
         deadline = q.t_ms + cfg.deadline_ms
         r.shed += 1
         r.slo_violations += 1
@@ -412,53 +406,30 @@ class _Session:
         )
 
     def _flush(self, now: float) -> None:
-        """Run the pending batch's distinct sources on the best shard."""
+        """Run each distinct pending source on its own; answer each query
+        when its own source's run ends."""
         if not self.pending:
             return
         cfg = self.config
         r = self.report
-        sources: list[int] = []
-        for q in self.pending:
-            if q.source not in sources:
-                sources.append(q.source)
-        fields: dict[int, np.ndarray] = {}
-        if self.chaos is None:
-            shard = min(
-                range(len(self.busy_until)),
-                key=lambda i: (self.busy_until[i], i),
-            )
-            start = max(now, self.busy_until[shard])
-            t_end = start
-            for source in sources:
-                dist, run_ms = self._exact_run(source)
-                t_end += run_ms
-                fields[source] = dist
-            self.busy_until[shard] = t_end
-        else:
-            # chaos dispatch: hedged retry over healthy shards, breakers,
-            # blackout/slowdown-aware completion times
-            work_ms = 0.0
-            for source in sources:
-                dist, run_ms = self._exact_run(source)
-                work_ms += run_ms
-                fields[source] = dist
-            shard, t_end = self.chaos.dispatch(self.busy_until, now, work_ms)
-        r.batches += 1
-        r.exact_runs += len(sources)
-        for source in sources:
+        runs: dict[int, tuple[np.ndarray, int, float]] = {}
+        for source in dict.fromkeys(q.source for q in self.pending):
+            dist, run_ms = self._exact_run(source)
+            shard, t_end = self.chaos.dispatch(self.busy_until, now, run_ms)
+            runs[source] = (dist, shard, t_end)
             self.inflight[source] = t_end
-            self.lru.put(source, fields[source])
-            self._validate_field(source, fields[source])
+            self.lru.put(source, dist)
+            self._validate_field(source, dist)
+        r.batches += 1
+        r.exact_runs += len(runs)
         for q in self.pending:
+            dist, shard, t_end = runs[q.source]
             if self.deadline_active and t_end > q.t_ms + cfg.deadline_ms:
                 self._degrade_or_shed(q, q.t_ms + cfg.deadline_ms)
                 continue
-            latency = t_end - q.t_ms
-            answer = (
-                float(fields[q.source][q.target]) if q.is_p2p else float("nan")
-            )
+            answer = float(dist[q.target]) if q.is_p2p else float("nan")
             r.fallbacks += 1
-            self._complete(q, "exact", latency, answer, shard=shard)
+            self._complete(q, "exact", t_end - q.t_ms, answer, shard=shard)
         self.pending.clear()
         self.pending_deadline = float("inf")
 
@@ -467,22 +438,21 @@ class _Session:
         cfg = self.config
         r = self.report
         self._now = q.t_ms
-        if self.chaos is not None:
-            self.chaos.advance(q.t_ms, self.lru)
+        self.chaos.advance(q.t_ms, self.lru)
         r.queries += 1
         if q.is_p2p:
             r.p2p_queries += 1
         else:
             r.single_source_queries += 1
 
-        # 1) coalesce onto an in-flight batch computing this source
+        # 1) coalesce onto an in-flight run computing this source
         done_at = self.inflight.get(q.source)
         if done_at is not None and q.t_ms < done_at:
             field_arr = self.lru.peek(q.source)
             if field_arr is not None:
                 latency = (done_at - q.t_ms) + CACHE_LATENCY_MS
                 if self.deadline_active and latency > cfg.deadline_ms:
-                    # waiting for the in-flight batch would blow the
+                    # waiting for the in-flight run would blow the
                     # deadline, and re-running would not be faster
                     self._degrade_or_shed(q, q.t_ms)
                     return
@@ -504,7 +474,7 @@ class _Session:
         # 3) landmark oracle, for p2p queries the bracket certifies —
         #    unless a chaos outage has decertified the landmark data
         if q.is_p2p:
-            if self.chaos is not None and self.chaos.oracle_decertified(q.t_ms):
+            if self.chaos.oracle_decertified(q.t_ms):
                 r.oracle_refusals += 1
             else:
                 answer = certified_answer(

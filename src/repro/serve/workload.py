@@ -62,7 +62,7 @@ class ServeConfig:
     cold_fraction: float = 0.0
     #: landmark count k for the ALT oracle warmup
     landmarks: int = 4
-    #: simulated GPU lanes exact batches are sharded over
+    #: simulated GPU lanes the exact runs are placed on
     shards: int = 2
     #: batching window: an exact batch admits queries for this long (ms)
     batch_window_ms: float = 0.05

@@ -109,6 +109,52 @@ def kron_source(small_kron):
 
 
 @pytest.fixture
+def kron_pair(small_kron):
+    """Two vertices of ``small_kron``'s largest component, neither of them
+    the landmark of a one-landmark serve session."""
+    a, b = largest_component_vertices(small_kron)[1:3]
+    return int(a), int(b)
+
+
+@pytest.fixture
+def scripted_serve(monkeypatch):
+    """Play hand-written queries through ``serve_traffic`` with scripted
+    exact runs.
+
+    ``play(graph, queries, run_ms, **config)`` makes the exact run of
+    source ``s`` take ``run_ms[s]`` simulated ms (with exact distances)
+    and returns ``(report, spans)``: the session report and the ``serve``
+    trace span of each query, by qid.  Sessions use one landmark, which
+    no scripted source may be, so no query is a landmark cache hit.
+    """
+    from types import SimpleNamespace
+
+    import repro.serve.scheduler as sched
+    from repro.serve import ServeConfig, serve_traffic, warm_oracle
+    from repro.sssp.validate import scipy_distances
+    from repro.trace import tracing
+
+    def play(graph, queries, run_ms, **config):
+        def solve(graph, source, method, **kwargs):
+            return SimpleNamespace(
+                dist=scipy_distances(graph, source), time_ms=run_ms[source],
+                counters=None,
+            )
+
+        cfg = ServeConfig(num_queries=len(queries), landmarks=1, **config)
+        landmarks = set(warm_oracle(graph, cfg).oracle.landmarks.tolist())
+        assert not landmarks & set(run_ms), "pick non-landmark sources"
+        monkeypatch.setattr(sched, "sssp", solve)
+        monkeypatch.setattr(sched, "generate_queries", lambda g, c: queries)
+        with tracing() as tr:
+            report = serve_traffic(graph, cfg)
+        spans = {e.args["qid"]: e for e in tr.snapshot() if e.kind == "serve"}
+        return report, spans
+
+    return play
+
+
+@pytest.fixture
 def sanitizer():
     """A hazard sanitizer attached (via the global registry) to every
     device created inside the test; yields the live Sanitizer."""

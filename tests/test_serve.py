@@ -36,7 +36,8 @@ from repro.serve.bench import (
     run_serve_suite,
     serve_suite_names,
 )
-from repro.serve.workload import NO_TARGET
+from repro.serve.scheduler import CACHE_LATENCY_MS
+from repro.serve.workload import NO_TARGET, Query
 from repro.sssp.validate import scipy_distances
 
 # one small session exercising every answer path, reused across tests
@@ -280,6 +281,53 @@ class TestScheduler:
         report = serve_traffic(small_kron, SMALL)
         assert report.wrong > 0
         assert not report.ok
+
+
+class TestRunDispatch:
+    """Each distinct source of a flushed batch is its own run: placed on
+    the shard that frees first, and answering its own queries when it
+    ends.  Runs are scripted (source -> simulated ms); the window is
+    0.05 ms, so the first batch flushes at t = 0.05."""
+
+    def test_idle_shards_start_both_runs_at_the_flush(
+        self, small_kron, kron_pair, scripted_serve
+    ):
+        a, b = kron_pair
+        queries = [Query(0, 0.0, a), Query(1, 0.01, b)]
+        report, spans = scripted_serve(
+            small_kron, queries, {a: 0.3, b: 0.2}, shards=2
+        )
+        assert report.exact_runs == 2 and report.batches == 1
+        assert {spans[0].args["shard"], spans[1].args["shard"]} == {0, 1}
+        # each run starts at the flush instant: answer = 0.05 + own run
+        assert spans[0].ts_ms + spans[0].dur_ms == pytest.approx(0.35)
+        assert spans[1].ts_ms + spans[1].dur_ms == pytest.approx(0.25)
+
+    def test_latency_ends_at_the_own_run(
+        self, small_kron, kron_pair, scripted_serve
+    ):
+        a, b = kron_pair
+        queries = [Query(0, 0.0, a), Query(1, 0.01, b)]
+        report, _ = scripted_serve(
+            small_kron, queries, {a: 0.3, b: 0.2}, shards=1
+        )
+        # one shard runs a (0.05 → 0.35) then b (0.35 → 0.55); a's query
+        # does not wait for b's run
+        assert report.latencies_ms == pytest.approx([0.35, 0.54])
+        assert report.shard_busy_ms == pytest.approx([0.55])
+
+    def test_in_flight_source_coalesces_at_its_run_end(
+        self, small_kron, kron_pair, scripted_serve
+    ):
+        a, b = kron_pair
+        queries = [Query(0, 0.0, a), Query(1, 0.01, b), Query(2, 0.1, a)]
+        report, spans = scripted_serve(
+            small_kron, queries, {a: 0.3, b: 0.2}, shards=1
+        )
+        assert report.coalesced == 1 and spans[2].name == "coalesced"
+        assert spans[2].ts_ms + spans[2].dur_ms == pytest.approx(
+            0.35 + CACHE_LATENCY_MS
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ CI's chaos smoke stand on:
   ``(graph, ServeConfig)`` replays the same failures, hedges and breaker
   transitions; the chaos-off path stays byte-identical (no new counters,
   no checksum work);
-* a shard blackout re-routes in-flight batches (hedges > 0) and the
+* a shard blackout re-routes the one run it hits (hedges count runs) and the
   per-shard breaker walks closed → open → half-open → closed on
   simulated time;
 * corrupted LRU entries are detected by checksum and quarantined, never
@@ -42,6 +42,7 @@ from repro.serve.chaos import (
     ShardBreaker,
     ShardSlowdown,
 )
+from repro.serve.workload import Query
 
 # fast sessions on the small kron graph, reused across tests
 BLACKOUT = ServeConfig(
@@ -176,7 +177,7 @@ class TestDispatch:
         busy = [0.0, 0.0]
         shard, end = eng.dispatch(busy, now=0.9, work_ms=0.5)
         # shard 0 (least loaded, lowest index) fails at the blackout edge,
-        # the batch hedges onto shard 1 from the failure instant
+        # the run hedges onto shard 1 from the failure instant
         assert (shard, end) == (1, pytest.approx(1.5))
         assert busy[0] == pytest.approx(1.0)  # burned work up to the failure
         assert busy[1] == pytest.approx(1.5)
@@ -340,6 +341,58 @@ class TestChaosSessions:
     def test_negative_deadline_rejected(self, small_kron):
         with pytest.raises(ValueError, match="deadline_ms"):
             serve_traffic(small_kron, ServeConfig(deadline_ms=-1.0))
+
+
+class TestRunHedging:
+    """A blackout fails the one run it overlaps; only that run hedges.
+    Scripted runs (see the ``scripted_serve`` fixture) flush at 0.05 ms:
+    ``a`` takes 0.3 ms, then ``b`` 0.2 ms, on two shards."""
+
+    def _play(self, monkeypatch, scripted_serve, graph, pair, plan):
+        a, b = pair
+        monkeypatch.setitem(CHAOS_PLANS, plan.name, plan)
+        queries = [Query(0, 0.0, a), Query(1, 0.01, b)]
+        return scripted_serve(
+            graph, queries, {a: 0.3, b: 0.2}, shards=2, chaos=plan.name
+        )
+
+    def test_only_the_failed_run_is_reissued(
+        self, monkeypatch, scripted_serve, small_kron, kron_pair
+    ):
+        plan = ChaosPlan(
+            name="t-one-run",
+            blackouts=(ShardBlackout(shard=1, start_ms=0.1, end_ms=2.0),),
+        )
+        report, spans = self._play(
+            monkeypatch, scripted_serve, small_kron, kron_pair, plan
+        )
+        # a runs undisturbed on shard 0 (0.05 → 0.35); b fails on shard 1
+        # at 0.1 and is re-issued alone onto shard 0 behind a
+        assert report.hedges == 1 and report.shard_failures == 1
+        assert spans[0].args["shard"] == 0
+        assert spans[0].ts_ms + spans[0].dur_ms == pytest.approx(0.35)
+        assert spans[1].args["shard"] == 0
+        assert spans[1].ts_ms + spans[1].dur_ms == pytest.approx(0.55)
+        assert report.ok
+
+    def test_hedges_count_runs(
+        self, monkeypatch, scripted_serve, small_kron, kron_pair
+    ):
+        # shard 0's breaker opens on the second failure, so both runs of
+        # the one batch try shard 0 inside the blackout and hedge
+        plan = ChaosPlan(
+            name="t-two-runs",
+            blackouts=(ShardBlackout(shard=0, start_ms=0.1, end_ms=2.0),),
+            failure_threshold=2,
+        )
+        report, spans = self._play(
+            monkeypatch, scripted_serve, small_kron, kron_pair, plan
+        )
+        assert report.batches == 1 and report.exact_runs == 2
+        assert report.hedges == 2 and report.shard_failures == 2
+        assert spans[0].ts_ms + spans[0].dur_ms == pytest.approx(0.4)
+        assert spans[1].ts_ms + spans[1].dur_ms == pytest.approx(0.6)
+        assert report.ok
 
 
 # ---------------------------------------------------------------------------
