@@ -226,7 +226,7 @@ def _flatten(records: list, with_values: bool):
 
 class Sanitizer:
     """Observer implementing the dynamic checks (attach via :func:`attached`,
-    :meth:`attach`, or pass to ``GPUDevice.observers.append``)."""
+    :meth:`attach`, or pass to ``GPUDevice.attach``)."""
 
     def __init__(
         self,
@@ -254,12 +254,12 @@ class Sanitizer:
     def attach(self, device: GPUDevice) -> None:
         """Observe one existing device."""
         if self not in device.observers:
-            device.observers.append(self)
+            device.attach(self)
 
     def detach(self, device: GPUDevice) -> None:
         """Stop observing ``device``."""
         if self in device.observers:
-            device.observers.remove(self)
+            device.detach(self)
 
     def report(self) -> SanitizerReport:
         """The findings collected so far.

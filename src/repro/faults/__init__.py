@@ -16,7 +16,6 @@ from .plan import (
 )
 from .report import FaultEvent, FaultReport
 from .runtime import (
-    RecoveryPolicy,
     RecoveryRuntime,
     Watchdog,
     WatchdogTimeout,
@@ -33,7 +32,6 @@ __all__ = [
     "FaultSpec",
     "GPU_METHODS",
     "InjectedKernelAbort",
-    "RecoveryPolicy",
     "RecoveryRuntime",
     "Watchdog",
     "WatchdogTimeout",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .injector import FaultInjector
 from .plan import FaultPlan
 from .report import FaultReport
-from .runtime import RecoveryPolicy, verify_distances_host
+from .runtime import verify_distances_host
 
 __all__ = ["faulty_sssp", "GPU_METHODS"]
 
@@ -43,17 +43,17 @@ def faulty_sssp(
     *,
     plan: str | FaultPlan = "lost-updates",
     seed: int | None = None,
-    recovery: bool | RecoveryPolicy = True,
+    recovery: bool = True,
     **kwargs,
 ):
     """Run ``method`` under fault injection; returns ``(result, report)``.
 
     ``plan`` is a named plan (see :func:`repro.faults.plan_names`) or a
     :class:`FaultPlan`; ``seed`` re-seeds it.  ``recovery`` enables the
-    engines' self-healing runtime (pass a :class:`RecoveryPolicy` to tune
-    it); with ``recovery=False`` the injected damage is left in place and
-    only classified, which is how the tests demonstrate that the faults
-    are real.
+    engines' self-healing runtime (its tunables are the constants of
+    :mod:`repro.faults.runtime`); with ``recovery=False`` the injected
+    damage is left in place and only classified, which is how the tests
+    demonstrate that the faults are real.
     """
     from ..sssp import sssp  # lazy: keep repro.faults importable standalone
     from ..sssp.api import GPU_METHODS
@@ -64,11 +64,9 @@ def faulty_sssp(
             f"{method!r} is not one of {sorted(GPU_METHODS)}"
         )
     injector = FaultInjector(plan, seed)
-    if recovery:
-        kwargs = dict(kwargs)
-        kwargs["recovery"] = recovery
     with injector.attached():
-        result = sssp(graph, source, method=method, **kwargs)
+        result = sssp(graph, source, method=method, recovery=recovery,
+                      **kwargs)
 
     report: FaultReport = injector.report
     if result.faults is None:

@@ -2,10 +2,10 @@
 
 A :class:`RecoveryRuntime` rides along inside an SSSP engine's main loop:
 
-* **checkpoints** — every ``checkpoint_interval`` epochs the distance
+* **checkpoints** — every :data:`CHECKPOINT_INTERVAL` epochs the distance
   array is staged to the host (real GPUs checkpoint over PCIe the same
   way; the copy is host-side and uncounted, like all host orchestration);
-* **probes** — every ``probe_interval`` epochs a cheap invariant check
+* **probes** — every :data:`PROBE_INTERVAL` epochs a cheap invariant check
   runs: distances must stay monotone against the checkpoint (atomicMin
   never raises a cell), free of NaN/negatives, and a *sampled*
   triangle-inequality scan over pre-chosen edges (a counted device kernel)
@@ -15,7 +15,7 @@ A :class:`RecoveryRuntime` rides along inside an SSSP engine's main loop:
   budget; exceeding it (livelock from corrupted re-queues) raises
   :class:`WatchdogTimeout`, on which the engine rolls back and degrades
   BASYN to synchronous bucket execution;
-* **rollback** — bounded retry: up to ``max_retries`` rollbacks to the
+* **rollback** — bounded retry: up to :data:`MAX_RETRIES` rollbacks to the
   last good checkpoint; past the budget the engine continues from its
   current (partially relaxed, still monotone) state;
 * **final repair** — :meth:`finish` runs counted verify/relax sweeps to a
@@ -33,8 +33,6 @@ attached :class:`~repro.faults.injector.FaultInjector` (discovered through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..gpusim.kernels import grid_stride
@@ -43,7 +41,6 @@ from .plan import InjectedKernelAbort
 from .report import FaultReport
 
 __all__ = [
-    "RecoveryPolicy",
     "RecoveryRuntime",
     "Watchdog",
     "WatchdogTimeout",
@@ -59,25 +56,22 @@ class WatchdogTimeout(RuntimeError):
     """Asynchronous phase-1 exceeded its round budget (stall/livelock)."""
 
 
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Tunables of the self-healing runtime."""
-
-    #: epochs between distance-array checkpoints
-    checkpoint_interval: int = 4
-    #: epochs between invariant probes
-    probe_interval: int = 2
-    #: edges sampled by the triangle-inequality probe kernel
-    probe_sample: int = 512
-    #: watchdog round budget: max(min_rounds, factor * ceil(work / chunk))
-    watchdog_min_rounds: int = 16
-    watchdog_factor: int = 8
-    #: rollbacks allowed before continuing from the current state
-    max_retries: int = 2
-    #: bound on final verify/relax repair sweeps
-    max_repair_sweeps: int = 100
-    #: seed for probe-edge sampling
-    seed: int = 0
+#: epochs between distance-array checkpoints
+CHECKPOINT_INTERVAL = 4
+#: epochs between invariant probes
+PROBE_INTERVAL = 2
+#: edges sampled by the triangle-inequality probe kernel
+PROBE_SAMPLE = 512
+#: seed for probe-edge sampling
+PROBE_SEED = 0
+#: watchdog round budget:
+#: ``max(WATCHDOG_MIN_ROUNDS, WATCHDOG_FACTOR * ceil(work / chunk))``
+WATCHDOG_MIN_ROUNDS = 16
+WATCHDOG_FACTOR = 8
+#: rollbacks allowed before continuing from the current state
+MAX_RETRIES = 2
+#: bound on final verify/relax repair sweeps
+MAX_REPAIR_SWEEPS = 100
 
 
 class Watchdog:
@@ -143,17 +137,13 @@ def verify_distances_host(graph, source: int, dist: np.ndarray) -> bool:
 
 
 def make_runtime(
-    recovery, device, dgraph, dist, source: int, method: str
+    recovery: bool, device, dgraph, dist, source: int, method: str
 ) -> "RecoveryRuntime | None":
-    """Engine-side helper: resolve the ``recovery=`` kwarg to a runtime.
-
-    ``recovery`` may be falsy (no runtime — the zero-cost default), ``True``
-    (default policy) or a :class:`RecoveryPolicy`.
-    """
+    """Engine-side helper: the runtime for ``recovery=True``, else ``None``
+    (no runtime — the zero-cost default)."""
     if not recovery:
         return None
-    policy = recovery if isinstance(recovery, RecoveryPolicy) else None
-    return RecoveryRuntime(device, dgraph, dist, source, policy, method)
+    return RecoveryRuntime(device, dgraph, dist, source, method)
 
 
 class RecoveryRuntime:
@@ -171,14 +161,12 @@ class RecoveryRuntime:
         dgraph,
         dist,
         source: int,
-        policy: RecoveryPolicy | None = None,
         method: str = "",
     ) -> None:
         self.device = device
         self.dgraph = dgraph
         self.dist = dist
         self.source = int(source)
-        self.policy = policy or RecoveryPolicy()
         self.method = method
         # share the injector's report when one is attached, so injections
         # and recovery actions interleave in a single log
@@ -192,9 +180,9 @@ class RecoveryRuntime:
         graph = dgraph.graph
         self._srcs = graph.edge_sources()
         self._eidx = np.arange(graph.num_edges, dtype=np.int64)
-        rng = np.random.default_rng(self.policy.seed)
+        rng = np.random.default_rng(PROBE_SEED)
         m = graph.num_edges
-        k = min(self.policy.probe_sample, m)
+        k = min(PROBE_SAMPLE, m)
         self._probe_edges = (
             np.sort(rng.choice(m, size=k, replace=False)) if k else self._eidx
         )
@@ -220,11 +208,10 @@ class RecoveryRuntime:
         or a checkpoint ran), which ends any persistent kernel in flight.
         """
         self._epoch += 1
-        p = self.policy
-        probed = self._epoch % p.probe_interval == 0
+        probed = self._epoch % PROBE_INTERVAL == 0
         if probed:
             self.probe()
-        checkpointed = self._epoch % p.checkpoint_interval == 0
+        checkpointed = self._epoch % CHECKPOINT_INTERVAL == 0
         if checkpointed:
             self._repair_cells()  # never checkpoint corrupt state
             self.checkpoint(mark)
@@ -232,10 +219,9 @@ class RecoveryRuntime:
 
     def quiet_epochs(self) -> int:
         """How many coming :meth:`epoch` calls run neither probe nor checkpoint."""
-        p = self.policy
-        return min(p.probe_interval - 1 - self._epoch % p.probe_interval,
-                   p.checkpoint_interval - 1
-                   - self._epoch % p.checkpoint_interval)
+        return min(PROBE_INTERVAL - 1 - self._epoch % PROBE_INTERVAL,
+                   CHECKPOINT_INTERVAL - 1
+                   - self._epoch % CHECKPOINT_INTERVAL)
 
     def pass_epochs(self, count: int) -> None:
         """Count ``count`` quiet epoch boundaries at once.
@@ -251,9 +237,8 @@ class RecoveryRuntime:
 
     def new_watchdog(self, work: int, chunk: int) -> Watchdog:
         """A round budget sized to the work one async phase should need."""
-        p = self.policy
         expected = -(-max(int(work), 1) // max(int(chunk), 1))  # ceil
-        return Watchdog(max(p.watchdog_min_rounds, p.watchdog_factor * expected))
+        return Watchdog(max(WATCHDOG_MIN_ROUNDS, WATCHDOG_FACTOR * expected))
 
     # ------------------------------------------------------------------
     # checkpoints & rollback
@@ -280,7 +265,7 @@ class RecoveryRuntime:
         """
         self.report.mark_detected()
         self.log(f"caught {type(exc).__name__}: {exc}")
-        if self.report.rollbacks < self.policy.max_retries:
+        if self.report.rollbacks < MAX_RETRIES:
             return self.rollback()
         self.log("retry budget spent; continuing without rollback")
         return fallback_mark
@@ -398,7 +383,7 @@ class RecoveryRuntime:
             self.log("repaired corrupted source distance")
 
         vid = np.arange(n)
-        for _ in range(self.policy.max_repair_sweeps):
+        for _ in range(MAX_REPAIR_SWEEPS):
             try:
                 cand = self._witness_scan()
             except InjectedKernelAbort:

@@ -30,7 +30,6 @@ rules.
 from __future__ import annotations
 
 import time
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Iterator
@@ -55,7 +54,6 @@ from ..util.scan import (
 __all__ = [
     "GPUDevice",
     "KernelContext",
-    "ObserverList",
     "subset_assignment",
     "register_global_observer",
     "unregister_global_observer",
@@ -75,74 +73,10 @@ OBSERVER_EVENTS = (
     "on_multisplit",
     "transform_read",
     "transform_atomic",
-    "transform_multisplit",
 )
 
 _NO_HANDLERS: tuple = ()
 
-
-class ObserverList(list):
-    """The device's observer list; mutation rebuilds the dispatch table.
-
-    Observers attach by plain list mutation (``device.observers.append``),
-    which historically forced ``_notify`` to probe every observer with
-    ``getattr`` on every event.  This subclass keeps that public API but
-    tells the owning device to re-bind its per-event handler tuples
-    whenever membership changes, so the per-event cost collapses to one
-    dict lookup over pre-bound methods (and to a single falsy check when
-    no observer handles the event).  The back-reference to the device is
-    weak, so a device is freed as soon as its last user drops it rather
-    than at the next cyclic garbage collection.
-    """
-
-    __slots__ = ("_device",)
-
-    def __init__(self, device: "GPUDevice", iterable=()) -> None:
-        super().__init__(iterable)
-        self._device = weakref.ref(device)
-
-    def _changed(self) -> None:
-        device = self._device()
-        if device is not None:
-            device._rebuild_dispatch()
-
-    def append(self, item) -> None:
-        super().append(item)
-        self._changed()
-
-    def extend(self, items) -> None:
-        super().extend(items)
-        self._changed()
-
-    def insert(self, index, item) -> None:
-        super().insert(index, item)
-        self._changed()
-
-    def remove(self, item) -> None:
-        super().remove(item)
-        self._changed()
-
-    def pop(self, index=-1):
-        out = super().pop(index)
-        self._changed()
-        return out
-
-    def clear(self) -> None:
-        super().clear()
-        self._changed()
-
-    def __setitem__(self, index, value) -> None:
-        super().__setitem__(index, value)
-        self._changed()
-
-    def __delitem__(self, index) -> None:
-        super().__delitem__(index)
-        self._changed()
-
-    def __iadd__(self, items):
-        super().extend(items)
-        self._changed()
-        return self
 
 #: observers automatically attached to every :class:`GPUDevice` created
 #: after registration — how analysis tools (repro.analysis.Sanitizer)
@@ -394,16 +328,13 @@ class KernelContext:
         self.critical_instructions += a.max_steps * ops
         self._note_assignment(a, a.num_slots * ops)
 
-    def branch(
-        self, a: WorkAssignment, taken: np.ndarray, cost_taken: int = 1,
-        cost_not_taken: int = 1,
-    ) -> int:
+    def branch(self, a: WorkAssignment, taken: np.ndarray) -> int:
         """Account a data-dependent branch over the assignment's items.
 
         A slot whose lanes disagree is *divergent*: SIMT hardware executes
-        both paths with complementary masks, so the slot issues
-        ``cost_taken + cost_not_taken`` instructions instead of one path's
-        worth — the penalty PRO's weight-sorting removes (motivation 1).
+        both paths with complementary masks, so the slot issues two
+        instructions instead of one — the penalty PRO's weight-sorting
+        removes (motivation 1).
 
         Returns the number of slots with at least one taken lane: the
         ``num_slots`` of ``subset_assignment(a, taken)``.
@@ -421,11 +352,7 @@ class KernelContext:
         divergent = taken_slots - uniform_taken
         c.branch_instructions += num_slots
         c.divergent_branches += divergent
-        issued = (
-            divergent * (cost_taken + cost_not_taken)
-            + uniform_taken * cost_taken
-            + (num_slots - taken_slots) * cost_not_taken
-        )
+        issued = num_slots + divergent
         c.inst_executed_other += issued
         self.critical_instructions += a.max_steps
         self._note_assignment(a, issued)
@@ -473,10 +400,6 @@ class KernelContext:
             rounds if in_producer else rounds + 1)
         self._note_assignment(a, a.num_slots * rounds)
         self.device._notify("on_multisplit", self, keys, num_buckets, a)
-        # key-transform hook (fault injection): runs after all accounting
-        # so the counted work is identical with or without observers
-        for fn in self.device._transform_multisplit:
-            keys = fn(self, keys, num_buckets, a)
         return multisplit_order(keys, num_buckets)
 
     # ------------------------------------------------------------------
@@ -527,10 +450,10 @@ class GPUDevice:
         self.time_s = 0.0
         #: attached analysis observers (see repro.analysis); duck-typed —
         #: each event calls the observer method of the same name if present.
-        #: Handler methods are bound when the list changes (attach time),
-        #: so add/remove observers via this list, not by monkey-patching
-        #: methods onto an already-attached observer.
-        self.observers: ObserverList = ObserverList(self, _GLOBAL_OBSERVERS)
+        #: Handler methods are bound at :meth:`attach` / :meth:`detach`,
+        #: so change the set through those, not by monkey-patching methods
+        #: onto an already-attached observer.
+        self.observers: tuple = tuple(_GLOBAL_OBSERVERS)
         self._rebuild_dispatch()
         # carry-over window: the tail of the previous launches' transaction
         # stream.  Physically this is the persistence of the cache hierarchy
@@ -552,11 +475,23 @@ class GPUDevice:
     # ------------------------------------------------------------------
     # observation
     # ------------------------------------------------------------------
-    def _rebuild_dispatch(self) -> None:
-        """Re-bind the per-event handler tuples from the observer list.
+    def attach(self, observer) -> None:
+        """Add ``observer`` and re-bind the dispatch table."""
+        self.observers = (*self.observers, observer)
+        self._rebuild_dispatch()
 
-        Called whenever ``self.observers`` changes; ``_notify`` and the
-        transform hooks then dispatch over pre-bound methods instead of
+    def detach(self, observer) -> None:
+        """Remove ``observer`` and re-bind the dispatch table."""
+        observers = list(self.observers)
+        observers.remove(observer)
+        self.observers = tuple(observers)
+        self._rebuild_dispatch()
+
+    def _rebuild_dispatch(self) -> None:
+        """Re-bind the per-event handler tuples from the observers.
+
+        Called whenever ``self.observers`` changes, so ``_notify`` and the
+        transform hooks dispatch over pre-bound methods instead of
         probing every observer with ``getattr`` per event.
         """
         table: dict[str, tuple] = {}
@@ -570,9 +505,6 @@ class GPUDevice:
         self._dispatch = table
         self._transform_read = table.get("transform_read", _NO_HANDLERS)
         self._transform_atomic = table.get("transform_atomic", _NO_HANDLERS)
-        self._transform_multisplit = table.get(
-            "transform_multisplit", _NO_HANDLERS
-        )
 
     def handlers(self, event: str) -> tuple:
         """Pre-bound handler methods of every observer handling ``event``."""

@@ -100,7 +100,7 @@ def classify_multisplit(
 def launch_adaptive(
     ctx: KernelContext,
     edge_counts: np.ndarray,
-    classes: WorkloadClasses | None = None,
+    classes: WorkloadClasses,
 ) -> list[tuple[np.ndarray, WorkAssignment]]:
     """Build the adaptive phase-1 assignments and account child launches.
 
@@ -112,9 +112,9 @@ def launch_adaptive(
     edge_counts:
         light-edge count per active vertex.
     classes:
-        pre-computed classification of ``edge_counts`` (callers that also
-        report the small/middle/large histogram classify once and pass it
-        in); derived here when omitted.
+        the classification of ``edge_counts``
+        (:func:`classify_multisplit` on the device,
+        :func:`classify_workloads` on the host).
 
     Returns
     -------
@@ -123,8 +123,6 @@ def launch_adaptive(
     list; the assignment's work items are the concatenated edges of those
     vertices in list order (the caller builds matching edge index arrays).
     """
-    if classes is None:
-        classes = classify_workloads(edge_counts)
     out: list[tuple[np.ndarray, WorkAssignment]] = []
 
     if classes.small.size:

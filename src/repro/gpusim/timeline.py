@@ -96,13 +96,6 @@ class Timeline:
             agg[r.name][1] += r.duration_s
         return {k: (int(c), t) for k, (c, t) in agg.items()}
 
-    def top(self, k: int = 5) -> list[tuple[str, float]]:
-        """The ``k`` kernel types with the largest total time."""
-        items = sorted(
-            self.by_kernel().items(), key=lambda kv: kv[1][1], reverse=True
-        )
-        return [(name, t) for name, (_c, t) in items[:k]]
-
     def bottleneck_breakdown(self) -> dict[str, float]:
         """Total seconds attributed to each binding resource."""
         out: dict[str, float] = defaultdict(float)

@@ -30,6 +30,10 @@ from .result import SSSPResult
 
 __all__ = ["CPUSpec", "XEON_8269CY", "pq_delta_star_sssp"]
 
+#: batches extracted before the search gives up (a guard no sane input
+#: trips)
+MAX_BATCHES = 10_000_000
+
 
 @dataclass(frozen=True)
 class CPUSpec:
@@ -73,7 +77,6 @@ def pq_delta_star_sssp(
     *,
     delta: float | None = None,
     cpu: CPUSpec = XEON_8269CY,
-    max_batches: int = 10_000_000,
 ) -> SSSPResult:
     """Run Δ*-stepping over a lazy-batched priority queue (CPU model).
 
@@ -105,7 +108,7 @@ def pq_delta_star_sssp(
         hi = lo + delta
         batch = np.flatnonzero(pending & (dist < hi))
         batches += 1
-        if batches > max_batches:
+        if batches > MAX_BATCHES:
             raise ConvergenceError(
                 "batch limit exceeded",
                 method="pq-delta*", iterations=batches - 1,

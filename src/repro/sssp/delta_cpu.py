@@ -26,13 +26,15 @@ from .result import SSSPResult
 
 __all__ = ["delta_stepping_cpu"]
 
+#: buckets processed before the search gives up (a safety valve against
+#: pathological inputs)
+MAX_BUCKETS = 1_000_000
+
 
 def delta_stepping_cpu(
     graph: CSRGraph,
     source: int,
     delta: float | None = None,
-    *,
-    max_buckets: int = 1_000_000,
 ) -> SSSPResult:
     """Run synchronous Δ-stepping; return distances, work tally and rows.
 
@@ -46,8 +48,6 @@ def delta_stepping_cpu(
         fixed bucket width Δ (defaults to the mean-weight/average-degree
         heuristic of :func:`repro.sssp.gpu_rdbs.default_delta`); must be
         finite and positive.
-    max_buckets:
-        safety valve against pathological inputs.
     """
     n = graph.num_vertices
     if not 0 <= source < n:
@@ -81,7 +81,7 @@ def delta_stepping_cpu(
         hi = lo + delta
         members = np.flatnonzero((dist >= lo) & (dist < hi))
         buckets_processed += 1
-        if buckets_processed > max_buckets:
+        if buckets_processed > MAX_BUCKETS:
             raise ConvergenceError(
                 "bucket limit exceeded; check delta/weights",
                 method="delta-cpu",

@@ -68,7 +68,7 @@ class GPUSolve:
         method: str,
         *,
         spec: GPUSpec,
-        recovery,
+        recovery: bool,
         work_graph: CSRGraph | None = None,
     ) -> None:
         n = graph.num_vertices

@@ -86,7 +86,7 @@ def adds_sssp(
     *,
     delta: float | None = None,
     spec: GPUSpec = V100,
-    recovery=None,
+    recovery: bool = False,
 ) -> SSSPResult:
     """Run the ADDS-like asynchronous baseline on a simulated GPU."""
     delta = check_delta(delta, graph)

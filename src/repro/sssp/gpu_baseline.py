@@ -26,27 +26,28 @@ from .result import SSSPResult
 
 __all__ = ["bl_sssp"]
 
+#: iterations past ``n`` the loop runs before it gives up: a frontier
+#: survives at most ``n`` rounds, so no sane input reaches the bound
+ITERATION_SLACK = 2
+
 
 def bl_sssp(
     graph: CSRGraph,
     source: int,
     *,
     spec: GPUSpec = V100,
-    max_iterations: int | None = None,
-    recovery=None,
+    recovery: bool = False,
 ) -> SSSPResult:
     """Run the synchronous push-mode baseline on a simulated GPU.
 
-    ``max_iterations`` bounds the iterations; the default ``None`` is
-    ``n + 2``, unreachable on sane inputs (a frontier survives at most
-    ``n`` rounds).  Tripping the bound raises
-    :class:`~repro.sssp.errors.ConvergenceError` (or breaks to the repair
-    sweeps when ``recovery`` is on).
+    The iterations are bounded by ``n +`` :data:`ITERATION_SLACK`.
+    Tripping the bound raises :class:`~repro.sssp.errors.ConvergenceError`
+    (or breaks to the repair sweeps when ``recovery`` is on).
     """
     solve = GPUSolve(graph, source, "bl", spec=spec, recovery=recovery)
     device, dgraph, dist = solve.device, solve.dgraph, solve.dist
     flags = FrontierFlags(device, graph.num_vertices)
-    limit = graph.num_vertices + 2 if max_iterations is None else max_iterations
+    limit = graph.num_vertices + ITERATION_SLACK
 
     frontier = np.array([solve.src], dtype=np.int64)
     iterations = 0

@@ -32,21 +32,24 @@ from .result import SSSPResult
 
 __all__ = ["harish_narayanan_sssp"]
 
+#: iterations past ``n`` the loop runs before it gives up, as for
+#: :data:`repro.sssp.gpu_baseline.ITERATION_SLACK`
+ITERATION_SLACK = 2
+
 
 def harish_narayanan_sssp(
     graph: CSRGraph,
     source: int,
     *,
     spec: GPUSpec = V100,
-    max_iterations: int | None = None,
-    recovery=None,
+    recovery: bool = False,
 ) -> SSSPResult:
     """Run the topology-driven 2007 baseline on a simulated GPU.
 
-    ``max_iterations`` bounds the iterations as for
-    :func:`~repro.sssp.gpu_baseline.bl_sssp`: ``None`` is ``n + 2``, and
-    tripping the bound raises :class:`~repro.sssp.errors.ConvergenceError`
-    (or breaks to the repair sweeps when ``recovery`` is on).
+    The iterations are bounded by ``n +`` :data:`ITERATION_SLACK`, as for
+    :func:`~repro.sssp.gpu_baseline.bl_sssp`: tripping the bound raises
+    :class:`~repro.sssp.errors.ConvergenceError` (or breaks to the repair
+    sweeps when ``recovery`` is on).
     """
     solve = GPUSolve(
         graph, source, "harish-narayanan", spec=spec, recovery=recovery
@@ -55,7 +58,7 @@ def harish_narayanan_sssp(
     n = graph.num_vertices
     mask = device.zeros(n, dtype=np.int8, name="mask")
     device.host_store(mask, solve.src, np.int8(1))
-    limit = n + 2 if max_iterations is None else max_iterations
+    limit = n + ITERATION_SLACK
 
     all_vertices = np.arange(n, dtype=np.int64)
     iterations = 0

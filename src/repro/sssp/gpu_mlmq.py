@@ -185,16 +185,15 @@ def mlmq_sssp(
     *,
     delta: float | None = None,
     spec: GPUSpec = V100,
-    recovery=None,
+    recovery: bool = False,
 ) -> SSSPResult:
     """Run the Multi-Level-Multi-Queue engine on a simulated GPU.
 
     :data:`WINDOW_LEVELS` × :data:`NUM_QUEUES` queues are live at once;
     each queue group drains :data:`GROUP_CHUNK` slots per micro-round.
-    ``recovery`` (``True`` or a :class:`repro.faults.RecoveryPolicy`)
-    enables the self-healing runtime exactly as for the other engines:
-    epoch checkpoints, a per-level watchdog, and final verify/repair
-    sweeps.  Off (``None``) it costs nothing.
+    ``recovery=True`` enables the self-healing runtime exactly as for the
+    other engines: epoch checkpoints, a per-level watchdog, and final
+    verify/repair sweeps.  Off it costs nothing.
     """
     delta = check_delta(delta, graph)
     solve = GPUSolve(graph, source, "mlmq", spec=spec, recovery=recovery)

@@ -64,7 +64,7 @@ def nearfar_sssp(
     *,
     delta: float | None = None,
     spec: GPUSpec = V100,
-    recovery=None,
+    recovery: bool = False,
 ) -> SSSPResult:
     """Run synchronous Near-Far on a simulated GPU."""
     delta = check_delta(delta, graph)

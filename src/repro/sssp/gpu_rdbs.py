@@ -74,6 +74,9 @@ from .worklist import SlotPool, compact_multisplit, pop_oldest
 
 __all__ = ["rdbs_sssp", "default_delta", "check_delta", "BUCKET_RESCALE"]
 
+#: buckets one search processes before the bucket limit trips
+MAX_BUCKETS = 1_000_000
+
 #: factor Δ is widened by when the bucket-limit graceful-degradation retry
 #: fires (a fixed factor keeps the retry deterministic and lets genuinely
 #: hopeless Δ/limit combinations still fail fast)
@@ -148,9 +151,8 @@ def rdbs_sssp(
     adwl: bool = True,
     basyn: bool = True,
     spec: GPUSpec = V100,
-    max_buckets: int = 1_000_000,
     async_chunk: int = ASYNC_CHUNK,
-    recovery=None,
+    recovery: bool = False,
 ) -> SSSPResult:
     """Run the RDBS engine (or any ablation arm) on a simulated GPU.
 
@@ -160,15 +162,15 @@ def rdbs_sssp(
     micro-round drains (smaller = fresher distances / fewer redundant
     updates, larger = fewer scheduling rounds).
 
-    ``recovery`` (``True`` or a :class:`repro.faults.RecoveryPolicy`)
-    enables the self-healing runtime: epoch checkpoints, invariant probes,
+    ``recovery=True`` enables the self-healing runtime
+    (:mod:`repro.faults.runtime`): epoch checkpoints, invariant probes,
     an async-phase watchdog that degrades BASYN to synchronous execution,
-    and final verify/repair sweeps.  Off (``None``) it costs nothing.
+    and final verify/repair sweeps.  Off it costs nothing.
 
-    When the bucket limit trips, the engine degrades gracefully once:
-    Δ is widened by :data:`BUCKET_RESCALE` and the search restarts (the
-    result's ``extra["delta_rescaled"]`` records it); a second trip raises
-    :class:`~repro.sssp.errors.ConvergenceError`.
+    When the :data:`MAX_BUCKETS` limit trips, the engine degrades
+    gracefully once: Δ is widened by :data:`BUCKET_RESCALE` and the search
+    restarts (the result's ``extra["delta_rescaled"]`` records it); a
+    second trip raises :class:`~repro.sssp.errors.ConvergenceError`.
     """
     if async_chunk < 1:
         raise ValueError("async_chunk must be >= 1")
@@ -177,16 +179,16 @@ def rdbs_sssp(
     try:
         return _rdbs_run(
             graph, source, delta=delta, pro=pro, adwl=adwl, basyn=basyn,
-            spec=spec, max_buckets=max_buckets,
-            async_chunk=async_chunk, recovery=recovery, rescaled=False,
+            spec=spec, async_chunk=async_chunk, recovery=recovery,
+            rescaled=False,
         )
     except ConvergenceError as exc:
         if "bucket limit" not in exc.reason:
             raise
         return _rdbs_run(
             graph, source, delta=delta * BUCKET_RESCALE, pro=pro, adwl=adwl,
-            basyn=basyn, spec=spec, max_buckets=max_buckets,
-            async_chunk=async_chunk, recovery=recovery, rescaled=True,
+            basyn=basyn, spec=spec, async_chunk=async_chunk,
+            recovery=recovery, rescaled=True,
         )
 
 
@@ -199,9 +201,8 @@ def _rdbs_run(
     adwl: bool,
     basyn: bool,
     spec: GPUSpec,
-    max_buckets: int,
     async_chunk: int,
-    recovery,
+    recovery: bool,
     rescaled: bool,
 ) -> SSSPResult:
     """One full search at a fixed Δ (see :func:`rdbs_sssp`)."""
@@ -288,7 +289,7 @@ def _rdbs_run(
             continue
 
         buckets_processed += 1
-        if buckets_processed > max_buckets:
+        if buckets_processed > MAX_BUCKETS:
             raise ConvergenceError(
                 "bucket limit exceeded; check delta/weights",
                 method=method,

@@ -114,33 +114,6 @@ class LandmarkOracle:
         """``(lower, upper)`` for one query."""
         return self.lower_bound(u, v), self.upper_bound(u, v)
 
-    def bound_many(
-        self, us: np.ndarray, vs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized bounds for parallel query arrays."""
-        du = self.dist_matrix[:, us]  # (k, q)
-        dv = self.dist_matrix[:, vs]
-        diff = np.abs(du - dv)
-        diff[~(np.isfinite(du) & np.isfinite(dv))] = 0.0
-        lower = diff.max(axis=0)
-        total = du + dv
-        total[~np.isfinite(total)] = np.inf
-        upper = total.min(axis=0)
-        return lower, upper
-
-    def mean_gap(self, exact: np.ndarray, sample: np.ndarray) -> float:
-        """Mean relative slack of the lower bound on sampled targets.
-
-        Quality diagnostic: 0 means the bound is exact on the sample.
-        """
-        source = int(sample[0])
-        lbs = np.array([self.lower_bound(source, int(v)) for v in sample[1:]])
-        ex = exact[sample[1:]]
-        good = np.isfinite(ex) & (ex > 0)
-        if not good.any():
-            return 0.0
-        return float(np.mean(1.0 - lbs[good] / ex[good]))
-
 
 def build_landmark_oracle(
     graph: CSRGraph, k: int = 8, *, method: str = "rdbs", seed: int = 0, **kwargs

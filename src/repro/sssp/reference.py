@@ -21,6 +21,10 @@ from .result import SSSPResult
 
 __all__ = ["dijkstra", "bellman_ford"]
 
+#: rounds :func:`bellman_ford` runs before it stops early; ``None`` runs
+#: to the fixpoint (within ``n - 1`` rounds for non-negative weights)
+MAX_ROUNDS: int | None = None
+
 
 def dijkstra(graph: CSRGraph, source: int) -> SSSPResult:
     """Serial Dijkstra with a binary heap and lazy deletion.
@@ -56,14 +60,12 @@ def dijkstra(graph: CSRGraph, source: int) -> SSSPResult:
     )
 
 
-def bellman_ford(
-    graph: CSRGraph, source: int, *, max_rounds: int | None = None
-) -> SSSPResult:
+def bellman_ford(graph: CSRGraph, source: int) -> SSSPResult:
     """Frontier-based Bellman-Ford (vectorized CPU).
 
     Relaxes all out-edges of the active frontier each round until no
     distance changes.  With non-negative weights it always terminates within
-    ``n - 1`` rounds; ``max_rounds`` is an optional safety valve for tests.
+    ``n - 1`` rounds; :data:`MAX_ROUNDS` is a safety valve for tests.
     """
     n = graph.num_vertices
     _check_source(n, source)
@@ -74,7 +76,7 @@ def bellman_ford(
     rounds = 0
     while frontier.size:
         rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
+        if MAX_ROUNDS is not None and rounds > MAX_ROUNDS:
             break
         counts = (row[frontier + 1] - row[frontier]).astype(np.int64)
         if counts.sum() == 0:

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.faults.runtime as recovery_runtime
+import repro.sssp.cpu_pq_delta as cpu_pq_delta
+import repro.sssp.gpu_rdbs as gpu_rdbs
 from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
     GPU_METHODS,
     InjectedKernelAbort,
-    RecoveryPolicy,
     faulty_sssp,
     get_plan,
     plan_names,
@@ -163,15 +165,15 @@ class TestRecovery:
         validate_distances(RMAT, RMAT_SRC, r.dist)
         assert rep.escaped == 0
 
-    def test_retry_budget_spent_continues_without_rollback(self):
-        """With max_retries=0 an abort is caught but never rolled back:
+    def test_retry_budget_spent_continues_without_rollback(self, monkeypatch):
+        """With MAX_RETRIES=0 an abort is caught but never rolled back:
         the runtime logs the budget exhaustion, resumes from its current
         (still-monotone) state, and the final repair sweeps still deliver
         exact distances."""
-        policy = RecoveryPolicy(max_retries=0)
+        monkeypatch.setattr(recovery_runtime, "MAX_RETRIES", 0)
         r, rep = faulty_sssp(
             KRON, KRON_SRC, method="rdbs", plan="kernel-aborts",
-            seed=0, spec=SPEC, recovery=policy,
+            seed=0, spec=SPEC,
         )
         validate_distances(KRON, KRON_SRC, r.dist)
         assert rep.injected > 0
@@ -212,11 +214,12 @@ class TestNoRecovery:
 # watchdog: async stall degrades BASYN to synchronous execution
 # ----------------------------------------------------------------------
 class TestWatchdog:
-    def test_degrades_to_sync_and_stays_exact(self):
-        policy = RecoveryPolicy(watchdog_min_rounds=1, watchdog_factor=0)
+    def test_degrades_to_sync_and_stays_exact(self, monkeypatch):
+        monkeypatch.setattr(recovery_runtime, "WATCHDOG_MIN_ROUNDS", 1)
+        monkeypatch.setattr(recovery_runtime, "WATCHDOG_FACTOR", 0)
         r, rep = faulty_sssp(
             KRON, KRON_SRC, method="rdbs", plan="lost-updates",
-            seed=0, spec=SPEC, recovery=policy,
+            seed=0, spec=SPEC,
         )
         assert rep.degraded is True
         assert rep.escaped == 0
@@ -267,43 +270,49 @@ class TestConvergenceError:
         assert "bucket limit exceeded" in str(exc)
         assert "rdbs" in str(exc)
 
-    def test_pq_delta_batch_limit(self):
+    def test_pq_delta_batch_limit(self, monkeypatch):
+        monkeypatch.setattr(cpu_pq_delta, "MAX_BATCHES", 1)
         with pytest.raises(ConvergenceError, match="batch limit") as ei:
-            pq_delta_star_sssp(path(50), 0, max_batches=1)
+            pq_delta_star_sssp(path(50), 0)
         assert ei.value.method == "pq-delta*"
         assert ei.value.iterations == 1
 
-    def test_legacy_runtimeerror_catch_still_works(self):
+    def test_legacy_runtimeerror_catch_still_works(self, monkeypatch):
+        monkeypatch.setattr(gpu_rdbs, "MAX_BUCKETS", 2)
         with pytest.raises(RuntimeError, match="bucket limit"):
-            rdbs_sssp(path(50), 0, delta=0.01, max_buckets=2)
+            rdbs_sssp(path(50), 0, delta=0.01)
 
 
 # ----------------------------------------------------------------------
 # satellite: bucket-overflow rescale retry
 # ----------------------------------------------------------------------
 class TestBucketRescale:
-    def test_rescale_retry_succeeds(self):
+    def test_rescale_retry_succeeds(self, monkeypatch):
+        monkeypatch.setattr(gpu_rdbs, "MAX_BUCKETS", 35)
         g = path(50)
-        r = rdbs_sssp(g, 0, delta=0.2, max_buckets=35)
+        r = rdbs_sssp(g, 0, delta=0.2)
         assert r.extra["delta_rescaled"] is True
         assert r.extra["buckets"] <= 35
         validate_distances(g, 0, r.dist)
 
-    def test_hopeless_case_still_raises(self):
+    def test_hopeless_case_still_raises(self, monkeypatch):
+        monkeypatch.setattr(gpu_rdbs, "MAX_BUCKETS", 2)
         with pytest.raises(ConvergenceError, match="bucket limit"):
-            rdbs_sssp(path(50), 0, delta=0.01, max_buckets=2)
+            rdbs_sssp(path(50), 0, delta=0.01)
 
     @pytest.mark.parametrize("method", ["sync-delta", "basyn", "rdbs"])
-    def test_hopeless_case_names_the_arm(self, method):
+    def test_hopeless_case_names_the_arm(self, method, monkeypatch):
+        monkeypatch.setattr(gpu_rdbs, "MAX_BUCKETS", 2)
         with pytest.raises(ConvergenceError, match="bucket limit") as ei:
-            sssp(path(50), 0, method=method, delta=0.01, max_buckets=2)
+            sssp(path(50), 0, method=method, delta=0.01)
         assert ei.value.method == method
         assert str(ei.value).startswith(f"{method}: ")
 
     @pytest.mark.parametrize("method", ["sync-delta", "basyn"])
-    def test_rescale_retry_fires_for_every_arm(self, method):
+    def test_rescale_retry_fires_for_every_arm(self, method, monkeypatch):
+        monkeypatch.setattr(gpu_rdbs, "MAX_BUCKETS", 35)
         g = path(50)
-        r = sssp(g, 0, method=method, delta=0.2, max_buckets=35)
+        r = sssp(g, 0, method=method, delta=0.2)
         assert r.extra["delta_rescaled"] is True
         validate_distances(g, 0, r.dist)
 

@@ -50,7 +50,7 @@ class TestLaunchAdaptive:
         dev = GPUDevice(V100)
         counts = np.array([6, 224, 4000, 10_000])
         with dev.launch("k") as k:
-            groups = launch_adaptive(k, counts)
+            groups = launch_adaptive(k, counts, classify_workloads(counts))
         c = dev.counters.totals
         # 1 warp child (224) + blocks: 4000 -> 1, 10000 -> floor(10000/4096)=2
         assert c.child_kernel_launches == 1 + 1 + 2
@@ -59,7 +59,8 @@ class TestLaunchAdaptive:
     def test_small_only_no_children(self):
         dev = GPUDevice(V100)
         with dev.launch("k") as k:
-            groups = launch_adaptive(k, np.array([1, 2, 3]))
+            counts = np.array([1, 2, 3])
+            groups = launch_adaptive(k, counts, classify_workloads(counts))
         assert dev.counters.totals.child_kernel_launches == 0
         assert len(groups) == 1
 
@@ -70,7 +71,7 @@ class TestLaunchAdaptive:
         dev = GPUDevice(V100)
         counts = np.array([10, 100, 600])
         with dev.launch("k") as k:
-            groups = launch_adaptive(k, counts)
+            groups = launch_adaptive(k, counts, classify_workloads(counts))
         total = sum(a.num_items for _, a in groups)
         assert total == counts.sum()
 

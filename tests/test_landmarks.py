@@ -69,27 +69,11 @@ class TestOracleBounds:
             assert lo == pytest.approx(d)
             assert hi == pytest.approx(d)
 
-    def test_vectorized_matches_scalar(self, setup):
-        _g, oracle, _ = setup
-        us = np.array([0, 3, 9, 27])
-        vs = np.array([50, 60, 70, 80])
-        lower, upper = oracle.bound_many(us, vs)
-        for i in range(us.size):
-            lo, hi = oracle.bounds(int(us[i]), int(vs[i]))
-            assert lower[i] == pytest.approx(lo)
-            assert upper[i] == pytest.approx(hi)
-
     def test_self_query(self, setup):
         _g, oracle, _ = setup
         lo, hi = oracle.bounds(5, 5)
         assert lo == 0.0
         assert hi >= 0.0
-
-    def test_mean_gap_in_unit_range(self, setup):
-        g, oracle, exact = setup
-        sample = np.arange(0, g.num_vertices, 11)
-        gap = oracle.mean_gap(exact[0], np.concatenate([[0], sample]))
-        assert 0.0 <= gap <= 1.0
 
 
 class TestDisconnected:

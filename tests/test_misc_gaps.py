@@ -107,10 +107,12 @@ class TestDeltaControllerProperties:
 
 
 class TestMethodKwargsSurface:
-    def test_max_buckets_guard(self):
+    def test_max_buckets_guard(self, monkeypatch):
+        import repro.sssp.gpu_rdbs as gpu_rdbs
         from repro.graphs import path
         from repro.sssp import rdbs_sssp
 
+        monkeypatch.setattr(gpu_rdbs, "MAX_BUCKETS", 2)
         g = path(50)
         with pytest.raises(RuntimeError, match="bucket limit"):
-            rdbs_sssp(g, 0, delta=0.01, max_buckets=2)
+            rdbs_sssp(g, 0, delta=0.01)

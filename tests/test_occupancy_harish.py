@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.sssp.gpu_harish as gpu_harish
 from repro.graphs import kronecker, path, star
 from repro.gpusim import V100
 from repro.sssp import (
@@ -43,10 +44,12 @@ class TestHarishNarayanan:
         r = sssp(g, 0, method="harish-narayanan", spec=SPEC)
         assert r.method == "harish-narayanan"
 
-    def test_iteration_cutoff(self):
+    def test_iteration_cutoff(self, monkeypatch):
         g = path(30)
+        # a bound of n + slack = 3 iterations
+        monkeypatch.setattr(gpu_harish, "ITERATION_SLACK", 3 - g.num_vertices)
         with pytest.raises(ConvergenceError, match="iteration limit"):
-            harish_narayanan_sssp(g, 0, spec=SPEC, max_iterations=3)
+            harish_narayanan_sssp(g, 0, spec=SPEC)
 
     def test_source_validation(self):
         with pytest.raises(ValueError):

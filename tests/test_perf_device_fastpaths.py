@@ -456,25 +456,28 @@ class _Recorder:
         self.host_writes.append(np.asarray(idx).copy())
 
 
-def test_observer_dispatch_rebuilds_on_list_mutation():
+def test_observer_dispatch_rebuilds_on_attach_detach():
     device = GPUDevice()
     assert device.handlers("on_annotate") == ()
     rec = _Recorder()
-    device.observers.append(rec)
+    device.attach(rec)
     assert len(device.handlers("on_annotate")) == 1
     device.annotate("tag")
     assert rec.annotations == ["tag"]
-    device.observers.remove(rec)
+    device.detach(rec)
     assert device.handlers("on_annotate") == ()
     device.annotate("after")  # nobody listening: no error, no record
     assert rec.annotations == ["tag"]
 
     other = _Recorder()
-    device.observers.append(rec)
-    device.observers[0] = other  # __setitem__ rebuilds too
+    device.attach(rec)
+    device.attach(other)
+    assert len(device.handlers("on_annotate")) == 2
+    device.detach(rec)
     device.annotate("replaced")
     assert other.annotations == ["replaced"] and rec.annotations == ["tag"]
-    device.observers.clear()
+    assert device.observers == (other,)
+    device.detach(other)
     assert device.handlers("on_annotate") == ()
 
 
@@ -485,7 +488,7 @@ def test_host_copy_gating():
     np.testing.assert_array_equal(arr.data, np.ones(64))
 
     rec = _Recorder()
-    device.observers.append(rec)
+    device.attach(rec)
     device.host_copy(arr, np.full(64, 2.0))
     np.testing.assert_array_equal(arr.data, np.full(64, 2.0))
     assert len(rec.host_writes) == 1

@@ -76,7 +76,7 @@ def run_batch(spec, threads: int, *, plain: bool = False):
     dg = DeviceGraph(dev, g)
     dist = dev.alloc(dist0.copy(), "dist")
     probe = DistAccesses(dist)
-    dev.observers.append(probe)
+    dev.attach(probe)
     vertices = np.arange(SOURCES, dtype=np.int64)
     batch = dg.batch(vertices, "all")
     a = grid_stride(batch.num_edges, threads)
@@ -185,7 +185,7 @@ class TestFilteredOutcome:
         dg = DeviceGraph(dev, g)
         dist = dev.alloc(dist0.copy(), "dist")
         probe = DistAccesses(dist)
-        dev.observers.append(probe)
+        dev.attach(probe)
         vertices = np.arange(SOURCES, dtype=np.int64)
         batch = dg.batch(vertices, "all")
         with dev.launch("relax") as k:

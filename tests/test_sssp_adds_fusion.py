@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import benchmark_spec, get_graph, pick_sources
-from repro.faults import RecoveryPolicy, faulty_sssp
+import repro.faults.runtime as recovery_runtime
+from repro.faults import faulty_sssp
 from repro.graphs import kronecker, largest_component_vertices
 from repro.gpusim.device import (
     GPUDevice,
@@ -153,12 +154,13 @@ class TestChainEnds:
         _assert_continuations_follow_loop_segments(kernels)
         _assert_loop_restarts_after(kernels, {"recovery_probe"})
 
-    def test_checkpoints_end_the_chain(self):
+    def test_checkpoints_end_the_chain(self, monkeypatch):
         """A checkpoint alone (probes off) is a host synchronization too:
         the loop restarts on the epoch it runs."""
-        policy = RecoveryPolicy(probe_interval=10**9, checkpoint_interval=2)
+        monkeypatch.setattr(recovery_runtime, "PROBE_INTERVAL", 10**9)
+        monkeypatch.setattr(recovery_runtime, "CHECKPOINT_INTERVAL", 2)
         r, log = _logged(sssp, KRON, KRON_SRC, method="adds", spec=SPEC,
-                         recovery=policy)
+                         recovery=True)
         validate_distances(KRON, KRON_SRC, r.dist)
         kernels = log.kernels()
         assert "recovery_probe" not in {n for n, _h in kernels}

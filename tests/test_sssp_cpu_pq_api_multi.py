@@ -1,5 +1,7 @@
 """Tests for PQ-Δ* and the sssp() front door."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -88,10 +90,23 @@ class TestApi:
         # the engines' loop guards are module constants, not options
         for method, bound in [("adds", "max_steps"),
                               ("near-far", "max_iterations"),
-                              ("mlmq", "max_rounds")]:
-            with pytest.raises(ValueError,
-                               match=f"'{method}' does not take {bound}"):
+                              ("mlmq", "max_rounds"),
+                              ("bl", "max_iterations"),
+                              ("harish-narayanan", "max_iterations"),
+                              ("rdbs", "max_buckets"),
+                              ("basyn", "max_buckets"),
+                              ("basyn+pro", "max_buckets"),
+                              ("basyn+adwl", "max_buckets"),
+                              ("sync-delta", "max_buckets")]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"'{method}' does not take {bound}")):
                 sssp(path(4), 0, method=method, spec=SPEC, **{bound: 5})
+        for method, bound in [("delta-cpu", "max_buckets"),
+                              ("bellman-ford", "max_rounds"),
+                              ("pq-delta*", "max_batches")]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"'{method}' does not take {bound}")):
+                sssp(path(4), 0, method=method, **{bound: 5})
 
     def test_default_method_is_rdbs(self):
         g = path(6)

@@ -5,6 +5,7 @@ import signal
 import numpy as np
 import pytest
 
+import repro.sssp.gpu_baseline as gpu_baseline
 from repro.graphs import from_edges, kronecker, grid_road_network, path, star
 from repro.gpusim import T4, V100
 from repro.sssp import (
@@ -198,10 +199,13 @@ class TestBaselineSpecifics:
         r = bl_sssp(g, 0, spec=SPEC)
         assert r.extra["iterations"] <= g.num_vertices
 
-    def test_bl_max_iterations_cutoff(self):
+    def test_bl_max_iterations_cutoff(self, monkeypatch):
         g = GRAPHS["path"]
+        # a bound of n + slack = 3 iterations
+        monkeypatch.setattr(gpu_baseline, "ITERATION_SLACK",
+                            3 - g.num_vertices)
         with pytest.raises(ConvergenceError, match="iteration limit"):
-            bl_sssp(g, 0, spec=SPEC, max_iterations=3)
+            bl_sssp(g, 0, spec=SPEC)
 
     def test_nearfar_threshold_advances(self):
         g = GRAPHS["kron"]

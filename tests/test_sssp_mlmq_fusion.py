@@ -155,7 +155,7 @@ def test_filtered_fold_keeps_only_lanes_below_the_cell():
                 lanes.append(int(idx.size))
 
     device = GPUDevice(SPEC)
-    device.observers.append(_Atomics())
+    device.attach(_Atomics())
     cells = device.full(3, np.inf, name="cells")
     with device.launch("fold") as k:
         fold_min_filtered(k, np.array([5.0, 3.0, 8.0]), thread_per_item(3),
