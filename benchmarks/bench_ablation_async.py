@@ -19,7 +19,6 @@ from repro.bench import (
     format_table,
     get_graph,
     pick_sources,
-    record_from_result,
     run_method,
     write_results,
 )
@@ -35,7 +34,6 @@ def chunk_sweep():
     spec = benchmark_spec()
     src = pick_sources(DATASET, 1)[0]
     rows = []
-    records = []
     for chunk in CHUNKS:
         r = rdbs_sssp(g, src, spec=spec, async_chunk=chunk)
         validate_distances(g, src, r.dist)
@@ -47,24 +45,18 @@ def chunk_sweep():
                 r.extra["rounds"],
             ]
         )
-        records.append(
-            record_from_result(
-                r, dataset=DATASET, method=f"rdbs[chunk={chunk}]",
-                gpu=spec.name,
-            )
-        )
-    return rows, records
+    return rows
 
 
 def test_ablation_async_chunk(benchmark):
-    rows, records = benchmark.pedantic(chunk_sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(chunk_sweep, rounds=1, iterations=1)
     text = format_table(
         ["chunk", "time ms", "update ratio", "micro-rounds"],
         rows,
         title=f"Ablation — async micro-round chunk size on {DATASET}",
     )
     print("\n" + text)
-    write_results("ablation_async_chunk.txt", text, records=records)
+    write_results("ablation_async_chunk.txt", text)
 
     # smaller chunks never do more redundant work (fresher distances)
     ratios = [r[2] for r in rows]
@@ -98,7 +90,7 @@ def test_ablation_baseline_lineage(benchmark):
               "(2007 HN -> 2014 Near-Far -> 2021 ADDS -> 2023 RDBS)",
     )
     print("\n" + text)
-    write_results("ablation_lineage.txt", text, records=runs.values())
+    write_results("ablation_lineage.txt", text)
 
     # the paper's narrative: each generation improves on the last's
     # dominant weakness, and RDBS ends up fastest

@@ -16,13 +16,7 @@ but does not sweep:
 
 from functools import lru_cache
 
-from repro.bench import (
-    benchmark_spec,
-    format_table,
-    record_from_run,
-    run_method,
-    write_results,
-)
+from repro.bench import format_table, run_method, write_results
 from repro.sssp import default_delta
 
 DATASET = "soc-PK"
@@ -36,7 +30,6 @@ def delta_sweep():
     g = get_graph(DATASET)
     d0 = default_delta(g)
     rows = []
-    records = []
     for f in DELTA_FACTORS:
         run = run_method(DATASET, "rdbs", num_sources=2, delta=d0 * f)
         buckets = run.results[0].extra["buckets"]
@@ -44,21 +37,18 @@ def delta_sweep():
             [f, round(d0 * f, 1), round(run.time_ms, 4),
              round(run.update_ratio, 2), buckets]
         )
-        rec = record_from_run(run)
-        rec.method = f"rdbs[Δ0x{f:g}]"
-        records.append(rec)
-    return rows, records
+    return rows
 
 
 def test_ablation_delta_sensitivity(benchmark):
-    rows, records = benchmark.pedantic(delta_sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(delta_sweep, rounds=1, iterations=1)
     text = format_table(
         ["Δ0 factor", "Δ0", "time ms", "update ratio", "buckets"],
         rows,
         title=f"Ablation — Δ0 sensitivity of RDBS on {DATASET}",
     )
     print("\n" + text)
-    write_results("ablation_delta_sensitivity.txt", text, records=records)
+    write_results("ablation_delta_sensitivity.txt", text)
 
     # the classic trade-off: bucket count falls monotonically with Δ...
     buckets = [r[4] for r in rows]
@@ -97,7 +87,7 @@ def test_ablation_execution_modes(benchmark):
         title=f"Ablation — execution modes on {DATASET}",
     )
     print("\n" + text)
-    write_results("ablation_execution_modes.txt", text, records=runs.values())
+    write_results("ablation_execution_modes.txt", text)
 
     # async phase 1 eliminates most synchronization of the sync engine
     assert (

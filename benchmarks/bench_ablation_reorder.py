@@ -24,7 +24,6 @@ from repro.bench import (
     format_table,
     get_graph,
     pick_sources,
-    record_from_result,
     write_results,
 )
 from repro.reorder import apply_pro, pro_report
@@ -46,11 +45,10 @@ def reorder_ablation():
         "full PRO": dict(degree_reorder=True, weight_sort=True),
     }
     rows = []
-    records = []
     for label, toggles in arms.items():
         pre = apply_pro(g, delta, **toggles)
         times, ratios, hits = [], [], []
-        for i, s in enumerate(sources):
+        for s in sources:
             # run the engine directly on the pre-transformed graph with its
             # internal preprocessing off; the engine uses heavy offsets
             # whenever the graph carries them (i.e. the weight-sort arms)
@@ -65,12 +63,6 @@ def reorder_ablation():
             times.append(r.time_ms)
             ratios.append(r.work.update_ratio)
             hits.append(r.counters.totals.global_hit_rate)
-            records.append(
-                record_from_result(
-                    r, dataset=DATASET, method=f"rdbs[{label}]/s{i}",
-                    gpu=spec.name,
-                )
-            )
         rows.append(
             [
                 label,
@@ -80,11 +72,11 @@ def reorder_ablation():
             ]
         )
     rep = pro_report(g, delta)
-    return rows, rep, records
+    return rows, rep
 
 
 def test_ablation_reorder_decomposition(benchmark):
-    rows, rep, records = benchmark.pedantic(
+    rows, rep = benchmark.pedantic(
         reorder_ablation, rounds=1, iterations=1
     )
     text = format_table(
@@ -101,7 +93,7 @@ def test_ablation_reorder_decomposition(benchmark):
         f" -> {rep.mixed_pairs_after:.3f}"
     )
     print("\n" + text)
-    write_results("ablation_reorder.txt", text, records=records)
+    write_results("ablation_reorder.txt", text)
 
     by = {r[0]: r for r in rows}
     # weight sorting leaves at most one class flip per segment

@@ -8,12 +8,7 @@ the partial execution it draws).
 
 from functools import lru_cache
 
-from repro.bench import (
-    benchmark_spec,
-    format_table,
-    record_from_result,
-    write_results,
-)
+from repro.bench import benchmark_spec, format_table, write_results
 from repro.graphs import paper_fig1_graph
 from repro.sssp import bl_sssp, rdbs_sssp, validate_distances
 
@@ -50,10 +45,7 @@ def test_fig1_motivation_counts(benchmark):
         title="Fig. 1(b) — work analysis on the paper's toy graph (Δ=3, source 0)",
     )
     print("\n" + text)
-    write_results(
-        "fig01_motivation.txt", text,
-        records=[record_from_result(r, dataset="fig1-toy") for r in (bl, rdbs)],
-    )
+    write_results("fig01_motivation.txt", text)
 
     # the figure's claim: synchronous push performs invalid updates and
     # invalid checks on this graph, and bucketed execution reduces them

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.bench import format_table, record_from_result, write_results
+from repro.bench import format_table, write_results
 from repro.graphs import kronecker, largest_component_vertices
 from repro.sssp import delta_stepping_cpu, validate_distances
 
@@ -49,13 +49,7 @@ def test_fig2_bucket_occupancy(benchmark):
         title=f"Fig. 2 — active vertices per bucket (Δ = {DELTA}, edgefactor 16)",
     )
     print("\n" + text)
-    write_results(
-        "fig02_bucket_sizes.txt", text,
-        records=[
-            record_from_result(r, dataset=f"kron-s{scale}", gpu="cpu")
-            for scale, r in traces.items()
-        ],
-    )
+    write_results("fig02_bucket_sizes.txt", text)
 
     for scale in SCALES:
         s = np.array(sizes[scale])

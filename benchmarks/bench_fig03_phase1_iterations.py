@@ -56,14 +56,7 @@ def test_fig3_phase1_iterations(benchmark):
         title="Fig. 3 annotations — phase-1 update counts (peak bucket)",
     )
     print("\n" + text)
-    write_results(
-        "fig03_phase1_iterations.txt", text,
-        tables=[{
-            "title": "fig3 phase-1 update counts (peak bucket)",
-            "headers": ["graph", "total_updates", "valid_updates", "ratio"],
-            "rows": summary_rows,
-        }],
-    )
+    write_results("fig03_phase1_iterations.txt", text)
 
     for s in SCALES:
         p = peaks[s]

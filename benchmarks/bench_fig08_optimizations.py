@@ -72,7 +72,7 @@ def test_fig8_optimization_speedups(benchmark):
     text += f"\n\ngeomean speedups (ours): {dict(zip(ARMS, avg))}"
     text += "\npaper arithmetic means:  {'basyn+pro': 5.15, 'basyn+adwl': 16.37, 'basyn+pro+adwl': 19.60}"
     print("\n" + text)
-    write_results("fig08_optimizations.txt", text, records=matrix.values())
+    write_results("fig08_optimizations.txt", text)
 
     powerlaw = [d for d in FIG8_DATASETS if d != "road-TX"]
     for d in powerlaw:

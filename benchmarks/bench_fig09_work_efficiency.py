@@ -62,7 +62,7 @@ def test_fig9_work_efficiency(benchmark):
     avg = sum(r[1] for r in rows) / len(rows)
     text += f"\n\naverage RDBS ratio (ours): {avg:.2f} (paper: 2.22)"
     print("\n" + text)
-    write_results("fig09_work_efficiency.txt", text, records=matrix.values())
+    write_results("fig09_work_efficiency.txt", text)
 
     by_name = {r[0]: r for r in rows}
     # RDBS ratios are modest everywhere (paper max is 6.83 on road-TX)

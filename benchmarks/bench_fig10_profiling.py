@@ -88,7 +88,7 @@ def test_fig10_profiling_counters(benchmark):
         " EXPERIMENTS.md)"
     )
     print("\n" + text)
-    write_results("fig10_profiling.txt", text, records=matrix.values())
+    write_results("fig10_profiling.txt", text)
 
     # averaged over the six datasets, RDBS issues fewer loads and atomics
     assert geometric_mean(ratios["loads"]) < 1.0

@@ -66,10 +66,7 @@ def test_fig11_scalability(benchmark):
         " (paper average: 34.2x at SCALE 22-24)"
     )
     print("\n" + text)
-    write_results(
-        "fig11_scalability.txt", text,
-        records=[run for pair in matrix.values() for run in pair],
-    )
+    write_results("fig11_scalability.txt", text)
 
     by = {(r[0], r[1]): r for r in rows}
     # GTEPS rises with edgefactor at every scale ("the higher the average

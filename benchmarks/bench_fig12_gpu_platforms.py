@@ -61,7 +61,7 @@ def test_fig12_gpu_platforms(benchmark):
     )
     text += f"\n\ngeomean V100/T4 speedup: {geometric_mean(ratios):.2f}x (paper range 1.47-2.58x)"
     print("\n" + text)
-    write_results("fig12_gpu_platforms.txt", text, records=matrix.values())
+    write_results("fig12_gpu_platforms.txt", text)
 
     # V100 is never slower, and the average gain sits in the paper's
     # "two to three times" hardware band (allowing the scaled regime's

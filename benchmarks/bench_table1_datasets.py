@@ -47,17 +47,7 @@ def test_table1_dataset_statistics(benchmark):
         title="Table 1 — surrogate datasets vs paper",
     )
     print("\n" + text)
-    write_results(
-        "table1_datasets.txt", text,
-        tables=[{
-            "title": "Table 1 — surrogate datasets vs paper",
-            "headers": [
-                "dataset", "n", "m", "avg_deg", "diam",
-                "paper_n", "paper_m", "paper_avg", "paper_diam", "scale_x",
-            ],
-            "rows": rows,
-        }],
-    )
+    write_results("table1_datasets.txt", text)
 
     by_name = {r[0]: r for r in rows}
     # the structural claims Table 1 supports must hold on the surrogates:

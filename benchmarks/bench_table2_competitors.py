@@ -79,7 +79,7 @@ def test_table2_competitor_runtimes(benchmark):
     )
     text += f"\n\ngeomean speedup vs PQ-Δ*: {cpu_geo:.2f}x (paper mean: 10.32x)"
     print("\n" + text)
-    write_results("table2_competitors.txt", text, records=matrix.values())
+    write_results("table2_competitors.txt", text)
 
     # RDBS always beats the CPU competitor, substantially on average
     for d in TABLE2_DATASETS:

@@ -31,10 +31,8 @@ from .trajectory import (
     ComparisonReport,
     SchemaVersionError,
     compare_records,
-    coerce_records,
     format_diff,
     load_trajectory,
-    record_from_result,
     record_from_run,
     write_trajectory,
 )
@@ -64,10 +62,8 @@ __all__ = [
     "ComparisonReport",
     "SchemaVersionError",
     "compare_records",
-    "coerce_records",
     "format_diff",
     "load_trajectory",
-    "record_from_result",
     "record_from_run",
     "write_trajectory",
     "SUITES",

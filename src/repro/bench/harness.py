@@ -170,21 +170,12 @@ def _fmt(c) -> str:
 
 
 def write_results(
-    filename: str,
-    text: str,
-    records=None,
-    *,
-    tables: list[dict] | None = None,
-    results_dir: str | Path | None = None,
+    filename: str, text: str, *, results_dir: str | Path | None = None
 ) -> Path:
-    """Persist a regenerated table, plus its machine-readable sidecar.
+    """Persist a regenerated table as ``filename`` in the results dir.
 
-    ``records`` (BenchRecords or MethodRuns) and/or ``tables``
-    (``{"title", "headers", "rows"}`` dicts) are serialized to
-    ``<stem>.json`` next to the text table under the versioned trajectory
-    schema (:mod:`repro.bench.trajectory`) — the per-figure complement of
-    the repo-root ``BENCH_<suite>.json`` files.  ``results_dir`` overrides
-    the output directory (see :func:`default_results_dir`).
+    ``results_dir`` overrides the output directory (see
+    :func:`default_results_dir`).
     """
     out_dir = (
         Path(results_dir) if results_dir is not None else default_results_dir()
@@ -192,15 +183,6 @@ def write_results(
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / filename
     path.write_text(text + "\n", encoding="utf-8")
-    if records is not None or tables is not None:
-        from .trajectory import write_trajectory
-
-        write_trajectory(
-            path.with_suffix(".json"),
-            list(records) if records is not None else [],
-            suite=path.stem,
-            tables=tables,
-        )
     return path
 
 

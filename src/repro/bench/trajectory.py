@@ -2,10 +2,9 @@
 
 The paper's contribution is *performance* (Fig. 8, Fig. 9, Table 2), so the
 repository keeps a machine-readable performance trajectory: every benchmark
-run serializes its :class:`~repro.bench.harness.MethodRun` cells into
-versioned :class:`BenchRecord` JSON documents (``BENCH_<suite>.json`` at the
-repo root, plus a sidecar next to each regenerated table), and CI compares
-fresh runs against the committed baseline on every pull request.
+suite run serializes its cells into versioned :class:`BenchRecord` JSON
+documents (``BENCH_<suite>.json`` at the repo root), and CI compares fresh
+runs against the committed baselines on every pull request.
 
 The comparison is **two-tier**, matching what the simulator guarantees:
 
@@ -31,10 +30,6 @@ import math
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..sssp.result import SSSPResult
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -44,8 +39,6 @@ __all__ = [
     "SchemaVersionError",
     "BenchRecord",
     "record_from_run",
-    "record_from_result",
-    "coerce_records",
     "suite_document",
     "write_trajectory",
     "load_trajectory",
@@ -154,82 +147,33 @@ class BenchRecord:
 
 
 def record_from_run(run) -> BenchRecord:
-    """Serialize a :class:`~repro.bench.harness.MethodRun` into a record."""
+    """Serialize a :class:`~repro.bench.harness.MethodRun` into a record.
+
+    CPU methods carry no device counters, so their records hold none.
+    """
     counters = {}
     if run.results and run.results[0].counters is not None:
         counters = run.counters.totals.as_dict()
     return BenchRecord(
         dataset=run.dataset,
         method=run.method,
-        gpu=getattr(run, "gpu", ""),
+        gpu=run.gpu,
         num_sources=len(run.results),
         time_ms=float(run.time_ms),
         gteps=float(run.gteps),
         update_ratio=float(run.update_ratio),
         counters=counters,
-        host_seconds=float(getattr(run, "host_seconds", 0.0)),
+        host_seconds=float(run.host_seconds),
     )
-
-
-def record_from_result(
-    result: SSSPResult,
-    *,
-    dataset: str,
-    method: str | None = None,
-    gpu: str = "",
-    host_seconds: float = 0.0,
-) -> BenchRecord:
-    """Build a record from one :class:`~repro.sssp.result.SSSPResult`.
-
-    CPU methods carry no device counters, so their records hold none.
-    """
-    work = result.work
-    return BenchRecord(
-        dataset=dataset,
-        method=method or result.method,
-        gpu=gpu,
-        num_sources=1,
-        time_ms=float(result.time_ms),
-        gteps=float(result.gteps),
-        update_ratio=(
-            float(work.update_ratio) if work is not None else float("nan")
-        ),
-        counters=(
-            {} if result.counters is None
-            else result.counters.totals.as_dict()
-        ),
-        host_seconds=float(host_seconds),
-    )
-
-
-def coerce_records(items) -> list[BenchRecord]:
-    """Normalize a mixed iterable of records / MethodRuns into records."""
-    out: list[BenchRecord] = []
-    for item in items:
-        if isinstance(item, BenchRecord):
-            out.append(item)
-        elif hasattr(item, "results"):  # MethodRun
-            out.append(record_from_run(item))
-        else:
-            raise TypeError(
-                f"cannot serialize {type(item).__name__}; pass BenchRecord "
-                "or MethodRun (use record_from_result for raw results)"
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------
 # trajectory documents (BENCH_<suite>.json)
 # ---------------------------------------------------------------------------
 
-def suite_document(
-    records: list[BenchRecord],
-    *,
-    suite: str,
-    tables: list[dict] | None = None,
-) -> dict:
-    """The versioned JSON document for one suite / bench-file run."""
-    doc = {
+def suite_document(records: list[BenchRecord], *, suite: str) -> dict:
+    """The versioned JSON document for one suite run."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "suite": suite,
         "git_sha": git_sha(),
@@ -240,34 +184,16 @@ def suite_document(
             r.as_dict() for r in sorted(records, key=lambda r: r.key)
         ],
     }
-    if tables:
-        doc["tables"] = tables
-    return doc
-
-
-def _json_default(obj):
-    """Fold NumPy scalars (which ``json`` rejects) into plain numbers."""
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(
-        f"object of type {type(obj).__name__} is not JSON serializable"
-    )
 
 
 def write_trajectory(
-    path: str | Path,
-    records,
-    *,
-    suite: str,
-    tables: list[dict] | None = None,
+    path: str | Path, records: list[BenchRecord], *, suite: str
 ) -> Path:
     """Serialize ``records`` to ``path`` under the versioned schema."""
     path = Path(path)
-    doc = suite_document(coerce_records(records), suite=suite, tables=tables)
+    doc = suite_document(records, suite=suite)
     path.write_text(
-        json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
-        + "\n",
-        encoding="utf-8",
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
 

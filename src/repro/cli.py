@@ -719,7 +719,7 @@ def _cmd_serve(args) -> int:
     Two modes share one exit-code contract (0 clean; 1 on any wrong
     answer or escaped fault):
 
-    * ``--suite smoke|traffic`` plays every session of a serve bench
+    * ``--suite smoke|chaos`` plays every session of a serve bench
       suite (:mod:`repro.serve.bench`) — what CI gates on every PR;
     * a graph spec plays one ad-hoc session configured by the flags.
     """
@@ -755,8 +755,8 @@ def _serve_session(args):
     from .serve.bench import (
         SERVE_SUITES,
         ServeCellSpec,
+        play_serve_suite,
         report_to_record,
-        run_serve_cell,
     )
 
     fmt = args.format
@@ -773,21 +773,10 @@ def _serve_session(args):
         if fmt == "text":
             print(f"serve suite {suite!r} "
                   f"({len(cells)} session(s), seed offset {args.seed})")
-        if args.jobs != 1:
-            from .perf.parallel import resolve_jobs, run_tasks
-
-            jobs = resolve_jobs(args.jobs)
-            outcomes = run_tasks(
-                run_serve_cell,
-                [(suite, c.name, args.seed) for c in cells],
-                jobs,
-            )
-        else:
-            outcomes = [
-                run_serve_cell(suite, c.name, args.seed) for c in cells
-            ]
         sessions = []
-        for cell, (report, rec) in zip(cells, outcomes):
+        for cell, report, rec in play_serve_suite(
+            suite, seed_offset=args.seed, jobs=args.jobs
+        ):
             if fmt == "text":
                 print(f"\n[{cell.dataset}/{cell.name}]")
                 print(report.summary())
@@ -1064,8 +1053,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="graph spec for one ad-hoc session "
                          "(omit with --suite)")
     sp.add_argument("--suite", default=None, metavar="NAME",
-                    help="play a serve bench suite (smoke | chaos | "
-                         "traffic) instead of one graph")
+                    help="play a serve bench suite (smoke | chaos) "
+                         "instead of one graph")
     sp.add_argument("--seed", type=int, default=0,
                     help="session seed (suite mode: offset added to every "
                          "cell's committed seed; 0 = the gated baseline)")

@@ -137,13 +137,13 @@ def verify_distances_host(graph, source: int, dist: np.ndarray) -> bool:
 
 
 def make_runtime(
-    recovery: bool, device, dgraph, dist, source: int, method: str
+    recovery: bool, device, dgraph, dist, source: int
 ) -> "RecoveryRuntime | None":
     """Engine-side helper: the runtime for ``recovery=True``, else ``None``
     (no runtime — the zero-cost default)."""
     if not recovery:
         return None
-    return RecoveryRuntime(device, dgraph, dist, source, method)
+    return RecoveryRuntime(device, dgraph, dist, source)
 
 
 class RecoveryRuntime:
@@ -155,19 +155,11 @@ class RecoveryRuntime:
     space*.
     """
 
-    def __init__(
-        self,
-        device,
-        dgraph,
-        dist,
-        source: int,
-        method: str = "",
-    ) -> None:
+    def __init__(self, device, dgraph, dist, source: int) -> None:
         self.device = device
         self.dgraph = dgraph
         self.dist = dist
         self.source = int(source)
-        self.method = method
         # share the injector's report when one is attached, so injections
         # and recovery actions interleave in a single log
         for obs in device.observers:

@@ -86,11 +86,6 @@ class GPUSpec:
         return self.l1_kb_per_sm * 1024 * self.num_sms
 
     @property
-    def total_l1_lines(self) -> int:
-        """Aggregate L1 capacity in cache lines."""
-        return self.total_l1_bytes // self.cache_line_bytes
-
-    @property
     def issue_slots_per_s(self) -> float:
         """Aggregate warp-instruction issue rate of the whole device."""
         return self.num_sms * self.issue_per_sm_per_cycle * self.clock_hz

@@ -1,6 +1,5 @@
-"""Measurement: work efficiency, convergence, throughput."""
+"""Measurement: work efficiency and throughput."""
 
-from .convergence import ConvergenceCurve, convergence_from_rows
 from .gteps import geometric_mean, gteps, speedup
 from .workstats import WorkStats, WorkTally
 
@@ -10,6 +9,4 @@ __all__ = [
     "gteps",
     "speedup",
     "geometric_mean",
-    "ConvergenceCurve",
-    "convergence_from_rows",
 ]

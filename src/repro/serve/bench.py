@@ -12,7 +12,7 @@ map.  ``host_seconds`` is pinned to ``0.0``: a serve trajectory is a pure
 function of the suite spec, so the committed ``BENCH_serve.json``
 baseline gates byte-identically in CI.
 
-Three suites:
+Two suites:
 
 * ``serve-smoke`` — three small sessions covering every scheduler path
   (mixed p2p/single-source, road-network p2p, a fault-plan session on the
@@ -24,8 +24,9 @@ Three suites:
   session, and a combined ``mayhem`` session.  Gated byte-identically
   against ``BENCH_serve-chaos.json`` in CI; every cell must end with
   zero wrong answers and zero escaped faults.
-* ``serve-traffic`` — a heavier sustained-load matrix for tail-latency
-  work; not wired into CI.
+
+``bench run|check``, ``profile --suite serve-*`` and ``serve --suite``
+all play a suite through :func:`play_serve_suite`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ __all__ = [
     "SERVE_SUITES",
     "serve_suite_names",
     "run_serve_cell",
-    "run_serve_suite",
+    "play_serve_suite",
+    "serve_progress_line",
 ]
 
 
@@ -158,38 +160,9 @@ _CHAOS_CELLS = (
     ),
 )
 
-_TRAFFIC_CELLS = (
-    ServeCellSpec(
-        name="amazon-sustained",
-        dataset="Amazon",
-        config=ServeConfig(
-            num_queries=600, seed=1001, p2p_fraction=0.75, tolerance=0.2,
-            source_pool=16, landmarks=6, shards=4, rate_qpms=50.0,
-        ),
-    ),
-    ServeCellSpec(
-        name="road-sustained",
-        dataset="road-TX",
-        config=ServeConfig(
-            num_queries=200, seed=1002, p2p_fraction=0.9, tolerance=0.3,
-            source_pool=6, landmarks=8, shards=2, rate_qpms=10.0,
-            cold_fraction=0.3,
-        ),
-    ),
-    ServeCellSpec(
-        name="amazon-faulty-sustained",
-        dataset="Amazon",
-        config=ServeConfig(
-            num_queries=200, seed=1003, p2p_fraction=0.6, tolerance=0.2,
-            source_pool=8, landmarks=4, shards=2, plan="lost-updates",
-        ),
-    ),
-)
-
 SERVE_SUITES: dict[str, tuple[ServeCellSpec, ...]] = {
     "serve-smoke": _SMOKE_CELLS,
     "serve-chaos": _CHAOS_CELLS,
-    "serve-traffic": _TRAFFIC_CELLS,
 }
 
 
@@ -230,23 +203,49 @@ def run_serve_cell(
     """Run one named session; returns ``(report, record)``.
 
     Module-level (and addressed by name) so :mod:`repro.perf.parallel`
-    can ship cells to worker processes.
+    can ship cells to worker processes.  The trace mark and the profile
+    region land in the calling process only when the cell runs there
+    (``jobs`` 1).
     """
     from ..bench.datasets import benchmark_spec, get_graph
+    from ..perf import profile
+    from ..trace import active_tracer
 
     cell = _cell(suite, name)
-    config = cell.config.with_seed_offset(seed_offset)
-    graph = get_graph(cell.dataset)
-    report = serve_traffic(graph, config, spec=benchmark_spec())
+    tracer = active_tracer()
+    if tracer is not None:
+        tracer.mark("serve-cell", dataset=cell.dataset, cell=cell.name)
+    with profile.region(f"serve:{cell.dataset}/{cell.name}"):
+        config = cell.config.with_seed_offset(seed_offset)
+        graph = get_graph(cell.dataset)
+        report = serve_traffic(graph, config, spec=benchmark_spec())
     return report, report_to_record(cell, report)
 
 
-def _run_cell_record(suite: str, name: str) -> BenchRecord:
-    """Worker entry point: just the record (reports don't pickle small)."""
-    return run_serve_cell(suite, name)[1]
+def play_serve_suite(
+    name: str, *, seed_offset: int = 0, jobs: int = 1
+) -> list[tuple[ServeCellSpec, ServeReport, BenchRecord]]:
+    """Run every session of serve suite ``name``, in suite order.
+
+    Returns each cell with its report and record.  ``seed_offset`` is
+    added to every cell's committed seed (0 = the gated baselines);
+    ``jobs > 1`` fans the independent sessions over that many worker
+    processes (``0`` = all cores) without changing any result.  Judging
+    the reports is the caller's job.
+    """
+    from ..perf.parallel import resolve_jobs, run_tasks
+
+    cells = SERVE_SUITES[name]
+    outcomes = run_tasks(
+        run_serve_cell,
+        [(name, c.name, seed_offset) for c in cells],
+        resolve_jobs(jobs),
+    )
+    return [(c, report, rec) for c, (report, rec) in zip(cells, outcomes)]
 
 
-def _progress_line(cell: ServeCellSpec, rec: BenchRecord) -> str:
+def serve_progress_line(rec: BenchRecord) -> str:
+    """One ``bench run`` status line for a finished serve cell."""
     c = rec.counters
     return (
         f"  {rec.dataset:>10s} {rec.method:<22s} "
@@ -254,61 +253,3 @@ def _progress_line(cell: ServeCellSpec, rec: BenchRecord) -> str:
         f"p99 {c.get('serve.p99_ms', 0.0):8.4f} ms  "
         f"{c.get('serve.qps', 0.0):8,.0f} q/s"
     )
-
-
-def run_serve_suite(
-    name: str, *, progress=None, jobs: int = 1
-) -> list[BenchRecord]:
-    """Run every session of serve suite ``name``; returns its records.
-
-    Mirrors :func:`repro.bench.suites.run_suite`: ``progress`` receives one
-    status line per cell, ``jobs > 1`` fans independent sessions over
-    worker processes with records in deterministic suite order.  A wrong
-    answer or an escaped fault in any session raises ``RuntimeError`` —
-    a serve trajectory must never record an incorrect server.
-    """
-    try:
-        cells = SERVE_SUITES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown serve suite {name!r}; choose from "
-            f"{', '.join(serve_suite_names())}"
-        ) from None
-    from ..perf import profile
-    from ..perf.parallel import resolve_jobs, run_tasks
-
-    jobs = resolve_jobs(jobs)
-    if jobs > 1:
-        records = run_tasks(
-            _run_cell_record, [(name, c.name) for c in cells], jobs
-        )
-        for cell, rec in zip(cells, records):
-            _gate_record(cell, rec)
-            if progress is not None:
-                progress(_progress_line(cell, rec))
-        return records
-
-    from ..trace import active_tracer
-
-    records: list[BenchRecord] = []
-    for cell in cells:
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.mark("serve-cell", dataset=cell.dataset, cell=cell.name)
-        with profile.region(f"serve:{cell.dataset}/{cell.name}"):
-            _, rec = run_serve_cell(name, cell.name)
-        _gate_record(cell, rec)
-        records.append(rec)
-        if progress is not None:
-            progress(_progress_line(cell, rec))
-    return records
-
-
-def _gate_record(cell: ServeCellSpec, rec: BenchRecord) -> None:
-    wrong = int(rec.counters.get("serve.wrong", 0))
-    escaped = int(rec.counters.get("serve.faults_escaped", 0))
-    if wrong or escaped:
-        raise RuntimeError(
-            f"serve cell {cell.name!r}: {wrong} wrong answer(s), "
-            f"{escaped} escaped fault(s)"
-        )

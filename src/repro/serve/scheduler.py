@@ -158,12 +158,6 @@ class ServeReport:
     def max_latency_ms(self) -> float:
         return max(self.latencies_ms) if self.latencies_ms else 0.0
 
-    @property
-    def mean_latency_ms(self) -> float:
-        if not self.latencies_ms:
-            return 0.0
-        return sum(self.latencies_ms) / len(self.latencies_ms)
-
     def counter_dict(self) -> dict[str, float]:
         """The deterministic counter mapping of this session's record."""
         counters: dict[str, float] = {

@@ -22,7 +22,7 @@ queueing behavior (waiting, batching windows, tail latency).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,8 +102,6 @@ class Query:
     source: int
     #: target vertex, or :data:`NO_TARGET` for a single-source query
     target: int = NO_TARGET
-    #: answer slot, filled by the scheduler (p2p queries only)
-    answer: float = field(default=float("nan"), compare=False)
 
     @property
     def is_p2p(self) -> bool:

@@ -91,7 +91,7 @@ class GPUSolve:
         self.stats = WorkStats()
         self.stats.record(np.array([self.src]), np.array([0.0]), np.array([True]))
         self.runtime = make_runtime(
-            recovery, self.device, self.dgraph, self.dist, self.src, method
+            recovery, self.device, self.dgraph, self.dist, self.src
         )
         #: the solve's persistent kernel; every host synchronization ends it
         self.chain = PersistentChain(self.device)

@@ -90,11 +90,6 @@ class LandmarkOracle:
     #: shape (k, n): dist_matrix[i, v] = dist(landmarks[i], v)
     dist_matrix: np.ndarray
 
-    @property
-    def num_landmarks(self) -> int:
-        """Number of landmarks ``k``."""
-        return int(self.landmarks.size)
-
     def lower_bound(self, u: int, v: int) -> float:
         """ALT lower bound ``max_L |d(L,u) − d(L,v)|`` (0 if uninformative)."""
         du = self.dist_matrix[:, u]

@@ -112,17 +112,3 @@ class TestFormatting:
         )
         monkeypatch.chdir(tmp_path)
         assert h.default_results_dir() == tmp_path / "benchmarks" / "results"
-
-    def test_write_results_json_sidecar(self, tmp_path):
-        import json
-
-        from repro.bench import run_method, write_results
-
-        run = run_method("Amazon", "rdbs", num_sources=1)
-        write_results(
-            "cell.txt", "table", records=[run], results_dir=tmp_path
-        )
-        doc = json.loads((tmp_path / "cell.json").read_text())
-        assert doc["suite"] == "cell"
-        assert doc["records"][0]["method"] == "rdbs"
-        assert doc["records"][0]["counters"]["kernel_launches"] > 0

@@ -9,11 +9,9 @@ from repro.bench import (
     SCHEMA_VERSION,
     BenchRecord,
     SchemaVersionError,
-    coerce_records,
     compare_records,
     format_diff,
     load_trajectory,
-    record_from_result,
     record_from_run,
     run_method,
     write_trajectory,
@@ -61,22 +59,11 @@ class TestRecords:
         back = BenchRecord.from_dict(d)
         assert math.isnan(back.update_ratio)
 
-    def test_record_from_result_duck_typing(self, small_run):
-        rec = record_from_result(
-            small_run.results[0], dataset="g", method="custom", gpu="V100"
-        )
-        assert rec.method == "custom"
-        assert rec.counters
-
-    def test_coerce_rejects_unknown(self):
-        with pytest.raises(TypeError, match="cannot serialize"):
-            coerce_records([object()])
-
 
 class TestTrajectoryFiles:
     def test_write_load_round_trip(self, tmp_path, small_run):
         path = tmp_path / "BENCH_t.json"
-        write_trajectory(path, [small_run], suite="t")
+        write_trajectory(path, [record_from_run(small_run)], suite="t")
         meta, records = load_trajectory(path)
         assert meta["schema_version"] == SCHEMA_VERSION
         assert meta["suite"] == "t"
@@ -91,15 +78,6 @@ class TestTrajectoryFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaVersionError, match="schema_version"):
             load_trajectory(path)
-
-    def test_tables_embedded(self, tmp_path):
-        path = write_trajectory(
-            tmp_path / "t.json", [],
-            suite="t",
-            tables=[{"title": "x", "headers": ["a"], "rows": [[1]]}],
-        )
-        doc = json.loads(path.read_text())
-        assert doc["tables"][0]["rows"] == [[1]]
 
 
 class TestComparison:

@@ -5,9 +5,9 @@ are views of them and must agree by construction."""
 import numpy as np
 import pytest
 
-from repro.graphs import kronecker
+from repro.graphs import kronecker, largest_component_vertices
 from repro.gpusim import V100
-from repro.sssp import GPU_METHODS, sssp
+from repro.sssp import GPU_METHODS, delta_stepping_cpu, rdbs_sssp, sssp
 from repro.trace import tracing
 
 SPEC = V100.scaled_for_workload(1 / 64)
@@ -38,3 +38,15 @@ def test_bucket_rows_agree_with_counts_and_spans(method):
             for key, value in span.items():
                 if not isinstance(row[key], np.ndarray):
                     assert value == row[key], key
+
+
+def test_dynamic_delta_closes_no_more_buckets_than_narrow_fixed_delta():
+    """The Eq. 1–2 controller (and a wider Δ generally) needs no more
+    buckets than a deliberately narrow fixed Δ."""
+    g = kronecker(9, 8, weights="int", seed=96)
+    src = int(largest_component_vertices(g)[0])
+    dynamic = rdbs_sssp(g, src, spec=SPEC)
+    narrow = delta_stepping_cpu(g, src, delta=dynamic.extra["delta0"] / 4)
+    assert len(dynamic.extra["bucket_telemetry"]) <= len(
+        narrow.extra["bucket_telemetry"]
+    )

@@ -21,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.bench.suites import run_suite
 from repro.bench.trajectory import suite_document
 from repro.serve import (
     DistanceFieldLRU,
@@ -32,8 +33,8 @@ from repro.serve import (
 )
 from repro.serve.bench import (
     SERVE_SUITES,
+    play_serve_suite,
     run_serve_cell,
-    run_serve_suite,
     serve_suite_names,
 )
 from repro.serve.scheduler import CACHE_LATENCY_MS
@@ -357,20 +358,18 @@ class TestServeSuites:
     def test_trajectory_byte_identical(self, monkeypatch):
         suite = _tiny_suite(monkeypatch)
         doc1 = json.dumps(
-            suite_document(run_serve_suite(suite), suite=suite),
+            suite_document(run_suite(suite), suite=suite),
             sort_keys=True,
         )
         doc2 = json.dumps(
-            suite_document(run_serve_suite(suite, jobs=2), suite=suite),
+            suite_document(run_suite(suite, jobs=2), suite=suite),
             sort_keys=True,
         )
         assert doc1 == doc2
 
     def test_dispatch_through_bench_run_suite(self, monkeypatch):
-        from repro.bench.suites import run_suite
-
         suite = _tiny_suite(monkeypatch)
-        direct = run_serve_suite(suite)
+        direct = [rec for _, _, rec in play_serve_suite(suite)]
         via_bench = run_suite(suite)
         assert [r.as_dict() for r in via_bench] == [
             r.as_dict() for r in direct
@@ -378,7 +377,7 @@ class TestServeSuites:
 
     def test_records_pin_wall_clock(self, monkeypatch):
         suite = _tiny_suite(monkeypatch)
-        (record,) = run_serve_suite(suite)
+        (record,) = run_suite(suite)
         assert record.host_seconds == 0.0
         assert record.method == "serve:tiny"
         assert record.counters["serve.wrong"] == 0.0
@@ -389,16 +388,19 @@ class TestServeSuites:
         moved = run_serve_cell(suite, "tiny", 1)[1]
         assert base.counters != moved.counters
 
-    def test_gate_rejects_corrupt_server(self, monkeypatch):
+    def test_gate_rejects_corrupt_server(self, monkeypatch, tmp_path):
         import repro.serve.scheduler as sched
+        from repro.cli import main
 
         suite = _tiny_suite(monkeypatch)
         monkeypatch.setattr(
             sched, "certified_answer",
             lambda oracle, u, v, tol: 1e30 if u != v else 0.0,
         )
+        out = tmp_path / "bench.json"
         with pytest.raises(RuntimeError, match="wrong answer"):
-            run_serve_suite(suite)
+            main(["bench", "run", "--suite", suite, "--out", str(out)])
+        assert not out.exists()
 
     def test_committed_baseline_matches_fresh_run(self):
         """The repo-root BENCH_serve.json gates a fresh serve-smoke run.
@@ -413,7 +415,7 @@ class TestServeSuites:
         baseline_path = Path(__file__).parent.parent / "BENCH_serve.json"
         meta, baseline = load_trajectory(baseline_path)
         assert meta["suite"] == "serve-smoke"
-        current = run_serve_suite("serve-smoke")
+        current = run_suite("serve-smoke")
         report = compare_records(baseline, current, check_wall=False)
         assert report.ok, report.summary()
 
@@ -455,6 +457,21 @@ class TestServeCLI:
         code = main(["serve", "--suite", "tiny", "--seed", "0"])
         assert code == 0
         assert "1/1 session(s) clean" in capsys.readouterr().out
+
+    def test_suite_mode_writes_the_bench_run_records(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """``serve --suite`` and ``bench run --suite serve-*`` play one
+        runner, so their trajectories hold equal records."""
+        from repro.cli import main
+
+        suite = _tiny_suite(monkeypatch)
+        a, b = tmp_path / "serve.json", tmp_path / "bench.json"
+        assert main(["serve", "--suite", "tiny", "--out", str(a)]) == 0
+        assert main(["bench", "run", "--suite", suite, "--out", str(b)]) == 0
+        records_a = json.loads(a.read_text())["records"]
+        assert records_a == json.loads(b.read_text())["records"]
+        assert [r["method"] for r in records_a] == ["serve:tiny"]
 
     def test_exit_code_on_wrong_answers(self, monkeypatch, capsys):
         import repro.serve.scheduler as sched

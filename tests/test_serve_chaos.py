@@ -445,12 +445,12 @@ class TestChaosSuite:
         deterministic chaos counter must refresh BENCH_serve-chaos.json."""
         from pathlib import Path
 
+        from repro.bench.suites import run_suite
         from repro.bench.trajectory import compare_records, load_trajectory
-        from repro.serve.bench import run_serve_suite
 
         path = Path(__file__).parent.parent / "BENCH_serve-chaos.json"
         meta, baseline = load_trajectory(path)
-        current = run_serve_suite("serve-chaos")
+        current = run_suite("serve-chaos")
         report = compare_records(baseline, current, check_wall=False)
         assert report.ok, report.summary()
 
