@@ -95,6 +95,13 @@ _EPS = 1e-9
 #: how many offending element indices a finding keeps for its report
 _SAMPLE = 8
 
+#: findings a report keeps; later ones only count as ``dropped``
+_MAX_FINDINGS = 200
+
+#: the device array names under the distance checks (monotonicity,
+#: reactivation)
+_DIST_NAMES = ("dist",)
+
 
 class SanitizerError(RuntimeError):
     """Raised in strict mode the moment an error-severity hazard appears."""
@@ -228,16 +235,8 @@ class Sanitizer:
     """Observer implementing the dynamic checks (attach via :func:`attached`,
     :meth:`attach`, or pass to ``GPUDevice.attach``)."""
 
-    def __init__(
-        self,
-        *,
-        strict: bool = False,
-        dist_names: tuple[str, ...] = ("dist",),
-        max_findings: int = 200,
-    ) -> None:
+    def __init__(self, *, strict: bool = False) -> None:
         self.strict = strict
-        self.dist_names = tuple(dist_names)
-        self.max_findings = max_findings
         self._report = SanitizerReport()
         self._arrays: dict[int, _ArrayState] = {}
         self._window: _WindowLog | None = None
@@ -285,7 +284,7 @@ class Sanitizer:
         sample: np.ndarray | tuple = (),
         count: int = 0,
     ) -> None:
-        if len(self._report.findings) >= self.max_findings:
+        if len(self._report.findings) >= _MAX_FINDINGS:
             self._report.dropped += 1
             return
         head = np.asarray(sample).ravel()[:_SAMPLE]
@@ -306,7 +305,7 @@ class Sanitizer:
     # device events
     # ------------------------------------------------------------------
     def on_alloc(self, device: GPUDevice, arr: DeviceArray, initialized: bool) -> None:
-        is_dist = arr.name in self.dist_names
+        is_dist = arr.name in _DIST_NAMES
         self._arrays[id(arr)] = _ArrayState(
             name=arr.name,
             size=arr.size,
@@ -319,7 +318,7 @@ class Sanitizer:
     def _state(self, arr: DeviceArray) -> _ArrayState:
         st = self._arrays.get(id(arr))
         if st is None:  # allocated before the sanitizer attached
-            st = _ArrayState(arr.name, arr.size, None, arr.name in self.dist_names)
+            st = _ArrayState(arr.name, arr.size, None, arr.name in _DIST_NAMES)
             self._arrays[id(arr)] = st
             if st.is_dist:
                 self._dist_watch[id(arr)] = (arr, arr.data.copy())

@@ -452,20 +452,10 @@ def _cmd_trace_run(args) -> int:
     source = _pick_source(graph, args.source)
     with tracing(capacity=args.capacity or DEFAULT_CAPACITY) as tr:
         tr.meta.update(graph=graph.name, method=args.method, source=source)
-        if args.plan:
-            from .faults import faulty_sssp
-
-            r, report = faulty_sssp(
-                graph, source, method=args.method,
-                plan=args.plan, seed=args.seed, recovery=True,
-                **_gpu_kwargs(args, args.method),
-            )
-            tr.meta["plan"] = report.plan
-        else:
-            r = sssp(
-                graph, source, method=args.method,
-                **_gpu_kwargs(args, args.method),
-            )
+        r = sssp(
+            graph, source, method=args.method,
+            **_gpu_kwargs(args, args.method),
+        )
     if not args.no_validate:
         validate_distances(graph, source, r.dist)
     print(f"graph  : {graph}")
@@ -1025,9 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--capacity", type=int, default=None,
                     help="ring-buffer capacity in events "
                          "(default 262144; oldest events drop past it)")
-    tp.add_argument("--plan", default=None, choices=plan_names(),
-                    help="also inject this fault plan (recovery on), so the "
-                         "trace shows faults and recovery actions")
     tp.set_defaults(fn=_cmd_trace_run)
 
     tp = trace_sub.add_parser(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpusim.kernels import grid_stride
+from ..gpusim.kernels import GRID_THREADS, grid_stride
 from .injector import FaultInjector
 from .plan import InjectedKernelAbort
 from .report import FaultReport
@@ -303,7 +303,7 @@ class RecoveryRuntime:
             return
         try:
             with self.device.launch("recovery_probe") as k:
-                a = grid_stride(sample.size, 32 * 256)
+                a = grid_stride(sample.size, GRID_THREADS)
                 du = k.gather(self.dist, self._srcs[sample], a)
                 v = k.gather(self.dgraph.adj, sample, a)
                 wt = k.gather(self.dgraph.weights, sample, a)
@@ -322,14 +322,6 @@ class RecoveryRuntime:
             )
 
     # ------------------------------------------------------------------
-    # abort entry point for frontier engines
-    # ------------------------------------------------------------------
-    def on_abort(self, exc: BaseException) -> np.ndarray:
-        """Recover from an abort; returns a conservative restart frontier."""
-        self.recover(exc)
-        return np.flatnonzero(np.isfinite(self.dist.data)).astype(np.int64)
-
-    # ------------------------------------------------------------------
     # final repair
     # ------------------------------------------------------------------
     def _witness_scan(self) -> np.ndarray:
@@ -339,7 +331,7 @@ class RecoveryRuntime:
         m = self._eidx.size
         if m:
             with self.device.launch("recovery_verify") as k:
-                a = grid_stride(m, 32 * 256)
+                a = grid_stride(m, GRID_THREADS)
                 du = k.gather(self.dist, self._srcs, a)
                 v = k.gather(self.dgraph.adj, self._eidx, a)
                 wt = k.gather(self.dgraph.weights, self._eidx, a)
@@ -356,7 +348,7 @@ class RecoveryRuntime:
         if not m:
             return
         with self.device.launch("recovery_relax") as k:
-            a = grid_stride(m, 32 * 256)
+            a = grid_stride(m, GRID_THREADS)
             du = k.gather(self.dist, self._srcs, a)
             v = k.gather(self.dgraph.adj, self._eidx, a)
             wt = k.gather(self.dgraph.weights, self._eidx, a)

@@ -32,6 +32,7 @@ import numpy as np
 from ..util.scan import segmented_arange
 
 __all__ = [
+    "GRID_THREADS",
     "WorkAssignment",
     "thread_per_item",
     "thread_per_vertex_edges",
@@ -39,6 +40,10 @@ __all__ = [
     "grid_stride",
     "segmented_arange",
 ]
+
+#: threads of every persistent-grid :func:`grid_stride` pass: 256 blocks of
+#: 32 threads
+GRID_THREADS = 32 * 256
 
 
 @dataclass(frozen=True)

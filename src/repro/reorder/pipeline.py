@@ -42,7 +42,6 @@ def apply_pro(
     *,
     degree_reorder: bool = True,
     weight_sort: bool = True,
-    cache: bool = True,
 ) -> CSRGraph:
     """Run property-driven reordering and return the transformed graph.
 
@@ -56,16 +55,16 @@ def apply_pro(
     degree_reorder / weight_sort:
         ablation toggles; with both False the input is returned unchanged
         (useful as the "no PRO" arm of Fig. 8).
-    cache:
-        memoize the result through the persistent artifact cache
-        (:mod:`repro.perf.artifacts`), keyed by the *content* of the
-        input arrays plus (Δ, toggles, :data:`PRO_VERSION`).  Hits are
-        hash-verified and element-identical to a fresh run.  Small graphs
-        bypass the cache automatically.
+
+    The result is memoized through the persistent artifact cache
+    (:mod:`repro.perf.artifacts`; ``REPRO_NO_CACHE`` turns it off), keyed by
+    the *content* of the input arrays plus (Δ, toggles,
+    :data:`PRO_VERSION`).  Hits are hash-verified and element-identical to
+    a fresh run.  Graphs below ``_MIN_CACHE_EDGES`` edges bypass it.
     """
     if not (degree_reorder or weight_sort):
         return graph
-    if cache and graph.num_edges >= _MIN_CACHE_EDGES:
+    if graph.num_edges >= _MIN_CACHE_EDGES:
         from ..perf import artifacts
 
         store = artifacts.get_cache()

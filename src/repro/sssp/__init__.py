@@ -8,7 +8,7 @@ from .paths import (
     shortest_path_tree,
     validate_path,
 )
-from .buckets import BucketInterval, DeltaController, bucket_of
+from .buckets import BucketInterval, DeltaController
 from .cpu_pq_delta import CPUSpec, XEON_8269CY, pq_delta_star_sssp
 from .delta_cpu import delta_stepping_cpu
 from .errors import ConvergenceError
@@ -45,7 +45,6 @@ __all__ = [
     "bellman_ford",
     "DeltaController",
     "BucketInterval",
-    "bucket_of",
     "validate_distances",
     "scipy_distances",
     "DistanceMismatch",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DeltaController", "BucketInterval", "bucket_of"]
+__all__ = ["DeltaController", "BucketInterval"]
 
 
 @dataclass(frozen=True)
@@ -180,14 +180,3 @@ class DeltaController:
                 break
         return closed
 
-
-def bucket_of(dist: np.ndarray, delta: float) -> np.ndarray:
-    """Fixed-width bucket index of each distance (``inf`` → -1).
-
-    The classic Δ-stepping mapping ``floor(dist / Δ)`` used by the
-    synchronous baselines and the Fig. 2 analysis.
-    """
-    out = np.full(dist.shape, -1, dtype=np.int64)
-    finite = np.isfinite(dist)
-    out[finite] = np.floor(dist[finite] / delta).astype(np.int64)
-    return out

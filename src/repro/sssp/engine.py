@@ -6,12 +6,13 @@ threshold — and in nothing around them (PriorityGraph, arXiv 1911.07260,
 makes the same point for ordered graph algorithms).  :class:`GPUSolve` is
 that surrounding frame, written once: the source check, device setup (graph
 upload, then ``dist``, so every engine's own buffers follow at the same
-device addresses the cache model keys on), the seeded work tally and fault
-runtime, the solve's persistent kernel chain and the rule that ends it,
-the reaction to a tripped loop bound, the per-bucket row store
-(``extra["bucket_telemetry"]``) and the :class:`SSSPResult`.  The loops,
-their kernels and every ``device.launch``/``segment`` call stay in the
-engine modules.
+device addresses the cache model keys on), the seeded work tally, the
+solve's persistent kernel chain and the rule that ends it, the per-bucket
+row store (``extra["bucket_telemetry"]``) and the :class:`SSSPResult`.  It
+is the engines' one door to the fault runtime: the loop bound, epochs,
+watchdog, the aborts they catch (:data:`ABORTS`) and the rollback.  The
+loops, their kernels and every ``device.launch``/``segment`` call stay in
+the engine modules.
 
 **Id-space contract.**  ``source`` and the returned ``dist`` are in the
 *input* graph's id space, whatever permutation that graph already
@@ -26,7 +27,8 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from ..faults.runtime import make_runtime
+from ..faults.plan import InjectedKernelAbort
+from ..faults.runtime import Watchdog, WatchdogTimeout, make_runtime
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import GPUDevice
 from ..gpusim.spec import GPUSpec
@@ -36,7 +38,11 @@ from .persistent import PersistentChain
 from .relax import DeviceGraph
 from .result import SSSPResult
 
-__all__ = ["GPUSolve"]
+__all__ = ["ABORTS", "GPUSolve"]
+
+#: the kernel aborts every engine catches around its loop body: an
+#: injected abort, or a watchdog that found a drain stalled
+ABORTS = (InjectedKernelAbort, WatchdogTimeout)
 
 
 def _work_to_input(graph: CSRGraph, work: CSRGraph) -> np.ndarray | None:
@@ -57,8 +63,9 @@ class GPUSolve:
 
     Attributes the engine's loop works with: ``device``, ``dgraph`` (the
     uploaded ``work_graph``), ``dist``, ``src`` (the source in the work
-    graph's ids), ``stats``, ``runtime`` (``None`` without recovery) and
-    ``chain``, the persistent kernel the engine's segments run on.
+    graph's ids), ``stats`` and ``chain``, the persistent kernel the
+    engine's segments run on.  The fault runtime (``None`` without
+    recovery) is reached only through the methods below.
     """
 
     def __init__(
@@ -90,7 +97,7 @@ class GPUSolve:
         self.device.host_store(self.dist, self.src, 0.0)
         self.stats = WorkStats()
         self.stats.record(np.array([self.src]), np.array([0.0]), np.array([True]))
-        self.runtime = make_runtime(
+        self._runtime = make_runtime(
             recovery, self.device, self.dgraph, self.dist, self.src
         )
         #: the solve's persistent kernel; every host synchronization ends it
@@ -99,6 +106,21 @@ class GPUSolve:
         self.bucket_telemetry: list[dict] = []
         self.work = None
 
+    def tick(self, count: int, limit: int, reason: str,
+             frontier: Callable[[], int], delta: float | None = None) -> int:
+        """Count one more loop iteration: returns ``count + 1``.
+
+        Past ``limit`` it raises :class:`ConvergenceError` instead, with
+        the ``count`` iterations completed and the ``frontier()`` size;
+        the engine hands it to :meth:`give_up`, or lets it escape.
+        """
+        count += 1
+        if count > limit:
+            raise ConvergenceError(
+                reason, method=self.method, iterations=count - 1,
+                frontier=int(frontier()), delta=delta)
+        return count
+
     def give_up(self, exc: ConvergenceError) -> None:
         """A loop bound tripped: raise ``exc`` without a runtime.
 
@@ -106,9 +128,7 @@ class GPUSolve:
         budget); the caller then stops its loop and the final repair
         sweeps of :meth:`result` restore the fixpoint.
         """
-        if self.runtime is None:
-            raise exc
-        self.runtime.recover(exc)
+        self.rollback(exc)
 
     def epoch(self, work: Callable[[], int], mark=None) -> None:
         """The runtime's epoch at a loop boundary, if a runtime is attached.
@@ -116,22 +136,54 @@ class GPUSolve:
         Only then is ``work()`` called, to size the pending work.  A
         synchronizing epoch (a probe or a checkpoint) ends the chain.
         """
-        if self.runtime is not None and self.runtime.epoch(work(), mark=mark):
+        if self._runtime is not None and self._runtime.epoch(work(), mark=mark):
             self.chain.end()
 
-    def on_abort(self, exc: BaseException) -> np.ndarray:
-        """A kernel aborted: raise ``exc`` without a runtime.
+    def quiet_epochs(self) -> float:
+        """How many coming :meth:`epoch` calls synchronize nothing
+        (``inf`` without a runtime)."""
+        if self._runtime is None:
+            return np.inf
+        return self._runtime.quiet_epochs()
 
-        With one, the runtime rolls ``dist`` back to its last checkpoint
-        and returns the finite vertices the engine reseeds its worklist
-        from (:meth:`RecoveryRuntime.on_abort`).  The rollback is a host
-        synchronization, so it ends the chain.
+    def pass_epochs(self, count: int) -> None:
+        """Count ``count`` quiet epochs at once (at most :meth:`quiet_epochs`)."""
+        if self._runtime is not None:
+            self._runtime.pass_epochs(count)
+
+    def watchdog(self, work: int, chunk: int) -> Watchdog | None:
+        """A round budget for one asynchronous drain of ``work`` items,
+        ``chunk`` per round; ``None`` without a runtime."""
+        if self._runtime is None:
+            return None
+        return self._runtime.new_watchdog(work, chunk)
+
+    def rollback(self, exc: BaseException, fallback=None, *,
+                 degrade: bool = False):
+        """Recover from ``exc``: raise it without a runtime.
+
+        With one, the runtime logs it and rolls ``dist`` back to its last
+        checkpoint within its retry budget, and ``degrade`` logs the
+        async-to-sync degradation.  Returns the checkpoint's mark, or
+        ``fallback`` once the budget is spent.  A host synchronization, so
+        it ends the chain.
         """
-        if self.runtime is None:
+        if self._runtime is None:
             raise exc
-        fin = self.runtime.on_abort(exc)
+        mark = self._runtime.recover(exc, fallback)
         self.chain.end()
-        return fin
+        if degrade:
+            self._runtime.note_degraded()
+        return mark
+
+    def on_abort(self, exc: BaseException) -> np.ndarray:
+        """:meth:`rollback`, then every finite vertex of ``dist``.
+
+        The engine reseeds its worklist from them; re-relaxing settled
+        vertices costs work but cannot change a correct distance.
+        """
+        self.rollback(exc)
+        return np.flatnonzero(np.isfinite(self.dist.data)).astype(np.int64)
 
     def close_bucket(self, row: dict) -> None:
         """Publish one processed bucket's row (``bucket_close``) and keep it."""
@@ -145,8 +197,8 @@ class GPUSolve:
         distances; returns ``(updates, valid)`` per ``stats`` span in
         ``spans`` (see :meth:`WorkStats.finalize_spans`).
         """
-        if self.runtime is not None:
-            self.runtime.finish()
+        if self._runtime is not None:
+            self._runtime.finish()
         self.work, counts = self.stats.finalize_spans(self.dist.data, spans)
         return counts
 
@@ -175,5 +227,5 @@ class GPUSolve:
             counters=self.device.counters,
             num_edges=self.graph.num_edges,
             extra={"timeline": self.device.timeline, **extra},
-            faults=self.runtime.report if self.runtime is not None else None,
+            faults=self._runtime.report if self._runtime is not None else None,
         )

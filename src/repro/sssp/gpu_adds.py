@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..faults.plan import InjectedKernelAbort
 from ..graphs.csr import CSRGraph
-from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
+from ..gpusim.kernels import (
+    GRID_THREADS, grid_stride, thread_per_item, thread_per_vertex_edges)
 from ..gpusim.spec import GPUSpec, V100
 from ..util.scan import sorted_unique_ints
-from .engine import GPUSolve
+from .engine import ABORTS, GPUSolve
 from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
 from .persistent import (
@@ -63,7 +63,6 @@ from .worklist import FarPile, SlotPool
 
 __all__ = ["adds_sssp"]
 
-_SCAN_THREADS = 32 * 256
 #: near-set vertices processed per asynchronous micro-round
 _CHUNK = 2048
 
@@ -104,7 +103,7 @@ def adds_sssp(
     # device-resident near worklist and far pile (repro.sssp.worklist)
     near_pool = SlotPool(device, max(graph.num_edges, 1), "near_slots")
     far_pool = SlotPool(device, max(graph.num_edges, 1), "far_slots")
-    counters = {"steps": 0, "rounds": 0}
+    tally = {"rounds": 0}
     # dynamic-Δ feedback: aim to keep a near set around the device's
     # resident-warp parallelism (ADDS's utilization-driven adjustment)
     target = spec.resident_warps
@@ -122,14 +121,14 @@ def adds_sssp(
 
     while near or far:
         solve.epoch(lambda: sum(int(c.size) for c in near))
-        if not near:
-            candidates = np.flatnonzero(far.val < np.inf)
-            threshold = max(threshold + cur_delta, far.min() + cur_delta)
-            try:
+        try:
+            if not near:
+                candidates = np.flatnonzero(far.val < np.inf)
+                threshold = max(threshold + cur_delta, far.min() + cur_delta)
                 with chain.segment("adds_split") as k:
-                    a = grid_stride(candidates.size, _SCAN_THREADS)
+                    a = grid_stride(candidates.size, GRID_THREADS)
                     a_blocks = block_leaders(
-                        -(-min(candidates.size, _SCAN_THREADS) // BLOCK))
+                        -(-min(candidates.size, GRID_THREADS) // BLOCK))
                     # every block leader advances the threshold past the
                     # far minimum the last drain folded
                     controller_step(k, a_blocks, far_min, cell,
@@ -150,37 +149,32 @@ def adds_sssp(
                         # no drain follows to order this split before the
                         # next one
                         k.device_barrier()
-            except InjectedKernelAbort as exc:
-                near = _adds_reseed(solve, exc, in_near, far)
+                cell = (cell + 1) % RING
+                far.leave(promote)
+                in_near[promote] = True
+                if device.handlers("on_annotate"):
+                    device.annotate(
+                        "adds_split", threshold=threshold, delta=cur_delta,
+                        promoted=int(promote.size),
+                        far_remaining=int(candidates.size - promote.size),
+                    )
+                if promote.size:
+                    near.append(promote)
+                # Δ feedback: grow Δ when batches under-fill the device,
+                # shrink when they flood it (work efficiency).  ADDS
+                # adjusts Δ within a bounded range around its initial
+                # guess; unbounded growth would degenerate to Bellman-Ford
+                if promote.size < target // 2:
+                    cur_delta = min(cur_delta * 1.25, delta * 16.0)
+                elif promote.size > target * 8:
+                    cur_delta = max(cur_delta / 1.25, delta)
                 continue
-            cell = (cell + 1) % RING
-            far.leave(promote)
-            in_near[promote] = True
-            if device.handlers("on_annotate"):
-                device.annotate(
-                    "adds_split", threshold=threshold, delta=cur_delta,
-                    promoted=int(promote.size),
-                    far_remaining=int(candidates.size - promote.size),
-                )
-            if promote.size:
-                near.append(promote)
-            # Δ feedback: grow Δ when batches under-fill the device,
-            # shrink when they flood it (work efficiency).  ADDS adjusts Δ
-            # within a bounded range around its initial guess; unbounded
-            # growth would degenerate to Bellman-Ford
-            if promote.size < target // 2:
-                cur_delta = min(cur_delta * 1.25, delta * 16.0)
-            elif promote.size > target * 8:
-                cur_delta = max(cur_delta / 1.25, delta)
-            continue
 
-        # ---- asynchronous near-set processing: one drain segment ----
-        try:
+            # ---- asynchronous near-set processing: one drain segment ----
             with chain.segment("adds_async") as k:
                 _adds_async(
-                    k, dgraph, dist, near, in_near, far,
-                    near_pool, far_pool, solve.stats, threshold,
-                    cur_delta, counters, far_min, cell,
+                    k, solve, near, in_near, far, near_pool, far_pool,
+                    threshold, cur_delta, tally, far_min, cell,
                 )
                 k.device_barrier()
                 # every block leader applies the Δ feedback of the split
@@ -191,19 +185,23 @@ def adds_sssp(
         except ConvergenceError as exc:
             solve.give_up(exc)
             break
-        except InjectedKernelAbort as exc:
-            near = _adds_reseed(solve, exc, in_near, far)
-            continue
+        except ABORTS as exc:
+            # every finite vertex of the restored checkpoint re-enters the
+            # near set and the far pile empties
+            fin = solve.on_abort(exc)
+            in_near[:] = False
+            in_near[fin] = True
+            far.val[:] = np.inf
+            near = [fin] if fin.size else []
 
     return solve.result({
-        "rounds": counters["rounds"], "delta0": delta,
+        "rounds": tally["rounds"], "delta0": delta,
         "final_delta": cur_delta})
 
 
 def _adds_async(
-    k, dgraph, dist, near, in_near, far: FarPile,
-    near_pool, far_pool, stats, threshold, cur_delta, counters,
-    far_min, cell,
+    k, solve, near, in_near, far: FarPile, near_pool, far_pool,
+    threshold, cur_delta, tally, far_min, cell,
 ):
     """Drain the near worklist: one segment of the persistent kernel.
 
@@ -211,25 +209,21 @@ def _adds_async(
     ``far_pool``; the far-hit lanes fold their new distances into
     ``far_min[cell]`` for the next split.
     """
+    dgraph, dist = solve.dgraph, solve.dist
     # per-round telemetry is host-only and gated on an attached observer
     note_rounds = bool(k.device.handlers("on_annotate"))
     while near:
-        counters["steps"] += 1
-        if counters["steps"] > MAX_STEPS:
-            raise ConvergenceError(
-                "ADDS step limit exceeded",
-                method="adds", iterations=counters["steps"] - 1,
-                frontier=sum(int(c.size) for c in near), delta=cur_delta,
-            )
+        tally["rounds"] = solve.tick(
+            tally["rounds"], MAX_STEPS, "ADDS step limit exceeded",
+            lambda: sum(int(c.size) for c in near), cur_delta)
         chunk = near.pop(0)
         if chunk.size > _CHUNK:
             near.insert(0, chunk[_CHUNK:])
             chunk = chunk[:_CHUNK]
         in_near[chunk] = False
-        counters["rounds"] += 1
         if note_rounds:
             k.device.annotate(
-                "adds_round", round=counters["rounds"],
+                "adds_round", round=tally["rounds"],
                 drained=int(chunk.size),
                 near_pending=int(sum(part.size for part in near)),
             )
@@ -238,7 +232,7 @@ def _adds_async(
         a = thread_per_vertex_edges(batch.counts)
         # the producer places its updated targets near/far on the value
         # the winning atomic wrote (register resident)
-        out = relax_batch(k, dgraph, dist, chunk, batch, a, stats,
+        out = relax_batch(k, dgraph, dist, chunk, batch, a, solve.stats,
                           split=threshold)
         k.async_round()
         if out.near.size + out.far.size == 0:
@@ -262,18 +256,3 @@ def _adds_async(
         if parked.any():
             far.park(far_hits[parked], far_vals[parked])
             far_pool.store(k, sorted_unique_ints(far_hits[parked]))
-
-
-def _adds_reseed(solve, exc, in_near, far: FarPile) -> list[np.ndarray]:
-    """Roll back after an aborted kernel; returns the rebuilt near list.
-
-    Every finite vertex of the restored checkpoint re-enters the near set
-    and the far pile empties; re-relaxing settled vertices costs extra
-    work but cannot change a correct distance.
-    """
-    fin = solve.on_abort(exc)
-    in_near[:] = False
-    in_near[fin] = True
-    none = np.zeros(0, dtype=np.int64)
-    far.refill(none, none)
-    return [fin] if fin.size else []

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..faults.plan import InjectedKernelAbort
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
-from .engine import GPUSolve
+from .engine import ABORTS, GPUSolve
 from .errors import ConvergenceError
 from .relax import FrontierFlags, relax_batch
 from .result import SSSPResult
@@ -54,21 +53,15 @@ def bl_sssp(
     # per-iteration telemetry is host-only and gated on an attached observer
     note_rounds = bool(device.handlers("on_annotate"))
     while frontier.size:
-        iterations += 1
-        if note_rounds:
-            device.annotate(
-                "bl_round", iteration=iterations, frontier=int(frontier.size)
-            )
-        if iterations > limit:
-            solve.give_up(ConvergenceError(
-                "iteration limit exceeded",
-                method="bl", iterations=iterations - 1,
-                frontier=int(frontier.size),
-            ))
-            break
-        solve.epoch(lambda: int(frontier.size))
-        flags.new_round()
         try:
+            iterations = solve.tick(iterations, limit,
+                                    "iteration limit exceeded",
+                                    lambda: int(frontier.size))
+            if note_rounds:
+                device.annotate("bl_round", iteration=iterations,
+                                frontier=int(frontier.size))
+            solve.epoch(lambda: int(frontier.size))
+            flags.new_round()
             with device.launch("bl_relax") as k:
                 batch = dgraph.batch(frontier, "all")
                 # static load balancing: one thread per active vertex
@@ -83,7 +76,10 @@ def bl_sssp(
                     )
                 else:
                     next_frontier = np.zeros(0, dtype=np.int64)
-        except InjectedKernelAbort as exc:
+        except ConvergenceError as exc:
+            solve.give_up(exc)
+            break
+        except ABORTS as exc:
             frontier = solve.on_abort(exc)
             continue
         device.barrier()  # synchronous mode: barrier every iteration

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..faults.plan import InjectedKernelAbort
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
-from .engine import GPUSolve
+from .engine import ABORTS, GPUSolve
 from .errors import ConvergenceError
 from .relax import relax_batch
 from .result import SSSPResult
@@ -63,19 +62,14 @@ def harish_narayanan_sssp(
     all_vertices = np.arange(n, dtype=np.int64)
     iterations = 0
     while True:
-        iterations += 1
-        if iterations > limit:
-            solve.give_up(ConvergenceError(
-                "iteration limit exceeded",
-                method="harish-narayanan", iterations=iterations - 1,
-                frontier=int(mask.data.sum()),
-            ))
-            break
-        active = np.flatnonzero(mask.data)
-        if active.size == 0:
-            break
-        solve.epoch(lambda: int(active.size))
         try:
+            iterations = solve.tick(iterations, limit,
+                                    "iteration limit exceeded",
+                                    lambda: int(mask.data.sum()))
+            active = np.flatnonzero(mask.data)
+            if active.size == 0:
+                break
+            solve.epoch(lambda: int(active.size))
             with device.launch("hn_relax") as k:
                 # every vertex gets a thread and reads its mask (the
                 # topology-driven overhead: n loads per iteration)
@@ -105,7 +99,10 @@ def harish_narayanan_sssp(
                         np.ones(int(out.updated.sum()), dtype=np.int8),
                         sub_u,
                     )
-        except InjectedKernelAbort as exc:
+        except ConvergenceError as exc:
+            solve.give_up(exc)
+            break
+        except ABORTS as exc:
             # the mask array is not checkpointed; conservatively re-mark
             # every finite vertex so no relaxation is lost
             fin = solve.on_abort(exc)

@@ -50,20 +50,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import WatchdogTimeout
 from ..graphs.csr import CSRGraph
-from ..gpusim.kernels import grid_stride, thread_per_item
+from ..gpusim.kernels import GRID_THREADS, grid_stride, thread_per_item
 from ..gpusim.spec import GPUSpec, V100
-from ..metrics.workstats import WorkStats
 from ..util.scan import sorted_unique_ints
-from .engine import GPUSolve
+from .engine import ABORTS, GPUSolve
 from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
 from .persistent import (
     BLOCK,
     RING,
-    PersistentChain,
     block_leaders,
     controller_step,
     fold_min_filtered,
@@ -88,9 +84,6 @@ MAX_ROUNDS = 10_000_000
 #: small chunks keep popped distances fresh (fewer wasted relaxations)
 #: and expose the queue imbalance that work stealing exists to absorb
 GROUP_CHUNK = 16
-
-#: thread count of the edge-parallel relax passes (static balance)
-_DRAIN_THREADS = 32 * 256
 
 #: Knuth's multiplicative hash constant — the queue id of a vertex is a
 #: pure function of its id, so placement is deterministic and stateless
@@ -191,15 +184,15 @@ def mlmq_sssp(
 
     :data:`WINDOW_LEVELS` × :data:`NUM_QUEUES` queues are live at once;
     each queue group drains :data:`GROUP_CHUNK` slots per micro-round.
-    ``recovery=True`` enables the self-healing runtime exactly as for the
-    other engines: epoch checkpoints, a per-level watchdog, and final
+    ``recovery=True`` enables the self-healing runtime through the frame
+    (:class:`~repro.sssp.engine.GPUSolve`), exactly as for the other
+    engines: epoch checkpoints, a per-level watchdog, a rollback that
+    rebuilds the queue hierarchy from the overflow pile, and final
     verify/repair sweeps.  Off it costs nothing.
     """
     delta = check_delta(delta, graph)
     solve = GPUSolve(graph, source, "mlmq", spec=spec, recovery=recovery)
-    device, dgraph, dist, chain = (
-        solve.device, solve.dgraph, solve.dist, solve.chain)
-    runtime = solve.runtime
+    device, dist, chain = solve.device, solve.dist, solve.chain
 
     state = _QueuePool(
         SlotPool(device, max(graph.num_edges, 1024), "mlmq_pool"),
@@ -251,16 +244,9 @@ def mlmq_sssp(
             members = np.flatnonzero(state.queue_level == lvl)
             device.annotate("bucket", index=lvl, lo=lo, hi=hi, active=members)
             occupancy = state.sizes[lvl].copy()
-            watchdog = (
-                runtime.new_watchdog(state.level_size(lvl),
-                                     GROUP_CHUNK * NUM_QUEUES)
-                if runtime is not None else None
-            )
             drain = _drain_level(
-                chain, dgraph, dist, state, lvl, delta=delta,
-                stats=solve.stats, watchdog=watchdog, tally=tally,
-                note=note, level_min=level_min,
-                cell=cell, descriptors=descriptors,
+                solve, state, lvl, delta=delta, tally=tally, note=note,
+                level_min=level_min, cell=cell, descriptors=descriptors,
             )
             cell = (cell + 1) % RING
             state.drop_level(lvl)
@@ -272,12 +258,18 @@ def mlmq_sssp(
                    "active": int(members.size), **drain, "aborted": False,
                    "occupancy": occupancy}
             solve.close_bucket(row)
-        except (WatchdogTimeout, InjectedKernelAbort) as exc:
-            _mlmq_reseed(solve, exc, state)
-            continue
         except ConvergenceError as exc:
             solve.give_up(exc)
             break
+        except ABORTS as exc:
+            # every finite vertex of the restored checkpoint re-enters
+            # through the overflow pile; the next window advance
+            # reclassifies them with the normal counted segment
+            fin = solve.on_abort(exc)
+            state.queues.clear()
+            state.sizes.clear()
+            state.queue_level[:] = -1
+            state.overflow.refill(fin, dist.data[fin])
 
     solve.finish()
     work = solve.work
@@ -299,9 +291,8 @@ def mlmq_sssp(
 
 
 def _drain_level(
-    chain: PersistentChain, dgraph, dist, state: _QueuePool, lvl: int, *,
-    delta: float, stats: WorkStats, watchdog, tally: dict,
-    note: bool, level_min, cell: int, descriptors,
+    solve: GPUSolve, state: _QueuePool, lvl: int, *, delta: float,
+    tally: dict, note: bool, level_min, cell: int, descriptors,
 ) -> dict:
     """Drain one level's queues: one segment of the persistent kernel.
 
@@ -315,26 +306,24 @@ def _drain_level(
     :data:`NUM_QUEUES` queues plus an overflow bucket; parked lanes fold
     into ``level_min[cell]``.  The drained level closes on one device
     barrier, after which the block leaders read that cell and the queue
-    ``descriptors`` to choose the next level.  Returns the level's row
-    fields ``rounds``, ``converged``, ``steals``, ``stale`` and
-    ``stolen_slots``.
+    ``descriptors`` to choose the next level.  The solve's watchdog
+    bounds the rounds.  Returns the level's row fields ``rounds``,
+    ``converged``, ``steals``, ``stale`` and ``stolen_slots``.
     """
-    device = chain.device
+    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
+    watchdog = solve.watchdog(state.level_size(lvl), GROUP_CHUNK * NUM_QUEUES)
     rounds = 0
     stale = 0
     steals = 0
     stolen = 0
     converged = 0
-    with chain.segment("mlmq_drain") as k:
+    with solve.chain.segment("mlmq_drain") as k:
         while state.level_size(lvl) > 0:
+            tally["rounds"] = solve.tick(
+                tally["rounds"], MAX_ROUNDS,
+                "MLMQ round limit exceeded; check delta/weights",
+                lambda: state.level_size(lvl), delta)
             rounds += 1
-            tally["rounds"] += 1
-            if tally["rounds"] > MAX_ROUNDS:
-                raise ConvergenceError(
-                    "MLMQ round limit exceeded; check delta/weights",
-                    method="mlmq", iterations=tally["rounds"] - 1,
-                    frontier=state.level_size(lvl), delta=delta,
-                )
             if watchdog is not None:
                 watchdog.tick()
 
@@ -384,9 +373,9 @@ def _drain_level(
             batch = dgraph.batch(valid, "all")
             out = None
             if batch.edge_idx.size:
-                a_rel = grid_stride(batch.edge_idx.size, _DRAIN_THREADS)
+                a_rel = grid_stride(batch.edge_idx.size, GRID_THREADS)
                 out = relax_batch(k, dgraph, dist, valid, batch, a_rel,
-                                  stats)
+                                  solve.stats)
             k.async_round()
 
             # ---- classification: one multisplit over the improved
@@ -411,7 +400,7 @@ def _drain_level(
         # queue-size descriptors, and every block leader reads the
         # overflow level folded into this level's cell
         k.gather(descriptors, _DESCRIPTORS, thread_per_item(_DESCRIPTORS.size))
-        controller_step(k, block_leaders(_DRAIN_THREADS // BLOCK), level_min,
+        controller_step(k, block_leaders(GRID_THREADS // BLOCK), level_min,
                         cell, ops=LEVEL_OPS, reset=np.inf)
     tally["stale"] += stale
     return {"rounds": rounds, "converged": converged, "steals": steals,
@@ -509,18 +498,3 @@ def _advance_window(
                         promoted=int(cand.size),
                         overflow_remaining=len(state.overflow))
     return int(cand.size)
-
-
-def _mlmq_reseed(solve, exc, state: _QueuePool) -> None:
-    """Roll back after an aborted kernel and rebuild the queue hierarchy.
-
-    Every finite vertex of the restored checkpoint re-enters through the
-    overflow pile; the next window advance reclassifies them with the
-    normal counted segment.  Re-relaxing settled vertices costs extra work
-    but cannot change a correct distance.
-    """
-    fin = solve.on_abort(exc)
-    state.queues.clear()
-    state.sizes.clear()
-    state.queue_level[:] = -1
-    state.overflow.refill(fin, solve.dist.data[fin])

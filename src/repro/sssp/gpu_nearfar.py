@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..faults.plan import InjectedKernelAbort
 from ..graphs.csr import CSRGraph
-from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
+from ..gpusim.kernels import (
+    GRID_THREADS, grid_stride, thread_per_item, thread_per_vertex_edges)
 from ..gpusim.spec import GPUSpec, V100
-from .engine import GPUSolve
+from .engine import ABORTS, GPUSolve
 from .errors import ConvergenceError
 from .gpu_rdbs import check_delta
 from .persistent import (
@@ -46,8 +46,6 @@ from .result import SSSPResult
 from .worklist import FarPile
 
 __all__ = ["nearfar_sssp"]
-
-_SCAN_THREADS = 32 * 256
 
 #: relax iterations before the loop gives up (a guard no sane input trips)
 MAX_ITERATIONS = 10_000_000
@@ -93,47 +91,39 @@ def nearfar_sssp(
     far_cell = 0
 
     while near.size or far:
-        if near.size == 0:
-            # advance the threshold (decided on the device at the end of
-            # the relax segment that emptied the near pile) and split the
-            # far pile
-            threshold = max(threshold + delta, far.min() + delta)
-            # grid cell holding the threshold, clamped so float rounding
-            # can never misplace the promote boundary
-            grid_lo = min(float(np.floor(threshold / delta) * delta),
-                          threshold)
-            grid_hi = max(grid_lo + delta, threshold)
-            full = np.flatnonzero(far.val < grid_lo)
-            boundary = np.flatnonzero((far.val >= grid_lo)
-                                      & (far.val < grid_hi))
-            promote_b = np.zeros(0, dtype=np.int64)
-            if boundary.size:
-                try:
+        try:
+            if near.size == 0:
+                # advance the threshold (decided on the device at the end
+                # of the relax segment that emptied the near pile) and
+                # split the far pile
+                threshold = max(threshold + delta, far.min() + delta)
+                # grid cell holding the threshold, clamped so float
+                # rounding can never misplace the promote boundary
+                grid_lo = min(float(np.floor(threshold / delta) * delta),
+                              threshold)
+                grid_hi = max(grid_lo + delta, threshold)
+                full = np.flatnonzero(far.val < grid_lo)
+                boundary = np.flatnonzero((far.val >= grid_lo)
+                                          & (far.val < grid_hi))
+                promote_b = np.zeros(0, dtype=np.int64)
+                if boundary.size:
                     with chain.segment("nearfar_split") as k:
-                        a = grid_stride(boundary.size, _SCAN_THREADS)
+                        a = grid_stride(boundary.size, GRID_THREADS)
                         dvals = k.gather(dist, boundary, a)
                         keys = (dvals >= threshold).astype(np.int64)
                         order, offs = k.multisplit(keys, 2, a)
                         promote_b = boundary[order[: offs[1]]]
                         k.device_barrier()
-                except InjectedKernelAbort as exc:
-                    near = _nearfar_reseed(solve, exc, far)
-                    continue
-            promote = np.union1d(full, promote_b)
-            far.leave(promote)
-            near = promote
-            continue
+                promote = np.union1d(full, promote_b)
+                far.leave(promote)
+                near = promote
+                continue
 
-        iterations += 1
-        if iterations > MAX_ITERATIONS:
-            solve.give_up(ConvergenceError(
+            iterations = solve.tick(
+                iterations, MAX_ITERATIONS,
                 "near-far iteration limit exceeded",
-                method="near-far", iterations=iterations - 1,
-                frontier=int(near.size), delta=delta,
-            ))
-            break
-        solve.epoch(lambda: int(near.size))
-        try:
+                lambda: int(near.size), delta)
+            solve.epoch(lambda: int(near.size))
             with chain.segment("nearfar_relax") as k:
                 batch = dgraph.batch(near, "all")
                 a = thread_per_vertex_edges(batch.counts)
@@ -167,8 +157,16 @@ def nearfar_sssp(
                     controller_step(k, a_blocks, far_min, far_cell,
                                     ops=THRESHOLD_OPS, reset=np.inf)
                     far_cell = (far_cell + 1) % RING
-        except InjectedKernelAbort as exc:
-            near = _nearfar_reseed(solve, exc, far)
+        except ConvergenceError as exc:
+            solve.give_up(exc)
+            break
+        except ABORTS as exc:
+            # every finite vertex of the restored checkpoint goes to the
+            # far pile at its restored distance; the next threshold
+            # advance re-promotes whatever still needs work
+            fin = solve.on_abort(exc)
+            far.refill(fin, dist.data[fin])
+            near = np.zeros(0, dtype=np.int64)
             continue
 
         near_next = np.unique(near_hits)
@@ -178,16 +176,3 @@ def nearfar_sssp(
         near = near_next
 
     return solve.result({"iterations": iterations, "delta": delta})
-
-
-def _nearfar_reseed(solve, exc, far: FarPile) -> np.ndarray:
-    """Roll back after an aborted kernel; returns the empty near pile.
-
-    Every finite vertex of the restored checkpoint goes to the far pile at
-    its restored distance; the next threshold advance re-promotes whatever
-    still needs work.  Re-relaxing already-settled vertices costs extra
-    work but cannot change a correct distance.
-    """
-    fin = solve.on_abort(exc)
-    far.refill(fin, solve.dist.data[fin])
-    return np.zeros(0, dtype=np.int64)

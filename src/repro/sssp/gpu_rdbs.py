@@ -47,18 +47,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import Watchdog, WatchdogTimeout
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import GPUDevice, KernelContext
 from ..gpusim.dynamic import classify_multisplit, launch_adaptive
-from ..gpusim.kernels import grid_stride, thread_per_item, thread_per_vertex_edges
+from ..gpusim.kernels import (
+    GRID_THREADS, grid_stride, thread_per_item, thread_per_vertex_edges)
 from ..gpusim.spec import GPUSpec, V100
 from ..util.scan import sorted_unique_ints
 from ..metrics.workstats import WorkStats
 from ..reorder.pipeline import apply_pro
 from .buckets import DeltaController
-from .engine import GPUSolve
+from .engine import ABORTS, GPUSolve
 from .errors import ConvergenceError
 from .persistent import (
     BLOCK,
@@ -87,11 +86,8 @@ BUCKET_RESCALE = 8.0
 #: engine models immediate update visibility without barriers
 ASYNC_CHUNK = 2048
 
-#: thread count of the fused phase-2&3 kernel (static load balancing)
-PHASE23_THREADS = 32 * 256
-
 #: one leader lane per block of the persistent kernel's grid
-_GRID_LEADERS = block_leaders(PHASE23_THREADS // BLOCK)
+_GRID_LEADERS = block_leaders(GRID_THREADS // BLOCK)
 
 #: dependent instructions of one warp's Eq. 1–2 controller step (two
 #: differences and sums, two divisions, the ε product, the clamped width
@@ -162,15 +158,17 @@ def rdbs_sssp(
     micro-round drains (smaller = fresher distances / fewer redundant
     updates, larger = fewer scheduling rounds).
 
-    ``recovery=True`` enables the self-healing runtime
-    (:mod:`repro.faults.runtime`): epoch checkpoints, invariant probes,
-    an async-phase watchdog that degrades BASYN to synchronous execution,
+    ``recovery=True`` enables the self-healing runtime, reached through
+    the frame (:class:`~repro.sssp.engine.GPUSolve`): epoch checkpoints,
+    invariant probes, an async-phase watchdog whose timeout (like a
+    kernel abort) rolls back and degrades BASYN to synchronous execution,
     and final verify/repair sweeps.  Off it costs nothing.
 
     When the :data:`MAX_BUCKETS` limit trips, the engine degrades
     gracefully once: Δ is widened by :data:`BUCKET_RESCALE` and the search
     restarts (the result's ``extra["delta_rescaled"]`` records it); a
-    second trip raises :class:`~repro.sssp.errors.ConvergenceError`.
+    second trip raises :class:`~repro.sssp.errors.ConvergenceError`.  The
+    bound raises whether or not ``recovery`` is on.
     """
     if async_chunk < 1:
         raise ValueError("async_chunk must be >= 1")
@@ -213,8 +211,8 @@ def _rdbs_run(
         graph, source, method, spec=spec, recovery=recovery,
         work_graph=apply_pro(graph, delta) if pro else None,
     )
-    device, dgraph, dist = solve.device, solve.dgraph, solve.dist
-    runtime, stats = solve.runtime, solve.stats
+    device, dgraph, dist, stats = (
+        solve.device, solve.dgraph, solve.dist, solve.stats)
     # execution strategy follows the graph's actual capabilities: a caller
     # may hand in a graph that already carries heavy offsets (pre-applied
     # PRO) with pro=False — it still gets branch-free light/heavy ranges
@@ -262,12 +260,10 @@ def _rdbs_run(
             # empty buckets: zero feedback each, walked in bulk.  Each one
             # past the first is an epoch of its own; a synchronizing epoch
             # (its probe may repair dist) ends the walk
-            skipped = controller.skip_empty(
-                min_unsettled,
-                None if runtime is None else runtime.quiet_epochs() + 1)
+            skipped = controller.skip_empty(min_unsettled,
+                                            solve.quiet_epochs() + 1)
             if skipped:
-                if runtime is not None:
-                    runtime.pass_epochs(skipped - 1)
+                solve.pass_epochs(skipped - 1)
                 lo = controller.next_lo
                 continue
             interval = controller.next_interval()
@@ -288,15 +284,11 @@ def _rdbs_run(
                 controller.feedback(0, 0)
             continue
 
-        buckets_processed += 1
-        if buckets_processed > MAX_BUCKETS:
-            raise ConvergenceError(
-                "bucket limit exceeded; check delta/weights",
-                method=method,
-                iterations=buckets_processed - 1,
-                frontier=int(members.size),
-                delta=delta,
-            )
+        # a tripped bound reaches rdbs_sssp's rescale retry, runtime or not
+        buckets_processed = solve.tick(
+            buckets_processed, MAX_BUCKETS,
+            "bucket limit exceeded; check delta/weights",
+            lambda: int(members.size), delta)
         device.annotate(
             "bucket", index=bucket_id, lo=b_lo, hi=b_hi, active=members
         )
@@ -327,15 +319,12 @@ def _rdbs_run(
                 max(b_width, dgraph.split_delta) if use_offsets else b_width
             )
             if basyn_active:
-                watchdog = (
-                    runtime.new_watchdog(int(members.size), async_chunk)
-                    if runtime is not None else None
-                )
                 outcome = _phase1_async(
                     device, dgraph, dist, members, b_lo, b_hi, split,
                     pro=use_offsets, adwl=adwl, stats=stats,
                     in_queue=in_queue, pool=pool, chunk_size=async_chunk,
-                    watchdog=watchdog, chain=solve.chain,
+                    watchdog=solve.watchdog(int(members.size), async_chunk),
+                    chain=solve.chain,
                 )
                 # Δ_{i+1} needs only this bucket's (C, T), known at phase
                 # 1's barrier: phase 2&3 already knows the next interval
@@ -343,8 +332,8 @@ def _rdbs_run(
                     int(outcome.settled.size), outcome.threads_used
                 )
                 next_hi = controller.upcoming_hi()
-                hold = needs_resplit(next_hi - b_hi) or (
-                    runtime is not None and runtime.quiet_epochs() == 0)
+                hold = (needs_resplit(next_hi - b_hi)
+                        or solve.quiet_epochs() == 0)
             else:
                 outcome = _phase1_sync(
                     device, dgraph, dist, members, b_lo, b_hi, split,
@@ -382,19 +371,14 @@ def _rdbs_run(
                     candidate_buf=candidate_buf,
                 )
                 device.barrier()  # synchronous mode between buckets
-        except (WatchdogTimeout, InjectedKernelAbort) as exc:
-            if runtime is None:
-                raise
+        except ABORTS as exc:
             # graceful degradation: roll back to the last good checkpoint
             # (bounded retry) and finish the search without BASYN
-            mark = runtime.recover(exc, lo)
-            solve.chain.end()
+            mark = solve.rollback(exc, lo, degrade=basyn_active)
             lo = 0.0 if mark is None else float(mark)
             in_queue[:] = False
-            if basyn_active:
-                basyn_active = False
-                controller = None
-                runtime.note_degraded()
+            basyn_active = False
+            controller = None
             aborted = True
         else:
             lo = b_hi
@@ -530,7 +514,7 @@ def _phase1_async(
     in_queue: np.ndarray,
     pool: SlotPool,
     chunk_size: int = ASYNC_CHUNK,
-    watchdog: Watchdog | None = None,
+    watchdog=None,
     chain: PersistentChain,
 ) -> _BucketOutcome:
     """BASYN phase 1: one persistent kernel draining the workload lists.
@@ -709,7 +693,7 @@ def _phase23_fused(
                 batch = dgraph.batch(settled, "all")
                 weight_filter = (split, False)
             if batch.num_edges:
-                a = grid_stride(batch.num_edges, PHASE23_THREADS)
+                a = grid_stride(batch.num_edges, GRID_THREADS)
                 out = relax_batch(
                     k, dgraph, dist, settled, batch, a, stats,
                     weight_filter=weight_filter,
@@ -728,7 +712,7 @@ def _phase23_fused(
                         k, candidate_buf, out.updated, out.targets, a
                     )
         # phase 3: one dist read per vertex to build the next bucket
-        a_scan = grid_stride(n, PHASE23_THREADS)
+        a_scan = grid_stride(n, GRID_THREADS)
         vertices = np.arange(n, dtype=np.int64)
         dvals = k.gather(dist, vertices, a_scan)
         active = np.isfinite(dvals) & (dvals >= next_lo)

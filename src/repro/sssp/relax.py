@@ -105,7 +105,7 @@ class DeviceGraph:
         if self.heavy is None:
             raise ValueError("graph has no heavy offsets to re-split")
         from ..reorder.heavy_offsets import compute_heavy_offsets
-        from ..gpusim.kernels import grid_stride
+        from ..gpusim.kernels import GRID_THREADS, grid_stride
 
         n = self.graph.num_vertices
         offsets = self._offset_memo.get(float(new_delta))
@@ -116,7 +116,7 @@ class DeviceGraph:
         # a chain that is not resident starts its kernel with a host launch
         with (chain if fused else PersistentChain(self.device)).segment(
                 "resplit_offsets") as k:
-            a = grid_stride(n, 32 * 256)
+            a = grid_stride(n, GRID_THREADS)
             k.gather(self.row, np.arange(n, dtype=np.int64), a)
             k.alu(a, ops=6)  # per-vertex binary search over its segment
             k.scatter(self.heavy, np.arange(n, dtype=np.int64), offsets, a)

@@ -5,6 +5,9 @@ import pytest
 
 import repro.faults.runtime as recovery_runtime
 import repro.sssp.cpu_pq_delta as cpu_pq_delta
+import repro.sssp.gpu_adds as gpu_adds
+import repro.sssp.gpu_mlmq as gpu_mlmq
+import repro.sssp.gpu_nearfar as gpu_nearfar
 import repro.sssp.gpu_rdbs as gpu_rdbs
 from repro.faults import (
     FaultInjector,
@@ -276,6 +279,35 @@ class TestConvergenceError:
             pq_delta_star_sssp(path(50), 0)
         assert ei.value.method == "pq-delta*"
         assert ei.value.iterations == 1
+
+    @pytest.mark.parametrize("recovery", [False, True],
+                             ids=["raise", "recover"])
+    @pytest.mark.parametrize("module, bound, method, reason", [
+        (gpu_nearfar, "MAX_ITERATIONS", "near-far",
+         "near-far iteration limit exceeded"),
+        (gpu_adds, "MAX_STEPS", "adds", "ADDS step limit exceeded"),
+        (gpu_mlmq, "MAX_ROUNDS", "mlmq",
+         "MLMQ round limit exceeded; check delta/weights"),
+    ], ids=["near-far", "adds", "mlmq"])
+    def test_gpu_loop_bound(self, module, bound, method, reason, recovery,
+                            monkeypatch):
+        """A GPU engine's loop bound, read at call time, trips after one
+        round: without a runtime the frame's ConvergenceError escapes;
+        with one the loop stops and the final repair sweeps finish it."""
+        monkeypatch.setattr(module, bound, 1)
+        g = path(50)
+        if not recovery:
+            with pytest.raises(ConvergenceError) as ei:
+                sssp(g, 0, method=method, spec=SPEC)
+            assert ei.value.method == method
+            assert ei.value.reason == reason
+            assert ei.value.iterations == 1
+            return
+        r = sssp(g, 0, method=method, spec=SPEC, recovery=True)
+        validate_distances(g, 0, r.dist)
+        assert any(a.startswith(f"caught ConvergenceError: {method}: {reason}")
+                   for a in r.faults.actions)
+        assert r.faults.verified is True
 
     def test_legacy_runtimeerror_catch_still_works(self, monkeypatch):
         monkeypatch.setattr(gpu_rdbs, "MAX_BUCKETS", 2)

@@ -1,20 +1,10 @@
 """Tests for bucket arithmetic and the Eq. 1–2 dynamic-Δ controller."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sssp import BucketInterval, DeltaController, bucket_of
-
-
-class TestBucketOf:
-    def test_mapping(self):
-        d = np.array([0.0, 0.05, 0.1, 0.25, np.inf])
-        assert list(bucket_of(d, 0.1)) == [0, 0, 1, 2, -1]
-
-    def test_all_inf(self):
-        assert list(bucket_of(np.array([np.inf, np.inf]), 1.0)) == [-1, -1]
+from repro.sssp import BucketInterval, DeltaController
 
 
 class TestDeltaController:

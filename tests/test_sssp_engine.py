@@ -41,3 +41,17 @@ def test_engines_do_not_fork_the_frame(path):
     forked = _called_names(path) & FRAME_ONLY
     assert not forked, f"{path.name} calls {sorted(forked)} directly"
 
+
+
+@pytest.mark.parametrize("path", ENGINE_FILES, ids=lambda p: p.name)
+def test_engines_reach_the_fault_runtime_only_through_the_frame(path):
+    """No engine imports :mod:`repro.faults` or reads the frame's runtime:
+    loop bounds, epochs, the watchdog and rollbacks all go through
+    :class:`~repro.sssp.engine.GPUSolve`."""
+    tree = ast.parse(path.read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    assert not {m for m in imported if "faults" in m.split(".")}
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    assert not read & {"runtime", "_runtime"}

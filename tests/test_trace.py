@@ -425,16 +425,6 @@ class TestCLI:
         events, _ = load_trace(str(tmp_path / "t.jsonl"))
         assert events
 
-    def test_trace_run_with_fault_plan(self, tmp_path):
-        from repro.cli import main
-
-        out = tmp_path / "f.jsonl"
-        assert main(["trace", "run", "kron:8,8", "--method", "rdbs",
-                     "--plan", "lost-updates", "--out", str(out)]) == 0
-        events, meta = load_trace(str(out))
-        assert meta["plan"] == "lost-updates"
-        assert any(e.kind == "fault" for e in events)
-
     def test_trace_run_capacity_flag(self, tmp_path):
         from repro.cli import main
 
@@ -461,5 +451,6 @@ class TestCLI:
                    "--plan", "lost-updates", "--seed", "0",
                    "--trace", str(out)])
         assert rc == 0
-        events, _ = load_trace(str(out))
+        events, meta = load_trace(str(out))
+        assert meta["plan"] == "lost-updates"
         assert any(e.kind == "fault" for e in events)
